@@ -277,8 +277,9 @@ def _cmd_verify(args, docs_unused):
         node = json.loads(Path(args.files[0]).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read certificate: {exc}") from None
-    cert_node = node.get("certificate", node)
-    cert = docio.parse_certificate(cert_node)
+    if not isinstance(node, dict):
+        raise InputError("certificate: expected a top-level object")
+    cert = docio.parse_certificate(node.get("certificate", node))
     d1, d2 = _load(args.files[1]), _load(args.files[2])
     P1, P2 = _want(d1, "hpoly"), _want(d2, "hpoly")
     ok = verify_certificate(P1, P2, cert)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import InputError
 from .polyhedra import HPolyhedron, VPolyhedron
 from .rational import Mat, Rat, Vec, format_rational, parse_rational
-from .relint import MembershipReport, QuasiRegularityReport, RowWitness
+from .relint import MembershipReport, RowWitness
 from .separation import SeparationCertificate
 from .seqspace import HybridSeq, L1BallClassification
 from .setmaps import PLConvexFunction, PolyhedralMap
@@ -57,9 +57,14 @@ def _int(node, path: str) -> int:
     return node
 
 
-def _hpoly(node, path: str) -> HPolyhedron:
+def _object(node, path: str) -> dict:
     if not isinstance(node, dict):
         raise InputError(f"{path}: expected an object")
+    return node
+
+
+def _hpoly(node, path: str) -> HPolyhedron:
+    node = _object(node, path)
     return HPolyhedron(
         _matrix(node.get("A", []), f"{path}.A"),
         _vec(node.get("b", []), f"{path}.b"),
@@ -70,6 +75,7 @@ def _hpoly(node, path: str) -> HPolyhedron:
 
 
 def _payload(kind: str, node, path: str) -> Payload:
+    node = _object(node, path)
     if kind == "hpoly":
         return _hpoly(node, path)
     if kind == "vpoly":
@@ -146,15 +152,6 @@ def ser_mat(m: Mat) -> list[list[str]]:
     return [ser_vec(row) for row in m]
 
 
-def hpoly_doc(P: HPolyhedron) -> dict:
-    return {"A": ser_mat(P.A), "b": ser_vec(P.b), "E": ser_mat(P.E),
-            "d": ser_vec(P.d), "dim": P.dim}
-
-
-def vpoly_doc(V: VPolyhedron) -> dict:
-    return {"points": ser_mat(V.points), "rays": ser_mat(V.rays), "dim": V.dim}
-
-
 def certificate_doc(cert: SeparationCertificate) -> dict:
     return {
         "functional": ser_vec(cert.functional),
@@ -165,7 +162,8 @@ def certificate_doc(cert: SeparationCertificate) -> dict:
     }
 
 
-def parse_certificate(node: dict, path: str = "certificate") -> SeparationCertificate:
+def parse_certificate(node, path: str = "certificate") -> SeparationCertificate:
+    node = _object(node, path)
     return SeparationCertificate(
         _vec(node.get("functional"), f"{path}.functional"),
         None if node.get("sup1") is None else _rat(node["sup1"], f"{path}.sup1"),
@@ -194,17 +192,6 @@ def membership_report_doc(rep: MembershipReport) -> dict:
         "closure_structural": rep.closure_structural,
         "agree": rep.agree,
         "witness": witness_doc(rep.witness),
-    }
-
-
-def quasireg_doc(rep: QuasiRegularityReport) -> dict:
-    return {
-        "set_id": rep.set_id,
-        "cond_finite_dim": rep.cond_finite_dim,
-        "cond_int_nonempty": rep.cond_int_nonempty,
-        "cond_ri_nonempty": rep.cond_ri_nonempty,
-        "verdict": rep.verdict,
-        "sampled_equality_check": rep.sampled_equality_check,
     }
 
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
-from .rational import Mat, Rat, Vec, ZERO, dot, unit, vsub, zeros
+from .errors import InputError, TheoremViolation
+from .rational import Mat, Rat, Vec, ZERO, dot, unit, zeros
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,8 @@ def solve_linear_system(eq_lhs: Mat, eq_rhs: Vec, n: int) -> LinearSolution | No
 
 def nullspace_basis(m: Mat, n: int) -> tuple[Vec, ...]:
     sol = solve_linear_system(m, zeros(len(m)), n)
-    assert sol is not None
+    if sol is None:
+        raise TheoremViolation("a homogeneous system is always consistent")
     return sol.nullspace_basis
 
 
@@ -160,10 +161,3 @@ def orthogonal_complement_basis(directions: tuple[Vec, ...], n: int) -> tuple[Ve
         return tuple(unit(n, j) for j in range(n))
     return nullspace_basis(directions, n)
 
-
-def affine_combination_residual(basepoint: Vec, directions: tuple[Vec, ...], x: Vec) -> Vec:
-    """x - basepoint - (its projection-free span representation); zero iff x in flat."""
-    diff = vsub(x, basepoint)
-    if in_span(directions, diff):
-        return zeros(len(x))
-    return diff

@@ -218,8 +218,8 @@ class _Simplex:
         r0 = min(range(self.m), key=lambda i: (self.tab[i][width], i))
         self._rebuild_objective(aux_cost, width)
         self._pivot(r0, self.total)
-        enter = self._bland(width)
-        assert enter is None, "auxiliary objective is bounded by construction"
+        if self._bland(width) is not None:
+            raise TheoremViolation("auxiliary objective is bounded by construction")
         if self.obj[width] < 0:
             farkas = tuple(self.obj[self.struct + i] for i in range(self.m))
             return "infeasible", farkas

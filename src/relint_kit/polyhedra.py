@@ -13,14 +13,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .dd import dd_cone
-from .errors import EmptySetError, InputError
+from .errors import EmptySetError, InputError, TheoremViolation
 from .linalg import (
     in_span,
     orthogonal_complement_basis,
     rank,
     solve_linear_system,
 )
-from .lp import LPProblem, Optimal, Unbounded, lp_solve, simplex_max
+from .lp import Infeasible, LPProblem, Optimal, Unbounded, lp_solve, simplex_max
 from .rational import (
     Mat,
     ONE,
@@ -171,12 +171,10 @@ class PolyCone:
 @lru_cache(maxsize=None)
 def feasible_point(P: HPolyhedron) -> Vec | None:
     """A witness point of P, or None when P is empty."""
-    rows = list(P.A) + list(P.E) + [vneg(r) for r in P.E]
-    rhs = list(P.b) + list(P.d) + [-v for v in P.d]
-    status, data, _ = simplex_max(zeros(P.dim), rows, rhs, P.dim, 0)
-    if status == "infeasible":
+    out = lp_solve(LPProblem.maximize(zeros(P.dim), (P.A, P.b), (P.E, P.d)))
+    if isinstance(out, Infeasible):
         return None
-    return data[0]
+    return out.point
 
 
 def is_empty(P: HPolyhedron) -> bool:
@@ -191,21 +189,32 @@ def _require_nonempty(P: HPolyhedron) -> None:
 # -- implicit equalities and the affine hull ---------------------------------
 
 
+def _max_slack(A: Mat, b: Vec, E: Mat, d: Vec, n: int,
+               tight: frozenset[int] = frozenset()) -> tuple[Rat, Vec] | None:
+    """max t <= 1 over (x, t) with a_i·x + t <= b_i on the rows outside
+    `tight`, a_i·x <= b_i on the rows in it, and E x = d.
+
+    The one encoding of the slack LP: the cap row comes last and t is the
+    last variable.  Returns (t, x), or None when the system is infeasible."""
+    rows = tuple(row + (ZERO if i in tight else ONE,) for i, row in enumerate(A))
+    eqs = tuple(row + (ZERO,) for row in E)
+    out = lp_solve(LPProblem.maximize(
+        zeros(n) + (ONE,), (rows + (zeros(n) + (ONE,),), tuple(b) + (ONE,)),
+        (eqs, tuple(d))))
+    if not isinstance(out, Optimal):
+        return None
+    return out.value, out.point[:n]
+
+
 @lru_cache(maxsize=None)
 def slack_maximum(P: HPolyhedron) -> tuple[Rat, Vec]:
     """max t (capped at 1) with a_i·x + t <= b_i for every inequality row
     and all equalities held; the witness x comes with it."""
     _require_nonempty(P)
-    n = P.dim
-    rows = [row + (ONE,) for row in P.A]
-    rhs = list(P.b)
-    rows.append(zeros(n) + (ONE,))
-    rhs.append(ONE)
-    eqs = [row + (ZERO,) for row in P.E]
-    out = lp_solve(LPProblem.maximize(
-        zeros(n) + (ONE,), (tuple(rows), tuple(rhs)), (tuple(eqs), tuple(P.d))))
-    assert isinstance(out, Optimal)
-    return out.value, out.point[:n]
+    found = _max_slack(P.A, P.b, P.E, P.d, P.dim)
+    if found is None:
+        raise TheoremViolation("slack LP of a nonempty polyhedron is infeasible")
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +240,8 @@ def affine_hull(P: HPolyhedron) -> AffineFlat:
     eq_rows = list(P.E) + [P.A[i] for i in sorted(imp)]
     eq_rhs = list(P.d) + [P.b[i] for i in sorted(imp)]
     sol = solve_linear_system(tuple(eq_rows), tuple(eq_rhs), P.dim)
-    assert sol is not None, "nonempty polyhedron has a consistent equality system"
+    if sol is None:
+        raise TheoremViolation("nonempty polyhedron has an inconsistent equality system")
     return AffineFlat(sol.particular, sol.nullspace_basis, P.dim)
 
 
@@ -278,11 +288,13 @@ def h_to_v(P: HPolyhedron) -> VPolyhedron:
         t = r[-1]
         if t > 0:
             points.append(tuple(Rat(num, t) for num in r[:-1]))
-        else:
-            assert t == 0, "homogenization keeps t nonnegative"
+        elif t == 0:
             directions.append(tuple(Rat(num) for num in r[:-1]))
+        else:
+            raise TheoremViolation("homogenization ray with negative t")
     for l in lineality:
-        assert l[-1] == 0, "lineality stays in the t = 0 slice"
+        if l[-1] != 0:
+            raise TheoremViolation("lineality leaves the t = 0 slice")
         d = tuple(Rat(num) for num in l[:-1])
         directions.append(d)
         directions.append(vneg(d))
@@ -305,14 +317,16 @@ def v_to_h(V: VPolyhedron) -> HPolyhedron:
     for r in sorted(rays):
         a, c = r[:-1], r[-1]
         if all(x == 0 for x in a):
-            assert c <= 0, "trivial facet row must be satisfiable at t = 1"
+            if c > 0:
+                raise TheoremViolation("trivial facet row unsatisfiable at t = 1")
             continue
         A.append(tuple(Rat(x) for x in a))
         b.append(Rat(-c))
     for l in sorted(lineality):
         a, c = l[:-1], l[-1]
         if all(x == 0 for x in a):
-            assert c == 0, "a nonempty set meets the t = 1 slice"
+            if c != 0:
+                raise TheoremViolation("a nonempty set misses the t = 1 slice")
             continue
         E.append(tuple(Rat(x) for x in a))
         d.append(Rat(-c))
@@ -394,25 +408,28 @@ def contains_v_member(P: HPolyhedron, V: VPolyhedron) -> bool:
     )
 
 
+def cone_contains(C: PolyCone, v: Vec) -> bool:
+    """v in cone(generators), by feasibility of a nonnegative combination."""
+    if len(v) != C.dim:
+        raise InputError("cone membership query of wrong dimension")
+    if not C.generators:
+        return all(c == 0 for c in v)
+    k = len(C.generators)
+    rows, rhs = [], []
+    for j in range(C.dim):
+        coeffs = tuple(g[j] for g in C.generators)
+        rows.append(coeffs)
+        rhs.append(v[j])
+        rows.append(vneg(coeffs))
+        rhs.append(-v[j])
+    status, _, _ = simplex_max(zeros(k), tuple(rows), tuple(rhs), 0, k)
+    return status != "infeasible"
+
+
 def v_member(V: VPolyhedron, x: Vec) -> bool:
-    """x in conv(points) + cone(rays), by a feasibility LP independent of
-    any H-representation."""
+    """x in conv(points) + cone(rays), by cone membership of (x, 1) in the
+    homogenized generators; independent of any H-representation."""
     if V.is_empty_set:
         return False
-    k, r = len(V.points), len(V.rays)
-    n = V.dim
-    rows = []
-    rhs = []
-    for j in range(n):
-        coeffs = tuple(p[j] for p in V.points) + tuple(ray[j] for ray in V.rays)
-        rows.append(coeffs)
-        rhs.append(x[j])
-        rows.append(vneg(coeffs))
-        rhs.append(-x[j])
-    ones = (ONE,) * k + (ZERO,) * r
-    rows.append(ones)
-    rhs.append(ONE)
-    rows.append(vneg(ones))
-    rhs.append(-ONE)
-    status, _, _ = simplex_max(zeros(k + r), tuple(rows), tuple(rhs), 0, k + r)
-    return status != "infeasible"
+    gens = tuple(p + (ONE,) for p in V.points) + tuple(r + (ZERO,) for r in V.rays)
+    return cone_contains(PolyCone(gens, V.dim + 1), tuple(x) + (ONE,))

@@ -9,6 +9,7 @@ memoized directly.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Rat
 from math import gcd
 
@@ -20,29 +21,29 @@ Mat = tuple[Vec, ...]
 ZERO = Rat(0)
 ONE = Rat(1)
 
+# An optional sign and ASCII digits; `int` alone would also take
+# underscores, inner whitespace and non-ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
 
 def rat(p, q=1) -> Rat:
     return Rat(p, q)
 
 
 def parse_rational(text: str) -> Rat:
-    """Parse "p" or "p/q" with integer p, q and q > 0 after normalization."""
-    s = text.strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        try:
-            p, q = int(num), int(den)
-        except ValueError:
-            raise InputError(f"malformed rational {text!r}") from None
+    """Parse "p" or "p/q", where p and q are integers written as an
+    optional sign and ASCII digits, and q > 0."""
+    num, slash, den = text.strip().partition("/")
+    if not _INTEGER.fullmatch(num) or (slash and not _INTEGER.fullmatch(den)):
+        raise InputError(f"malformed rational {text!r}")
+    if slash:
+        p, q = int(num), int(den)
         if q == 0:
             raise InputError(f"zero denominator in rational {text!r}")
         if q < 0:
             raise InputError(f"negative denominator in rational {text!r}")
         return Rat(p, q)
-    try:
-        return Rat(int(s))
-    except ValueError:
-        raise InputError(f"malformed rational {text!r}") from None
+    return Rat(int(num))
 
 
 def format_rational(x: Rat) -> str:
@@ -67,10 +68,6 @@ def unit(n: int, j: int) -> Vec:
     return tuple(ONE if i == j else ZERO for i in range(n))
 
 
-def identity(n: int) -> Mat:
-    return tuple(unit(n, j) for j in range(n))
-
-
 def dot(u: Vec, v: Vec) -> Rat:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
@@ -91,18 +88,8 @@ def vscale(t: Rat, u: Vec) -> Vec:
     return tuple(t * a for a in u)
 
 
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
-
-
 def matvec(m: Mat, x: Vec) -> Vec:
     return tuple(dot(row, x) for row in m)
-
-
-def transpose(m: Mat, ncols: int | None = None) -> Mat:
-    if not m:
-        return tuple(() for _ in range(ncols or 0))
-    return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
 def primitive_int(v: Vec) -> tuple[int, ...]:

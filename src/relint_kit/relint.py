@@ -7,27 +7,37 @@ prolongation of every chord, the conic hull being a subspace, its closure
 being a subspace, and the normal cone being a subspace) coincide; the
 suite computes each one independently so that agreement is evidence, not
 assumption.  The conic hull of a polyhedron at one of its points is
-already closed, so the closure predicate reuses the same cone object and
-the report flags that equality as structural rather than evidential.
+already closed, so the closure predicate reuses the same subspace test
+and the report flags that equality as structural rather than evidential.
+
+For a nonempty polyhedron, indeed for every nonempty convex set in finite
+dimension, ri = iri = qri: the relative, intrinsic and quasi-relative
+interiors coincide, and every such set is quasi-regular.  The
+quasi-regularity flags in the reports are therefore constants of the
+theory, not computed results; the evidential field is
+`sampled_equality_check`, which compares the intrinsic and quasi-relative
+predicates point by point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 from .errors import EmptySetError, InputError, PointNotInSetError, TheoremViolation
-from .lp import LPProblem, Optimal, lp_solve, simplex_max
 from .polyhedra import (
     HPolyhedron,
     PolyCone,
+    _max_slack,
+    cone_contains,
     dim,
     h_to_v,
     implicit_rows,
     is_empty,
     slack_maximum,
 )
-from .rational import ONE, Rat, Vec, ZERO, dot, vadd, vneg, vscale, vsub, zeros
+from .rational import ONE, Rat, Vec, dot, vadd, vneg, vscale, vsub, zeros
 
 
 @dataclass(frozen=True)
@@ -63,8 +73,8 @@ class MembershipReport:
     normal_cone_subspace: bool
     witness: RowWitness | None
     # Polyhedral conic hulls are closed, so cone_subspace and
-    # closed_cone_subspace come from the same cone object.
-    closure_structural: bool = True
+    # closed_cone_subspace come from one subspace test.
+    closure_structural: ClassVar[bool] = True
 
     @property
     def predicates(self) -> tuple[bool, bool, bool, bool, bool]:
@@ -83,12 +93,17 @@ class MembershipReport:
 
 @dataclass(frozen=True)
 class QuasiRegularityReport:
+    """Sufficient conditions for quasi-regularity and the sampled check.
+
+    Every nonempty convex set in finite dimension is quasi-regular, so
+    `cond_finite_dim` and `verdict` are constants of the theory."""
+
     set_id: str | None
-    cond_finite_dim: bool
     cond_int_nonempty: bool
     cond_ri_nonempty: bool
-    verdict: bool
     sampled_equality_check: bool
+    cond_finite_dim: ClassVar[bool] = True
+    verdict: ClassVar[bool] = True
 
 
 def _find_violation(P: HPolyhedron, x: Vec) -> RowWitness | None:
@@ -132,21 +147,10 @@ def ri_point(P: HPolyhedron) -> Vec:
     t_star, x_star = slack_maximum(P)
     if t_star > 0:
         return x_star
-    imp = implicit_rows(P)
-    n = P.dim
-    rows, rhs = [], []
-    for i, (row, beta) in enumerate(zip(P.A, P.b)):
-        rows.append(row + (ZERO if i in imp else ONE,))
-        rhs.append(beta)
-    rows.append(zeros(n) + (ONE,))
-    rhs.append(ONE)
-    eqs = [row + (ZERO,) for row in P.E]
-    out = lp_solve(LPProblem.maximize(
-        zeros(n) + (ONE,), (tuple(rows), tuple(rhs)), (tuple(eqs), tuple(P.d))))
-    assert isinstance(out, Optimal)
-    if out.value <= 0:
+    found = _max_slack(P.A, P.b, P.E, P.d, P.dim, implicit_rows(P))
+    if found is None or found[0] <= 0:
         raise TheoremViolation("nonempty polyhedron must have a relative interior point")
-    return out.point[:n]
+    return found[1]
 
 
 def conic_hull_at(P: HPolyhedron, x: Vec) -> PolyCone:
@@ -162,24 +166,6 @@ def conic_hull_at(P: HPolyhedron, x: Vec) -> PolyCone:
             gens.add(g)
     gens.update(V.rays)
     return PolyCone(tuple(sorted(gens)), P.dim)
-
-
-def cone_contains(C: PolyCone, v: Vec) -> bool:
-    """v in cone(generators), by feasibility of a nonnegative combination."""
-    if len(v) != C.dim:
-        raise InputError("cone membership query of wrong dimension")
-    if not C.generators:
-        return all(c == 0 for c in v)
-    k = len(C.generators)
-    rows, rhs = [], []
-    for j in range(C.dim):
-        coeffs = tuple(g[j] for g in C.generators)
-        rows.append(coeffs)
-        rhs.append(v[j])
-        rows.append(vneg(coeffs))
-        rhs.append(-v[j])
-    status, _, _ = simplex_max(zeros(k), tuple(rows), tuple(rhs), 0, k)
-    return status != "infeasible"
 
 
 def is_subspace(C: PolyCone) -> bool:
@@ -285,9 +271,8 @@ def characterization_suite(
     probes = [v for v in V.points if v != xbar]
     probes += [vadd(xbar, r) for r in V.rays]
     prolong = all(prolongation_test(P, xbar, x) is not None for x in probes)
-    cone = conic_hull_at(P, xbar)
-    cone_sub = is_subspace(cone)
-    closed_cone_sub = is_subspace(cone)
+    # The conic hull is closed, so one test decides both cone predicates.
+    cone_sub = is_subspace(conic_hull_at(P, xbar))
     normal_sub = is_subspace(normal_cone(P, xbar))
     return MembershipReport(
         xbar,
@@ -295,7 +280,7 @@ def characterization_suite(
         ri_res.member,
         prolong,
         cone_sub,
-        closed_cone_sub,
+        cone_sub,
         normal_sub,
         ri_res.witness,
     )
@@ -309,7 +294,6 @@ def quasi_regularity_report(
     that the intrinsic and quasi-relative interior predicates agree."""
     if is_empty(P):
         raise EmptySetError("quasi-regularity of the empty set is undefined")
-    cond_finite = True
     cond_int = dim(P) == P.dim
     rp = ri_point(P)
     cond_ri = ri_membership(P, rp).member
@@ -318,6 +302,4 @@ def quasi_regularity_report(
     # quasi-relative interior, so this compares the intrinsic predicate
     # against the closed-cone one point by point.
     sampled_equal = all(in_iri(P, s) == in_qri(P, s) for s in samples)
-    verdict = cond_finite or cond_int or cond_ri
-    return QuasiRegularityReport(
-        set_id, cond_finite, cond_int, cond_ri, verdict, sampled_equal)
+    return QuasiRegularityReport(set_id, cond_int, cond_ri, sampled_equal)

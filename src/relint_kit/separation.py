@@ -20,6 +20,7 @@ from .polyhedra import (
     AffineFlat,
     HPolyhedron,
     VPolyhedron,
+    _max_slack,
     h_to_v,
     implicit_rows,
     is_empty,
@@ -69,14 +70,13 @@ class QriSeparationReport:
 class RiDisjointnessReport:
     """Two independent verdicts that must coincide: proper separability and
     emptiness of the intersection of relative interiors.  For polyhedra the
-    quasi-relative interiors coincide with the relative interiors, which is
-    recorded as structural rather than re-derived."""
+    quasi-relative interiors coincide with the relative interiors, so the
+    same verdict covers them."""
 
     separated: bool
     ri_disjoint: bool
     certificate: SeparationCertificate | None
     common_point: Vec | None
-    qri_structural: bool = True
 
     @property
     def agree(self) -> bool:
@@ -139,7 +139,8 @@ def properly_separate(P1: HPolyhedron, P2: HPolyhedron):
         rows.append(vneg(e))
         rhs.append(ONE)
     out = lp_solve(LPProblem.maximize(tuple(obj), (tuple(rows), tuple(rhs))))
-    assert isinstance(out, Optimal), "threshold LP is feasible and box-bounded"
+    if not isinstance(out, Optimal):
+        raise TheoremViolation("threshold LP is feasible and box-bounded")
     if out.value > 0:
         x_star = out.point[:n]
         return Separated(_build_certificate(x_star, V1, V2))
@@ -189,12 +190,16 @@ def verify_certificate(
     P1: HPolyhedron, P2: HPolyhedron, cert: SeparationCertificate
 ) -> bool:
     """Re-validate a certificate by direct generator evaluation, with no
-    reference to how it was produced."""
+    reference to how it was produced.  False when either set is empty:
+    proper separation is only defined for nonempty sets."""
     x_star = cert.functional
     if len(x_star) != P1.dim or P1.dim != P2.dim:
         return False
-    sup1, _ = _evaluate_bounds(x_star, h_to_v(P1))
-    _, inf2 = _evaluate_bounds(x_star, h_to_v(P2))
+    V1, V2 = h_to_v(P1), h_to_v(P2)
+    if V1.is_empty_set or V2.is_empty_set:
+        return False
+    sup1, _ = _evaluate_bounds(x_star, V1)
+    _, inf2 = _evaluate_bounds(x_star, V2)
     if sup1 is None or inf2 is None:
         return False
     if cert.sup1 != sup1 or cert.inf2 != inf2 or sup1 > inf2:
@@ -205,24 +210,14 @@ def verify_certificate(
 
 
 def _common_ri_point(P1: HPolyhedron, P2: HPolyhedron) -> Vec | None:
-    """A point of ri(P1) and ri(P2) from one joint slack-maximization LP."""
-    n = P1.dim
-    rows, rhs = [], []
-    eqs, eqr = [], []
-    for P in (P1, P2):
-        imp = implicit_rows(P)
-        for i, (row, beta) in enumerate(zip(P.A, P.b)):
-            rows.append(row + (ZERO if i in imp else ONE,))
-            rhs.append(beta)
-        for row, delta in zip(P.E, P.d):
-            eqs.append(row + (ZERO,))
-            eqr.append(delta)
-    rows.append(zeros(n) + (ONE,))
-    rhs.append(ONE)
-    out = lp_solve(LPProblem.maximize(
-        zeros(n) + (ONE,), (tuple(rows), tuple(rhs)), (tuple(eqs), tuple(eqr))))
-    if isinstance(out, Optimal) and out.value > 0:
-        return out.point[:n]
+    """A point of ri(P1) and ri(P2) from one joint slack-maximization LP
+    over P1's rows followed by P2's."""
+    offset = len(P1.A)
+    tight = implicit_rows(P1) | {offset + i for i in implicit_rows(P2)}
+    found = _max_slack(P1.A + P2.A, P1.b + P2.b, P1.E + P2.E, P1.d + P2.d,
+                       P1.dim, tight)
+    if found is not None and found[0] > 0:
+        return found[1]
     return None
 
 
@@ -278,8 +273,7 @@ def strict_separate_in_flat(L: AffineFlat, P: HPolyhedron, xbar: Vec) -> Vec:
         rhs.append(ONE)
     out = lp_solve(LPProblem.maximize(
         xbar + (-ONE,), (tuple(rows), tuple(rhs))))
-    assert isinstance(out, Optimal)
-    if out.value <= 0:
+    if not isinstance(out, Optimal) or out.value <= 0:
         raise TheoremViolation("a closed polyhedron and an outside point separate strictly")
     h = out.point[:n]
     u = project_onto_span(L.directions, h)
@@ -295,7 +289,9 @@ def separation_iff_ri_disjoint(P1: HPolyhedron, P2: HPolyhedron) -> RiDisjointne
         raise EmptySetError("the equivalence requires nonempty sets")
     outcome = properly_separate(P1, P2)
     separated = isinstance(outcome, Separated)
-    common = _common_ri_point(P1, P2)
+    # A NotSeparable outcome already carries the joint slack point: the
+    # same deterministic LP, so it is not solved a second time.
+    common = _common_ri_point(P1, P2) if separated else outcome.common_point
     if common is not None:
         if not (ri_membership(P1, common).member and ri_membership(P2, common).member):
             raise TheoremViolation("joint slack point failed relative-interior checks")

@@ -7,17 +7,23 @@ its second component is interior to the image slice.  The epigraph analog
 replaces the slice by the strict-majorization condition.  Each checker
 evaluates both sides independently and reports every asserted equality
 and one-sided inclusion separately.
+
+The quasi-regularity side conditions of those rules always hold here:
+every nonempty convex set in finite dimension is quasi-regular.  The
+reports carry them as documented constants, so the conditional claims
+reduce to plain implications.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 from .errors import EmptySetError, InputError
-from .lp import LPProblem, Optimal, lp_solve
 from .polyhedra import (
     HPolyhedron,
+    _max_slack,
     h_to_v,
     implicit_rows,
     is_empty,
@@ -28,11 +34,10 @@ from .relint import (
     in_iri,
     in_qri,
     in_ri,
-    quasi_regularity_report,
     ri_membership,
     ri_point,
 )
-from .rational import Mat, ONE, Rat, Vec, ZERO, dot, matvec, unit, vadd, vscale, zeros
+from .rational import Mat, ONE, Rat, Vec, ZERO, dot, matvec, unit, vadd, vscale
 
 
 @dataclass(frozen=True)
@@ -73,15 +78,17 @@ class PLConvexFunction:
 
 @dataclass(frozen=True)
 class GraphRIReport:
-    """Both sides of the graph product rule at one pair, with the
-    quasi-regularity side conditions and every implication separately."""
+    """Both sides of the graph product rule at one pair, with every
+    implication separately.  The graph and the domain are nonempty convex
+    sets in finite dimension, hence quasi-regular: the side conditions
+    are constants."""
 
     x: Vec
     y: Vec
     lhs: bool
     rhs: bool
-    quasi_reg_graph: bool
-    quasi_reg_dom: bool
+    quasi_reg_graph: ClassVar[bool] = True
+    quasi_reg_dom: ClassVar[bool] = True
 
     @property
     def product_rule_holds(self) -> bool:
@@ -89,15 +96,15 @@ class GraphRIReport:
 
     @property
     def graph_regular_inclusion_ok(self) -> bool:
-        return not self.quasi_reg_graph or not self.lhs or self.rhs
+        return not self.lhs or self.rhs
 
     @property
     def domain_regular_inclusion_ok(self) -> bool:
-        return not self.quasi_reg_dom or not self.rhs or self.lhs
+        return not self.rhs or self.lhs
 
     @property
     def both_regular_equality_ok(self) -> bool:
-        return not (self.quasi_reg_graph and self.quasi_reg_dom) or self.lhs == self.rhs
+        return self.lhs == self.rhs
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,8 @@ class EpiRelintReport:
     """Interior membership of (x, level) in the epigraph versus the
     domain-plus-strict-majorization description, for all three interior
     notions; single-piece instances are tagged because their equality is
-    unconditional."""
+    unconditional.  The epigraph is a nonempty polyhedron, hence
+    quasi-regular."""
 
     x: Vec
     level: Rat
@@ -115,8 +123,8 @@ class EpiRelintReport:
     rhs_iri: bool
     lhs_qri: bool
     rhs_qri: bool
-    epi_quasi_regular: bool
     single_affine_piece: bool
+    epi_quasi_regular: ClassVar[bool] = True
 
     @property
     def ri_formula_holds(self) -> bool:
@@ -132,7 +140,7 @@ class EpiRelintReport:
 
     @property
     def qri_equality_under_regularity_ok(self) -> bool:
-        return not self.epi_quasi_regular or self.lhs_qri == self.rhs_qri
+        return self.lhs_qri == self.rhs_qri
 
     @property
     def affine_piece_equality_ok(self) -> bool:
@@ -151,8 +159,11 @@ class EpiRelintReport:
 
 @dataclass(frozen=True)
 class EpiDomainRegularityReport:
-    epi_quasi_regular: bool
-    dom_quasi_regular: bool
+    """Epigraph and domain are nonempty polyhedra, so both are
+    quasi-regular and the implication between them holds."""
+
+    epi_quasi_regular: ClassVar[bool] = True
+    dom_quasi_regular: ClassVar[bool] = True
 
     @property
     def implication_holds(self) -> bool:
@@ -207,9 +218,7 @@ def graph_ri_check(F: PolyhedralMap, x: Vec, y: Vec) -> GraphRIReport:
     lhs = in_ri(F.graph, pair)
     dom = map_domain(F)
     rhs = in_ri(dom, x) and in_ri(image_at(F, x), y)
-    qr_graph = quasi_regularity_report(F.graph).verdict
-    qr_dom = quasi_regularity_report(dom).verdict
-    return GraphRIReport(x, y, lhs, rhs, qr_graph, qr_dom)
+    return GraphRIReport(x, y, lhs, rhs)
 
 
 @lru_cache(maxsize=None)
@@ -241,18 +250,18 @@ def epi_relint_report(f: PLConvexFunction, x: Vec, level: Rat) -> EpiRelintRepor
     rhs_ri = strict and in_ri(f.domain, x)
     rhs_iri = strict and in_iri(f.domain, x)
     rhs_qri = strict and in_qri(f.domain, x)
-    qr = quasi_regularity_report(epi).verdict
     return EpiRelintReport(
         x, level, lhs_ri, rhs_ri, lhs_iri, rhs_iri, lhs_qri, rhs_qri,
-        qr, len(f.pieces) == 1)
+        len(f.pieces) == 1)
 
 
 def epi_quasireg_implies_dom(f: PLConvexFunction) -> EpiDomainRegularityReport:
-    """Machine-check that epigraph quasi-regularity forces domain
-    quasi-regularity (one direction only; the converse is not asserted)."""
-    epi_rep = quasi_regularity_report(epi_polyhedron(f))
-    dom_rep = quasi_regularity_report(f.domain)
-    return EpiDomainRegularityReport(epi_rep.verdict, dom_rep.verdict)
+    """Epigraph quasi-regularity forces domain quasi-regularity (one
+    direction only; the converse is not asserted).  Both hold for every
+    proper function here, so only properness is checked: an empty domain
+    raises EmptySetError."""
+    epi_polyhedron(f)
+    return EpiDomainRegularityReport()
 
 
 def _interior_samples(P: HPolyhedron) -> list[Vec]:
@@ -283,23 +292,10 @@ def linear_image_ri_commutes(M: Mat, P: HPolyhedron) -> CommutationReport:
 
 def _strict_preimage(M: Mat, P: HPolyhedron, q: Vec) -> Vec | None:
     """x in P with Mx = q and positive slack on all non-implicit rows."""
-    n = P.dim
-    imp = implicit_rows(P)
-    rows, rhs = [], []
-    for i, (row, beta) in enumerate(zip(P.A, P.b)):
-        rows.append(row + (ZERO if i in imp else ONE,))
-        rhs.append(beta)
-    rows.append(zeros(n) + (ONE,))
-    rhs.append(ONE)
-    eqs = [row + (ZERO,) for row in P.E]
-    eqr = list(P.d)
-    for mrow, val in zip(M, q):
-        eqs.append(mrow + (ZERO,))
-        eqr.append(val)
-    out = lp_solve(LPProblem.maximize(
-        zeros(n) + (ONE,), (tuple(rows), tuple(rhs)), (tuple(eqs), tuple(eqr))))
-    if isinstance(out, Optimal) and out.value > 0:
-        return out.point[:n]
+    found = _max_slack(P.A, P.b, tuple(P.E) + tuple(M), tuple(P.d) + tuple(q),
+                       P.dim, implicit_rows(P))
+    if found is not None and found[0] > 0:
+        return found[1]
     return None
 
 

@@ -195,3 +195,54 @@ def test_cli_seed_recorded(capsys):
     assert code == 0
     report = json.loads(out[out.index("{"):])
     assert report["seed"] == 7 and report["point"] == ["1/2"]
+
+
+ONE_DIM_CERT = ('{"functional": ["1"], "sup1": "0", "inf2": "0", '
+                '"strict_witness_1": ["-1"], "strict_witness_2": ["1"]}')
+
+
+def test_cli_verify_with_an_empty_set_fails_with_a_report(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text(ONE_DIM_CERT)
+    # The certificate is valid for a nonempty first set ...
+    code, _ = run_cli(
+        capsys, "verify", str(cert), str(CORPUS / "halfline-neg.json"),
+        str(CORPUS / "interval-01.json"),
+    )
+    assert code == 0
+    # ... and an empty one fails the check with a report, not a traceback.
+    code, out = run_cli(
+        capsys, "verify", str(cert), str(CORPUS / "empty-interval.json"),
+        str(CORPUS / "interval-01.json"),
+    )
+    assert code == 1
+    assert "FAIL empty-interval|interval-01 certificate-revalidation" in out
+    report = json.loads(out[out.index("{"):])
+    assert report["certificate_valid"] is False and report["exit_code"] == 1
+
+
+@pytest.mark.parametrize("text", ['[1, 2]', '"cert"', '{"certificate": [1]}'])
+def test_cli_verify_non_object_certificate_is_input_error(tmp_path, capsys, text):
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    code = main(["verify", str(cert), str(CORPUS / "segment-x01.json"),
+                 str(CORPUS / "square-unit.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: certificate")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind,command", [
+    ("vpoly", "ri-point"), ("map", "graph-ri"),
+    ("plfunction", "epi-ri"), ("sequence", "seq-classify"),
+])
+@pytest.mark.parametrize("payload", ["[1]", '"x"', "3"])
+def test_cli_non_object_payload_is_located_input_error(tmp_path, capsys, kind, command, payload):
+    doc = tmp_path / "bad.json"
+    doc.write_text(f'{{"kind": "{kind}", "id": "bad", "payload": {payload}}}')
+    code = main([command, str(doc)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: bad.json: payload: expected an object\n"

@@ -75,3 +75,18 @@ def test_primitive_int_scales_positively():
 
 def test_dot_product_exact():
     assert dot(vec(["1/3", "1/7"]), vec(["3", "7"])) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "1_000", "1_0/3", "3/1_0", "1 /2", "1/ 2", "1/", "/2", "", "+", "1/2/3",
+    "٣", "1e3", "0x10", "--1",
+])
+def test_parse_rejects_text_outside_the_grammar(text):
+    with pytest.raises(InputError, match="malformed rational"):
+        parse_rational(text)
+
+
+def test_parse_accepts_an_explicit_sign():
+    assert parse_rational("+3") == 3
+    assert parse_rational("-0/5") == 0
+    assert parse_rational("+6/4") == Fraction(3, 2)

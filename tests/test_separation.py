@@ -218,3 +218,23 @@ def test_strict_separation_random_subspace_instances():
         sup = max(dot(u, p) for p in V.points)
         assert all(dot(u, r) <= 0 for r in V.rays)
         assert sup < dot(u, xbar)
+
+
+def test_verify_certificate_rejects_an_empty_set():
+    from relint_kit.separation import SeparationCertificate
+
+    interval = HPolyhedron.make(A=[[1], [-1]], b=[1, 0])
+    cert = SeparationCertificate(vec([1]), vec([0])[0], vec([0])[0], vec([-1]), vec([1]))
+    assert not verify_certificate(HPolyhedron.empty(1), interval, cert)
+    assert not verify_certificate(interval, HPolyhedron.empty(1), cert)
+
+
+def test_not_separable_report_reuses_the_common_point():
+    rng = random.Random(83)
+    for _ in range(15):
+        P1, P2 = random_pair(rng, 2, 4)
+        out = properly_separate(P1, P2)
+        rep = separation_iff_ri_disjoint(P1, P2)
+        if isinstance(out, NotSeparable):
+            assert rep.common_point == out.common_point
+            assert not rep.separated and not rep.ri_disjoint
