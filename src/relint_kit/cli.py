@@ -55,13 +55,17 @@ COMMANDS = (
 )
 
 
+def _parse_rat(text: str, what: str):
+    try:
+        return parse_rational(text)
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from None
+
+
 def _parse_point(text: str | None, what: str = "--point"):
     if text is None:
         raise InputError(f"this command requires {what}")
-    try:
-        return tuple(parse_rational(part) for part in text.split(","))
-    except InputError as exc:
-        raise InputError(f"{what}: {exc}") from None
+    return tuple(_parse_rat(part, what) for part in text.split(","))
 
 
 def _parse_matrix(text: str | None):
@@ -212,7 +216,7 @@ def _cmd_epi_ri(args, docs):
     x = _parse_point(args.point)
     if args.level is None:
         raise InputError("epi-ri requires --level")
-    level = parse_rational(args.level)
+    level = _parse_rat(args.level, "--level")
     rep = epi_relint_report(f, x, level)
     ok = rep.all_asserted_hold
     report = {
@@ -472,11 +476,15 @@ def main(argv=None) -> int:
     report.update(body)
     report["exit_code"] = code
     text = docio.dump_report(report)
+    if args.out:
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     for line in lines:
         print(line)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return code
 

@@ -52,8 +52,8 @@ def _matrix(node, path: str) -> Mat:
 
 
 def _int(node, path: str) -> int:
-    if not isinstance(node, int) or isinstance(node, bool):
-        raise InputError(f"{path}: expected an integer")
+    if not isinstance(node, int) or isinstance(node, bool) or node < 0:
+        raise InputError(f"{path}: expected a nonnegative integer")
     return node
 
 

@@ -190,46 +190,44 @@ def _require_nonempty(P: HPolyhedron) -> None:
 
 
 def _max_slack(A: Mat, b: Vec, E: Mat, d: Vec, n: int,
-               tight: frozenset[int] = frozenset()) -> tuple[Rat, Vec] | None:
+               tight: frozenset[int] = frozenset()) -> Optimal | None:
     """max t <= 1 over (x, t) with a_i·x + t <= b_i on the rows outside
     `tight`, a_i·x <= b_i on the rows in it, and E x = d.
 
     The one encoding of the slack LP: the cap row comes last and t is the
-    last variable.  Returns (t, x), or None when the system is infeasible."""
+    last variable.  Returns the Optimal outcome, whose point is (x, t), or
+    None when the system is infeasible."""
     rows = tuple(row + (ZERO if i in tight else ONE,) for i, row in enumerate(A))
     eqs = tuple(row + (ZERO,) for row in E)
     out = lp_solve(LPProblem.maximize(
         zeros(n) + (ONE,), (rows + (zeros(n) + (ONE,),), tuple(b) + (ONE,)),
         (eqs, tuple(d))))
-    if not isinstance(out, Optimal):
-        return None
-    return out.value, out.point[:n]
+    return out if isinstance(out, Optimal) else None
 
 
 @lru_cache(maxsize=None)
-def slack_maximum(P: HPolyhedron) -> tuple[Rat, Vec]:
-    """max t (capped at 1) with a_i·x + t <= b_i for every inequality row
-    and all equalities held; the witness x comes with it."""
+def _interior(P: HPolyhedron) -> tuple[frozenset[int], Vec]:
+    """The implicit rows of nonempty P and a relative-interior point.
+
+    Farkas: at a zero slack optimum the duals y >= 0 give y·(b - A x) = 0
+    on P, so every row with y_i > 0 is implicit; some lie outside `tight`."""
     _require_nonempty(P)
-    found = _max_slack(P.A, P.b, P.E, P.d, P.dim)
-    if found is None:
-        raise TheoremViolation("slack LP of a nonempty polyhedron is infeasible")
-    return found
+    tight: frozenset[int] = frozenset()
+    while True:
+        out = _max_slack(P.A, P.b, P.E, P.d, P.dim, tight)
+        if out is None:
+            raise TheoremViolation("slack LP of a nonempty polyhedron is infeasible")
+        if out.value > 0:
+            return tight, out.point[:P.dim]
+        grown = tight | {i for i, y in enumerate(out.dual_ineq[:len(P.A)]) if y > 0}
+        if grown == tight:
+            raise TheoremViolation("zero slack optimum without a new implicit row")
+        tight = grown
 
 
-@lru_cache(maxsize=None)
 def implicit_rows(P: HPolyhedron) -> frozenset[int]:
     """Indices of inequality rows satisfied as equalities everywhere on P."""
-    _require_nonempty(P)
-    t_star, _ = slack_maximum(P)
-    if t_star > 0:
-        return frozenset()
-    found = set()
-    for i, (row, beta) in enumerate(zip(P.A, P.b)):
-        out = lp_solve(LPProblem.minimize(row, (P.A, P.b), (P.E, P.d)))
-        if isinstance(out, Optimal) and out.value == beta:
-            found.add(i)
-    return frozenset(found)
+    return _interior(P)[0]
 
 
 @lru_cache(maxsize=None)

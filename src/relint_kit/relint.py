@@ -25,17 +25,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
 
-from .errors import EmptySetError, InputError, PointNotInSetError, TheoremViolation
+from .errors import EmptySetError, InputError, PointNotInSetError
 from .polyhedra import (
     HPolyhedron,
     PolyCone,
-    _max_slack,
+    _interior,
     cone_contains,
     dim,
     h_to_v,
     implicit_rows,
     is_empty,
-    slack_maximum,
 )
 from .rational import ONE, Rat, Vec, dot, vadd, vneg, vscale, vsub, zeros
 
@@ -140,17 +139,10 @@ def in_ri(P: HPolyhedron, x: Vec) -> bool:
     return ri_membership(P, x).member
 
 
-@lru_cache(maxsize=None)
 def ri_point(P: HPolyhedron) -> Vec:
     """A deterministic relative-interior point of nonempty P, from the
     slack-maximization LP over the non-implicit rows."""
-    t_star, x_star = slack_maximum(P)
-    if t_star > 0:
-        return x_star
-    found = _max_slack(P.A, P.b, P.E, P.d, P.dim, implicit_rows(P))
-    if found is None or found[0] <= 0:
-        raise TheoremViolation("nonempty polyhedron must have a relative interior point")
-    return found[1]
+    return _interior(P)[1]
 
 
 def conic_hull_at(P: HPolyhedron, x: Vec) -> PolyCone:

@@ -193,7 +193,8 @@ def verify_certificate(
     reference to how it was produced.  False when either set is empty:
     proper separation is only defined for nonempty sets."""
     x_star = cert.functional
-    if len(x_star) != P1.dim or P1.dim != P2.dim:
+    if P1.dim != P2.dim or any(len(v) != P1.dim for v in (
+            x_star, cert.strict_witness_1, cert.strict_witness_2)):
         return False
     V1, V2 = h_to_v(P1), h_to_v(P2)
     if V1.is_empty_set or V2.is_empty_set:
@@ -216,8 +217,8 @@ def _common_ri_point(P1: HPolyhedron, P2: HPolyhedron) -> Vec | None:
     tight = implicit_rows(P1) | {offset + i for i in implicit_rows(P2)}
     found = _max_slack(P1.A + P2.A, P1.b + P2.b, P1.E + P2.E, P1.d + P2.d,
                        P1.dim, tight)
-    if found is not None and found[0] > 0:
-        return found[1]
+    if found is not None and found.value > 0:
+        return found.point[:P1.dim]
     return None
 
 

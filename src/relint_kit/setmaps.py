@@ -294,8 +294,8 @@ def _strict_preimage(M: Mat, P: HPolyhedron, q: Vec) -> Vec | None:
     """x in P with Mx = q and positive slack on all non-implicit rows."""
     found = _max_slack(P.A, P.b, tuple(P.E) + tuple(M), tuple(P.d) + tuple(q),
                        P.dim, implicit_rows(P))
-    if found is not None and found[0] > 0:
-        return found[1]
+    if found is not None and found.value > 0:
+        return found.point[:P.dim]
     return None
 
 

@@ -246,3 +246,60 @@ def test_cli_non_object_payload_is_located_input_error(tmp_path, capsys, kind, c
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: bad.json: payload: expected an object\n"
+
+
+@pytest.mark.parametrize("kind,command,payload,path", [
+    ("hpoly", "ri-point", '{"dim": -1}', "payload.dim"),
+    ("vpoly", "ri-point", '{"points": [], "dim": -1}', "payload.dim"),
+    ("map", "graph-ri",
+     '{"graph": {"A": [], "b": [], "E": [], "d": [], "dim": 2}, "m": 3, "n": -1}',
+     "payload.n"),
+    ("plfunction", "epi-ri", '{"pieces": [["1", "0"]], "domain": {"dim": -1}}',
+     "payload.domain.dim"),
+    ("sequence", "seq-classify",
+     '{"prefix": [], "tail": {"c": "1", "q": "1/2", "start": -2}}', "payload.tail.start"),
+])
+def test_cli_negative_integer_field_is_located_input_error(
+        tmp_path, capsys, kind, command, payload, path):
+    doc = tmp_path / "neg.json"
+    doc.write_text(f'{{"kind": "{kind}", "id": "neg", "payload": {payload}}}')
+    code = main([command, str(doc), "--point", "0,0", "--level", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: neg.json: {path}: expected a nonnegative integer\n"
+
+
+def test_cli_unwritable_out_is_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["ri-point", str(CORPUS / "square-unit.json"), "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("level", ["1/0", "x", "0.5"])
+def test_cli_malformed_level_is_located(capsys, level):
+    code = main(["epi-ri", str(CORPUS / "fn-abs.json"), "--point", "0",
+                 "--level", level])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: --level: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_verify_wrong_length_strict_witness_fails_with_a_report(tmp_path, capsys):
+    sets = (str(CORPUS / "segment-x01.json"), str(CORPUS / "square-unit.json"))
+    out_file = tmp_path / "report.json"
+    assert main(["separate", *sets, "--out", str(out_file)]) == 0
+    report = json.loads(out_file.read_text())
+    for key in ("strict_witness_1", "strict_witness_2"):
+        cert = tmp_path / f"{key}.json"
+        cert.write_text(json.dumps({"certificate": {**report["certificate"], key: ["0"]}}))
+        capsys.readouterr()
+        code, out = run_cli(capsys, "verify", str(cert), *sets)
+        assert code == 1
+        assert json.loads(out[out.index("{"):])["certificate_valid"] is False

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from conftest import random_nonempty_hpoly, random_matrix
+from relint_kit import polyhedra
 from relint_kit.errors import EmptySetError, InputError
 from relint_kit.linalg import solve_linear_system
 from relint_kit.polyhedra import (
@@ -20,6 +21,7 @@ from relint_kit.polyhedra import (
     flat_to_hpoly,
     flats_equal,
     h_to_v,
+    implicit_rows,
     is_empty,
     linear_image,
     minkowski_diff,
@@ -252,3 +254,63 @@ def test_flat_membership():
     flat = AffineFlat(vec([1, 0]), (vec([0, 1]),), 2)
     assert flat.contains(vec([1, 5]))
     assert not flat.contains(vec([0, 0]))
+
+
+def _implicit_by_generators(P):
+    """Implicit rows read off the double-description generators alone."""
+    V = h_to_v(P)
+    return frozenset(
+        i for i, (row, beta) in enumerate(zip(P.A, P.b))
+        if all(dot(row, p) == beta for p in V.points)
+        and all(dot(row, r) == 0 for r in V.rays)
+    )
+
+
+def _with_forced_rows(rng, P):
+    """P plus an opposite-row pair through one of its generator points and
+    the zero rows 0 <= 0 (implicit) and 0 <= 1 (never tight)."""
+    p = h_to_v(P).points[0]
+    row = tuple(Fraction(rng.randint(-2, 2)) for _ in range(P.dim))
+    zero = tuple(Fraction(0) for _ in range(P.dim))
+    extra = [(row, dot(row, p)), (tuple(-c for c in row), -dot(row, p)),
+             (zero, Fraction(0)), (zero, Fraction(1))]
+    rng.shuffle(extra)
+    A = list(P.A) + [r for r, _ in extra]
+    b = list(P.b) + [beta for _, beta in extra]
+    return HPolyhedron(tuple(A), tuple(b), P.E, P.d, P.dim)
+
+
+def test_implicit_rows_match_generator_oracle():
+    rng = random.Random(1985)
+    with_implicit = 0
+    for trial in range(160):
+        P = random_nonempty_hpoly(rng, rng.randint(1, 3), 6)
+        if trial % 2:
+            P = _with_forced_rows(rng, P)
+        imp = implicit_rows(P)
+        assert imp == _implicit_by_generators(P)
+        with_implicit += bool(imp)
+        hull = affine_hull(P)
+        assert all(hull.contains(p) for p in h_to_v(P).points)
+    assert with_implicit >= 80
+
+
+def test_implicit_rows_solve_one_lp_per_round(monkeypatch):
+    P = HPolyhedron.make(
+        A=[[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+        b=[1, 0, 1, 0, 0, 0],
+    )
+    for obj in vars(polyhedra).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    calls = []
+
+    def counting(problem):
+        calls.append(problem)
+        return real(problem)
+
+    real = polyhedra.lp_solve
+    monkeypatch.setattr(polyhedra, "lp_solve", counting)
+    imp = implicit_rows(P)
+    assert imp == frozenset({4, 5})
+    assert len(calls) <= 1 + len(imp)
