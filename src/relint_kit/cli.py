@@ -48,12 +48,6 @@ from .setmaps import (
     set_difference_ri_commutes,
 )
 
-COMMANDS = (
-    "ri-check", "ri-point", "suite", "normal-cone", "separate", "qri-sep",
-    "graph-ri", "epi-ri", "image-ri", "diff-ri", "seq-classify", "verify",
-    "verify-corpus",
-)
-
 
 def _parse_rat(text: str, what: str):
     try:
@@ -440,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact relative-interior and separation certificates "
                     "for polyhedral convex sets",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(_HANDLERS))
     parser.add_argument("files", nargs="*", help="instance documents")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the deterministic sampling policy")

@@ -1,11 +1,14 @@
 """Exact rational linear programming with self-validating certificates.
 
-A dense two-phase tableau simplex over `Fraction`, using Bland's pivoting
-rule throughout, which guarantees termination and makes every outcome
-deterministic for a fixed input.  Outcomes carry checkable evidence:
-optimal points satisfy the constraints exactly, infeasibility comes with
-Farkas multipliers, and unboundedness comes with a feasible point plus an
-improving recession direction.
+A dense two-phase tableau simplex over `Fraction` for the standard form
+max c·x subject to rows·x <= rhs, x >= 0 (`simplex_max`), using Bland's
+pivoting rule throughout, which guarantees termination and makes every
+outcome deterministic for a fixed input.  `lp_solve` alone reduces an
+`LPProblem` to that form: each free variable becomes a (+, -) column pair
+and each equality two opposite inequalities.  Outcomes carry checkable
+evidence: optimal points satisfy the constraints exactly, infeasibility
+comes with Farkas multipliers, and unboundedness comes with a feasible
+point plus an improving recession direction.
 """
 
 from __future__ import annotations
@@ -104,39 +107,22 @@ LPOutcome = Optimal | Infeasible | Unbounded
 
 
 class _Simplex:
-    """Tableau simplex: maximize c·x, rows·x <= rhs, trailing vars nonnegative.
+    """Tableau simplex in standard form: maximize c·x, rows·x <= rhs, x >= 0."""
 
-    Variables 0..n_free-1 are free (internally split into +/- parts),
-    variables n_free..n_free+n_nonneg-1 are nonnegative.
-    """
-
-    def __init__(self, c: Vec, rows, rhs, n_free: int, n_nonneg: int):
-        self.n_free = n_free
-        self.n_nonneg = n_nonneg
+    def __init__(self, c: Vec, rows, rhs):
+        self.n = len(c)
         self.m = len(rows)
-        self.struct = 2 * n_free + n_nonneg
-        self.total = self.struct + self.m
+        self.total = self.n + self.m
         self.pivots = 0
         # Bland's rule visits each basis at most once.
         self.pivot_limit = comb(self.total + 1, self.m) if self.m else 1
-        self.cost = [ZERO] * self.total
-        for j in range(n_free):
-            self.cost[2 * j] = c[j]
-            self.cost[2 * j + 1] = -c[j]
-        for j in range(n_nonneg):
-            self.cost[2 * n_free + j] = c[n_free + j]
+        self.cost = list(c) + [ZERO] * self.m
         self.tab: list[list[Rat]] = []
         for i, (row, beta) in enumerate(zip(rows, rhs)):
-            t = [ZERO] * (self.total + 1)
-            for j in range(n_free):
-                t[2 * j] = row[j]
-                t[2 * j + 1] = -row[j]
-            for j in range(n_nonneg):
-                t[2 * n_free + j] = row[n_free + j]
-            t[self.struct + i] = ONE
-            t[self.total] = beta
+            t = list(row) + [ZERO] * self.m + [beta]
+            t[self.n + i] = ONE
             self.tab.append(t)
-        self.basis = [self.struct + i for i in range(self.m)]
+        self.basis = [self.n + i for i in range(self.m)]
 
     def _pivot(self, r: int, col: int) -> None:
         self.pivots += 1
@@ -158,12 +144,11 @@ class _Simplex:
             self.obj = [a - f * b for a, b in zip(self.obj, row)]
         self.basis[r] = col
 
-    def _rebuild_objective(self, cost, width: int) -> None:
+    def _rebuild_objective(self, cost) -> None:
         # obj[j] = (reduced cost z_j - c_j); last entry carries the value.
-        obj = [-cj for cj in cost] + [ZERO] * (width - len(cost) + 1)
-        obj[width] = ZERO
+        obj = [-cj for cj in cost] + [ZERO]
         for i, b in enumerate(self.basis):
-            cb = cost[b] if b < len(cost) else ZERO
+            cb = cost[b]
             if cb:
                 row = self.tab[i]
                 obj = [a + cb * t for a, t in zip(obj, row)]
@@ -202,7 +187,7 @@ class _Simplex:
             status = self._phase_one()
             if status is not None:
                 return status
-        self._rebuild_objective(self.cost, width)
+        self._rebuild_objective(self.cost)
         enter = self._bland(width)
         if enter is not None:
             return "unbounded", (self._extract_ray(enter), self._extract_point())
@@ -216,17 +201,16 @@ class _Simplex:
         aux_cost[self.total] = -ONE
         # Drive the auxiliary variable in at the most negative row.
         r0 = min(range(self.m), key=lambda i: (self.tab[i][width], i))
-        self._rebuild_objective(aux_cost, width)
+        self._rebuild_objective(aux_cost)
         self._pivot(r0, self.total)
         if self._bland(width) is not None:
             raise TheoremViolation("auxiliary objective is bounded by construction")
         if self.obj[width] < 0:
-            farkas = tuple(self.obj[self.struct + i] for i in range(self.m))
-            return "infeasible", farkas
+            return "infeasible", self._duals()
         if self.total in self.basis:
             r = self.basis.index(self.total)
             for j in range(self.total):
-                if j != self.basis[r] and self.tab[r][j] != 0 and j not in self.basis:
+                if self.tab[r][j] != 0 and j not in self.basis:
                     self._pivot(r, j)
                     break
             else:
@@ -236,51 +220,55 @@ class _Simplex:
         return None
 
     def _extract_point(self) -> Vec:
-        vals = [ZERO] * self.struct
+        vals = [ZERO] * self.n
         for i, b in enumerate(self.basis):
-            if b < self.struct:
+            if b < self.n:
                 vals[b] = self.tab[i][-1]
-        return self._to_vars(vals)
+        return tuple(vals)
 
     def _extract_ray(self, enter: int) -> Vec:
-        vals = [ZERO] * self.struct
-        if enter < self.struct:
+        vals = [ZERO] * self.n
+        if enter < self.n:
             vals[enter] = ONE
         for i, b in enumerate(self.basis):
-            if b < self.struct:
+            if b < self.n:
                 vals[b] = -self.tab[i][enter]
-        return self._to_vars(vals)
-
-    def _to_vars(self, vals) -> Vec:
-        out = []
-        for j in range(self.n_free):
-            out.append(vals[2 * j] - vals[2 * j + 1])
-        for j in range(self.n_nonneg):
-            out.append(vals[2 * self.n_free + j])
-        return tuple(out)
+        return tuple(vals)
 
     def _duals(self) -> Vec:
-        return tuple(self.obj[self.struct + i] for i in range(self.m))
+        return tuple(self.obj[self.n + i] for i in range(self.m))
 
 
-def simplex_max(c: Vec, rows, rhs, n_free: int, n_nonneg: int = 0):
-    """Low-level entry: maximize c·x with rows·x <= rhs and trailing
-    nonnegative variables.  Returns (status, payload, pivots)."""
-    sx = _Simplex(tuple(c), rows, rhs, n_free, n_nonneg)
+def simplex_max(c: Vec, rows, rhs):
+    """Low-level entry: maximize c·x with rows·x <= rhs and x >= 0.
+    Returns (status, payload, pivots)."""
+    sx = _Simplex(tuple(c), rows, rhs)
     status, data = sx.solve()
     return status, data, sx.pivots
 
 
+def _split(v: Vec) -> Vec:
+    """Coefficients of a free variable vector on its (+, -) column pairs."""
+    return tuple(x for a in v for x in (a, -a))
+
+
+def _join(vals: Vec) -> Vec:
+    """Free variable values from their (+, -) column pairs."""
+    return tuple(vals[j] - vals[j + 1] for j in range(0, len(vals), 2))
+
+
 def lp_solve(p: LPProblem) -> LPOutcome:
-    """Solve an LP exactly; deterministic for a fixed input."""
-    n = p.dim
-    flip = p.sense == "min"
-    c = vneg(p.objective) if flip else p.objective
+    """Solve an LP exactly; deterministic for a fixed input.
+
+    Free variables become (+, -) column pairs and each equality two
+    opposite inequalities, which puts the problem in `simplex_max`'s
+    standard form."""
+    c = vneg(p.objective) if p.sense == "min" else p.objective
     m1 = len(p.ineq_lhs)
     m2 = len(p.eq_lhs)
     rows = list(p.ineq_lhs) + list(p.eq_lhs) + [vneg(r) for r in p.eq_lhs]
     rhs = list(p.ineq_rhs) + list(p.eq_rhs) + [-v for v in p.eq_rhs]
-    status, data, pivots = simplex_max(c, rows, rhs, n, 0)
+    status, data, pivots = simplex_max(_split(c), [_split(r) for r in rows], rhs)
     if status == "infeasible":
         y = data
         mult_eq = tuple(y[m1 + j] - y[m1 + m2 + j] for j in range(m2))
@@ -288,8 +276,9 @@ def lp_solve(p: LPProblem) -> LPOutcome:
         return Infeasible(cert, pivots)
     if status == "unbounded":
         ray, point = data
-        return Unbounded(ray, point, pivots)
+        return Unbounded(_join(ray), _join(point), pivots)
     point, y = data
+    point = _join(point)
     value = dot(p.objective, point)
     dual_eq = tuple(y[m1 + j] - y[m1 + m2 + j] for j in range(m2))
     return Optimal(point, value, tuple(y[:m1]), dual_eq, pivots)

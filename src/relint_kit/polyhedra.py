@@ -230,7 +230,6 @@ def implicit_rows(P: HPolyhedron) -> frozenset[int]:
     return _interior(P)[0]
 
 
-@lru_cache(maxsize=None)
 def affine_hull(P: HPolyhedron) -> AffineFlat:
     """The affine hull of nonempty P, from its implicit equality system."""
     _require_nonempty(P)
@@ -335,9 +334,8 @@ def v_to_h(V: VPolyhedron) -> HPolyhedron:
 
 
 def linear_image(M: Mat, P: HPolyhedron) -> HPolyhedron:
-    """Exact H-representation of {Mx : x in P}."""
-    if not M:
-        raise InputError("image requires a matrix with at least one row")
+    """Exact H-representation of {Mx : x in P}; a matrix with no rows
+    maps onto R^0."""
     if any(len(row) != P.dim for row in M):
         raise InputError(f"matrix columns {len(M[0])} do not match dimension {P.dim}")
     target = len(M)
@@ -420,7 +418,7 @@ def cone_contains(C: PolyCone, v: Vec) -> bool:
         rhs.append(v[j])
         rows.append(vneg(coeffs))
         rhs.append(-v[j])
-    status, _, _ = simplex_max(zeros(k), tuple(rows), tuple(rhs), 0, k)
+    status, _, _ = simplex_max(zeros(k), tuple(rows), tuple(rhs))
     return status != "infeasible"
 
 

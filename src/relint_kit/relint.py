@@ -22,7 +22,6 @@ predicates point by point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import ClassVar
 
 from .errors import EmptySetError, InputError, PointNotInSetError
@@ -278,7 +277,6 @@ def characterization_suite(
     )
 
 
-@lru_cache(maxsize=None)
 def quasi_regularity_report(
     P: HPolyhedron, set_id: str | None = None
 ) -> QuasiRegularityReport:

@@ -15,13 +15,15 @@ from .polyhedra import HPolyhedron, h_to_v
 from .rational import Rat, Vec, vadd, vscale
 from .relint import ri_point
 
+# How many rays shift the center and the first generator point.
+_RAY_SHIFTS = 2
+
 
 def sample_points(
     P: HPolyhedron,
     seed: int = 0,
     midpoint_cap: int = 12,
     random_combos: int = 10,
-    ray_shifts: int = 2,
 ) -> list[Vec]:
     """Deterministic sample of points of nonempty P covering faces of all
     dimensions at desk scale."""
@@ -37,7 +39,7 @@ def sample_points(
             mids += 1
     center = ri_point(P)
     samples.append(center)
-    for r in V.rays[:ray_shifts]:
+    for r in V.rays[:_RAY_SHIFTS]:
         samples.append(vadd(center, r))
         if pts:
             samples.append(vadd(pts[0], r))

@@ -12,6 +12,7 @@ instead, so every verdict comes with checkable evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import EmptySetError, InputError, TheoremViolation
 from .lp import LPProblem, Optimal, lp_solve
@@ -98,6 +99,22 @@ def _evaluate_bounds(x_star: Vec, V: VPolyhedron) -> tuple[Rat | None, Rat | Non
     return sup, inf
 
 
+def _functional_rows(n: int, points1, rays1, points2=(), rays2=()):
+    """Inequalities over (x*, sigma) for a separating functional.
+
+    Returns the generator rows, each <= 0 (x*·p <= sigma on points1,
+    x*·p >= sigma on points2, x*·r <= 0 on rays1, x*·r >= 0 on rays2),
+    and the LP system of those rows followed by the box |x*_j| <= 1."""
+    gen = ([p + (-ONE,) for p in points1] + [vneg(p) + (ONE,) for p in points2]
+           + [r + (ZERO,) for r in rays1] + [vneg(r) + (ZERO,) for r in rays2])
+    rows, rhs = list(gen), [ZERO] * len(gen)
+    for j in range(n):
+        e = unit(n + 1, j)
+        rows += [e, vneg(e)]
+        rhs += [ONE, ONE]
+    return gen, (rows, rhs)
+
+
 def properly_separate(P1: HPolyhedron, P2: HPolyhedron):
     """Proper separation of two nonempty polyhedra, or a common
     relative-interior point when none exists."""
@@ -107,38 +124,10 @@ def properly_separate(P1: HPolyhedron, P2: HPolyhedron):
         raise EmptySetError("separation requires nonempty sets")
     n = P1.dim
     V1, V2 = h_to_v(P1), h_to_v(P2)
-    # Variables (x*, sigma); sigma is the threshold between the sets.
-    rows, rhs = [], []
-    obj = list(zeros(n + 1))
-    for p in V1.points:
-        rows.append(p + (-ONE,))
-        rhs.append(ZERO)
-        for j, c in enumerate(p):
-            obj[j] -= c
-        obj[n] += ONE
-    for p in V2.points:
-        rows.append(vneg(p) + (ONE,))
-        rhs.append(ZERO)
-        for j, c in enumerate(p):
-            obj[j] += c
-        obj[n] -= ONE
-    for r in V1.rays:
-        rows.append(r + (ZERO,))
-        rhs.append(ZERO)
-        for j, c in enumerate(r):
-            obj[j] -= c
-    for r in V2.rays:
-        rows.append(vneg(r) + (ZERO,))
-        rhs.append(ZERO)
-        for j, c in enumerate(r):
-            obj[j] += c
-    for j in range(n):
-        e = unit(n + 1, j)
-        rows.append(e)
-        rhs.append(ONE)
-        rows.append(vneg(e))
-        rhs.append(ONE)
-    out = lp_solve(LPProblem.maximize(tuple(obj), (tuple(rows), tuple(rhs))))
+    gen, ineq = _functional_rows(n, V1.points, V1.rays, V2.points, V2.rays)
+    # The total strictness margin is minus the sum of the generator rows.
+    obj = vneg(reduce(vadd, gen, zeros(n + 1)))
+    out = lp_solve(LPProblem.maximize(obj, ineq))
     if not isinstance(out, Optimal):
         raise TheoremViolation("threshold LP is feasible and box-bounded")
     if out.value > 0:
@@ -259,21 +248,8 @@ def strict_separate_in_flat(L: AffineFlat, P: HPolyhedron, xbar: Vec) -> Vec:
     if P.contains(xbar):
         raise InputError("strict separation requires a point outside the set")
     n = P.dim
-    rows, rhs = [], []
-    for p in V.points:
-        rows.append(p + (-ONE,))
-        rhs.append(ZERO)
-    for r in V.rays:
-        rows.append(r + (ZERO,))
-        rhs.append(ZERO)
-    for j in range(n):
-        e = unit(n + 1, j)
-        rows.append(e)
-        rhs.append(ONE)
-        rows.append(vneg(e))
-        rhs.append(ONE)
-    out = lp_solve(LPProblem.maximize(
-        xbar + (-ONE,), (tuple(rows), tuple(rhs))))
+    _, ineq = _functional_rows(n, V.points, V.rays)
+    out = lp_solve(LPProblem.maximize(xbar + (-ONE,), ineq))
     if not isinstance(out, Optimal) or out.value <= 0:
         raise TheoremViolation("a closed polyhedron and an outside point separate strictly")
     h = out.point[:n]

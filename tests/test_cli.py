@@ -303,3 +303,27 @@ def test_cli_verify_wrong_length_strict_witness_fails_with_a_report(tmp_path, ca
         code, out = run_cli(capsys, "verify", str(cert), *sets)
         assert code == 1
         assert json.loads(out[out.index("{"):])["certificate_valid"] is False
+
+
+def test_cli_graph_ri_of_a_map_with_zero_domain_dimension(tmp_path, capsys):
+    """With m = 0 the domain is the image of the graph in R^0."""
+    doc = tmp_path / "m0.json"
+    doc.write_text(json.dumps({"kind": "map", "id": "m0", "payload": {
+        "graph": {"A": [["1"], ["-1"]], "b": ["1", "0"], "E": [], "d": [],
+                  "dim": 1},
+        "m": 0, "n": 1}}))
+    code, out = run_cli(capsys, "graph-ri", str(doc), "--point", "1/2")
+    assert code == 0
+    assert json.loads(out[out.index("{"):])["product_rule_holds"] is True
+
+
+def test_cli_diff_ri_of_zero_dimensional_sets(tmp_path, capsys):
+    paths = []
+    for ident in ("p0", "q0"):
+        doc = tmp_path / f"{ident}.json"
+        doc.write_text(json.dumps({"kind": "hpoly", "id": ident, "payload": {
+            "A": [], "b": [], "E": [], "d": [], "dim": 0}}))
+        paths.append(str(doc))
+    code, out = run_cli(capsys, "diff-ri", *paths)
+    assert code == 0
+    assert json.loads(out[out.index("{"):])["holds"] is True

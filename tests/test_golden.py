@@ -8,11 +8,23 @@ CHANGES.md.
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import random_nonempty_hpoly, random_pair
 from relint_kit.cli import main
+from relint_kit.lp import Infeasible, LPProblem, Optimal, Unbounded, lp_solve
+from relint_kit.polyhedra import AffineFlat, HPolyhedron, PolyCone, cone_contains
+from relint_kit.rational import ZERO, unit, vadd, vscale, zeros
+from relint_kit.separation import (
+    NotSeparable,
+    Separated,
+    properly_separate,
+    strict_separate_in_flat,
+)
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "relint_kit" / "corpus"
 
@@ -68,3 +80,98 @@ def test_ri_point_reports_are_pinned(tmp_path, capsys):
 def test_ri_point_of_empty_corpus_set_is_an_input_error(capsys):
     assert main(["ri-point", str(CORPUS / "empty-interval.json")]) == 2
     assert capsys.readouterr().err == "error: operation requires a nonempty polyhedron\n"
+
+
+# -- pivot paths -------------------------------------------------------------
+#
+# The pins below hash `repr` of solver outcomes, pivot counts included, so a
+# change to the tableau encoding that alters even one Bland's-rule pivot
+# shows here, not only a change in the final answers.
+
+
+def _digest(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _rat(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2, 3)))
+
+
+def _random_lp(rng: random.Random) -> LPProblem:
+    """Small LP with max or min sense and optional equality rows; the mix
+    covers optimal, infeasible and unbounded outcomes."""
+    n = rng.randint(1, 4)
+    m1 = rng.randint(0, 5)
+    m2 = rng.choice((0, 0, 1, 2))
+    A = tuple(tuple(_rat(rng) for _ in range(n)) for _ in range(m1))
+    b = tuple(_rat(rng) + rng.randint(-1, 3) for _ in range(m1))
+    E = tuple(tuple(_rat(rng) for _ in range(n)) for _ in range(m2))
+    d = tuple(_rat(rng) for _ in range(m2))
+    c = tuple(_rat(rng) for _ in range(n))
+    return LPProblem(c, rng.choice(("max", "min")), A, b, E, d)
+
+
+LP_OUTCOMES = "bf7e6a002294e39df60bd95f756e47b7da007357b4ffa0292e58f3221f05058d"
+SEPARATION = "ce55a06d1e0c88c758f94e3b953dffb2c989b395fa28d5f759c8d3c5f1186932"
+STRICT_IN_FLAT = "84dd24a29b909a1a7f542ae0ac234baa5e1c25cd794aec5756b7523ca5b32743"
+CONE_VERDICTS = "2e0af92bd6db93faa2cd3a29f551c2c146ad2519828d81072d14ed1ca612fe33"
+
+
+def test_lp_outcomes_and_pivot_counts_are_pinned():
+    rng = random.Random(4001)
+    outcomes = [lp_solve(_random_lp(rng)) for _ in range(300)]
+    kinds = {type(o) for o in outcomes}
+    assert kinds == {Optimal, Infeasible, Unbounded}
+    assert _digest(outcomes) == LP_OUTCOMES
+
+
+def test_separation_outcomes_are_pinned():
+    rng = random.Random(4002)
+    outcomes = []
+    for _ in range(40):
+        P1, P2 = random_pair(rng, rng.randint(1, 3), 5)
+        outcomes.append(properly_separate(P1, P2))
+    assert {type(o) for o in outcomes} == {Separated, NotSeparable}
+    assert _digest(outcomes) == SEPARATION
+
+
+def test_strict_separation_in_flat_is_pinned():
+    rng = random.Random(4003)
+    plane = AffineFlat(zeros(3), (unit(3, 0), unit(3, 1)), 3)
+    space = AffineFlat(zeros(2), (unit(2, 0), unit(2, 1)), 2)
+    functionals = []
+    while len(functionals) < 30:
+        Q = random_nonempty_hpoly(rng, 2, 5)
+        if rng.random() < 0.5:
+            L, P = space, Q
+            xbar = (Fraction(rng.randint(-6, 6)), Fraction(rng.randint(-6, 6)))
+        else:
+            A = tuple(row + (ZERO,) for row in Q.A)
+            E = tuple(row + (ZERO,) for row in Q.E) + (unit(3, 2),)
+            L, P = plane, HPolyhedron(A, Q.b, E, Q.d + (ZERO,), 3)
+            xbar = (Fraction(rng.randint(-6, 6)), Fraction(rng.randint(-6, 6)), ZERO)
+        if not P.contains(xbar):
+            functionals.append(strict_separate_in_flat(L, P, xbar))
+    assert _digest(functionals) == STRICT_IN_FLAT
+
+
+def test_cone_membership_verdicts_are_pinned():
+    rng = random.Random(4004)
+    verdicts = []
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        gens = tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+                     for _ in range(rng.randint(0, 6)))
+        if gens and rng.random() < 0.5:
+            v = zeros(n)
+            for g in gens:
+                v = vadd(v, vscale(Fraction(rng.randint(0, 3)), g))
+        else:
+            v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+        verdicts.append(cone_contains(PolyCone(gens, n), v))
+    assert set(verdicts) == {True, False}
+    assert _digest(verdicts) == CONE_VERDICTS

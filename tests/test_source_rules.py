@@ -14,3 +14,28 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
+
+
+def _calls_to(name: str) -> set[tuple[str, str]]:
+    """(module, enclosing top-level function) of every call to `name`,
+    whether written as `name(...)` or `module.name(...)`."""
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if callee == name:
+                    sites.add((path.stem, owner))
+    return sites
+
+
+def test_one_lp_front_end():
+    """The tableau is built in one place, and only the general LP front
+    end and the cone-membership test encode problems for it."""
+    assert _calls_to("_Simplex") == {("lp", "simplex_max")}
+    assert _calls_to("simplex_max") == {("lp", "lp_solve"), ("polyhedra", "cone_contains")}
