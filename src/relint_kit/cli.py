@@ -70,8 +70,8 @@ def _parse_matrix(text: str | None):
 
 def _load(path: str) -> docio.InstanceDocument:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return docio.parse_instance(text, source=Path(path).name)
 
@@ -272,8 +272,8 @@ def _cmd_verify(args, docs_unused):
     if len(args.files) != 3:
         raise InputError("verify needs: certificate.json set1.json set2.json")
     try:
-        node = json.loads(Path(args.files[0]).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        node = json.loads(Path(args.files[0]).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read certificate: {exc}") from None
     if not isinstance(node, dict):
         raise InputError("certificate: expected a top-level object")
@@ -306,7 +306,7 @@ def _corpus_paths(args) -> list[Path]:
     return paths
 
 
-def _check_hpoly(ident: str, P: HPolyhedron, seed: int, checks, certs):
+def _check_hpoly(ident: str, P: HPolyhedron, seed: int, checks):
     if is_empty(P):
         checks.append((ident, "emptiness-detected", True))
         return
@@ -365,7 +365,7 @@ def _check_plfunction(ident: str, f: PLConvexFunction, seed: int, checks):
 
 def _cmd_verify_corpus(args, docs_unused):
     paths = _corpus_paths(args)
-    docs = [docio.parse_instance(p.read_text(), source=p.name) for p in paths]
+    docs = [_load(str(p)) for p in paths]
     docs.sort(key=lambda d: d.id)
     seen = set()
     for d in docs:
@@ -377,7 +377,7 @@ def _cmd_verify_corpus(args, docs_unused):
     hpolys = []
     for d in docs:
         if d.kind == "hpoly":
-            _check_hpoly(d.id, d.payload, args.seed, checks, certs)
+            _check_hpoly(d.id, d.payload, args.seed, checks)
             if not is_empty(d.payload):
                 hpolys.append((d.id, d.payload))
         elif d.kind == "vpoly":

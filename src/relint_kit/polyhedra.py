@@ -20,7 +20,7 @@ from .linalg import (
     rank,
     solve_linear_system,
 )
-from .lp import Infeasible, LPProblem, Optimal, Unbounded, lp_solve, simplex_max
+from .lp import LPProblem, Optimal, Unbounded, lp_solve, simplex_max
 from .rational import (
     Mat,
     ONE,
@@ -165,28 +165,7 @@ class PolyCone:
                 raise InputError("cone generator of wrong dimension")
 
 
-# -- emptiness ---------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def feasible_point(P: HPolyhedron) -> Vec | None:
-    """A witness point of P, or None when P is empty."""
-    out = lp_solve(LPProblem.maximize(zeros(P.dim), (P.A, P.b), (P.E, P.d)))
-    if isinstance(out, Infeasible):
-        return None
-    return out.point
-
-
-def is_empty(P: HPolyhedron) -> bool:
-    return feasible_point(P) is None
-
-
-def _require_nonempty(P: HPolyhedron) -> None:
-    if is_empty(P):
-        raise EmptySetError("operation requires a nonempty polyhedron")
-
-
-# -- implicit equalities and the affine hull ---------------------------------
+# -- emptiness, implicit equalities and the affine hull ----------------------
 
 
 def _max_slack(A: Mat, b: Vec, E: Mat, d: Vec, n: int,
@@ -206,17 +185,23 @@ def _max_slack(A: Mat, b: Vec, E: Mat, d: Vec, n: int,
 
 
 @lru_cache(maxsize=None)
-def _interior(P: HPolyhedron) -> tuple[frozenset[int], Vec]:
-    """The implicit rows of nonempty P and a relative-interior point.
+def _interior(P: HPolyhedron) -> tuple[frozenset[int], Vec] | None:
+    """The implicit rows of P and a relative-interior point, or None when P
+    is empty.
 
-    Farkas: at a zero slack optimum the duals y >= 0 give y·(b - A x) = 0
-    on P, so every row with y_i > 0 is implicit; some lie outside `tight`."""
-    _require_nonempty(P)
+    The slack t is free, so the first slack LP is infeasible only when
+    E x = d is, and otherwise P is empty exactly when its optimum is
+    negative.  Farkas: at a zero slack optimum the duals y >= 0 give
+    y·(b - A x) = 0 on P, so every row with y_i > 0 is implicit; some lie
+    outside `tight`."""
     tight: frozenset[int] = frozenset()
     while True:
         out = _max_slack(P.A, P.b, P.E, P.d, P.dim, tight)
-        if out is None:
-            raise TheoremViolation("slack LP of a nonempty polyhedron is infeasible")
+        if out is None or out.value < 0:
+            if tight:
+                raise TheoremViolation(
+                    "slack LP of a nonempty polyhedron is infeasible or negative")
+            return None
         if out.value > 0:
             return tight, out.point[:P.dim]
         grown = tight | {i for i, y in enumerate(out.dual_ineq[:len(P.A)]) if y > 0}
@@ -225,14 +210,34 @@ def _interior(P: HPolyhedron) -> tuple[frozenset[int], Vec]:
         tight = grown
 
 
+def _nonempty_interior(P: HPolyhedron) -> tuple[frozenset[int], Vec]:
+    found = _interior(P)
+    if found is None:
+        raise EmptySetError("operation requires a nonempty polyhedron")
+    return found
+
+
+def is_empty(P: HPolyhedron) -> bool:
+    """P is empty exactly when its first slack optimum is negative (or
+    its equalities are inconsistent)."""
+    return _interior(P) is None
+
+
+def feasible_point(P: HPolyhedron) -> Vec | None:
+    """A relative-interior point of P, hence a witness, or None when P is
+    empty."""
+    found = _interior(P)
+    return None if found is None else found[1]
+
+
 def implicit_rows(P: HPolyhedron) -> frozenset[int]:
-    """Indices of inequality rows satisfied as equalities everywhere on P."""
-    return _interior(P)[0]
+    """Indices of inequality rows satisfied as equalities everywhere on
+    nonempty P."""
+    return _nonempty_interior(P)[0]
 
 
 def affine_hull(P: HPolyhedron) -> AffineFlat:
     """The affine hull of nonempty P, from its implicit equality system."""
-    _require_nonempty(P)
     imp = implicit_rows(P)
     eq_rows = list(P.E) + [P.A[i] for i in sorted(imp)]
     eq_rhs = list(P.d) + [P.b[i] for i in sorted(imp)]
@@ -336,8 +341,10 @@ def v_to_h(V: VPolyhedron) -> HPolyhedron:
 def linear_image(M: Mat, P: HPolyhedron) -> HPolyhedron:
     """Exact H-representation of {Mx : x in P}; a matrix with no rows
     maps onto R^0."""
-    if any(len(row) != P.dim for row in M):
-        raise InputError(f"matrix columns {len(M[0])} do not match dimension {P.dim}")
+    for i, row in enumerate(M):
+        if len(row) != P.dim:
+            raise InputError(f"matrix row {i} has length {len(row)}, "
+                             f"but the set has dimension {P.dim}")
     target = len(M)
     V = h_to_v(P)
     if V.is_empty_set:

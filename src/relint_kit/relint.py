@@ -28,7 +28,7 @@ from .errors import EmptySetError, InputError, PointNotInSetError
 from .polyhedra import (
     HPolyhedron,
     PolyCone,
-    _interior,
+    _nonempty_interior,
     cone_contains,
     dim,
     h_to_v,
@@ -141,7 +141,7 @@ def in_ri(P: HPolyhedron, x: Vec) -> bool:
 def ri_point(P: HPolyhedron) -> Vec:
     """A deterministic relative-interior point of nonempty P, from the
     slack-maximization LP over the non-implicit rows."""
-    return _interior(P)[1]
+    return _nonempty_interior(P)[1]
 
 
 def conic_hull_at(P: HPolyhedron, x: Vec) -> PolyCone:

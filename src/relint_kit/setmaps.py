@@ -279,8 +279,6 @@ def linear_image_ri_commutes(M: Mat, P: HPolyhedron) -> CommutationReport:
     the relative interior of the image."""
     if is_empty(P):
         raise EmptySetError("commutation check requires a nonempty set")
-    if any(len(row) != P.dim for row in M):
-        raise InputError("matrix columns do not match the set dimension")
     Q = linear_image(M, P)
     samples = _interior_samples(P)
     forward_ok = all(in_ri(Q, matvec(M, p)) for p in samples)

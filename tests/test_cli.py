@@ -327,3 +327,37 @@ def test_cli_diff_ri_of_zero_dimensional_sets(tmp_path, capsys):
     code, out = run_cli(capsys, "diff-ri", *paths)
     assert code == 0
     assert json.loads(out[out.index("{"):])["holds"] is True
+
+
+def test_cli_verify_corpus_unreadable_entry_is_input_error(tmp_path, capsys):
+    (tmp_path / "segment-x01.json").write_bytes((CORPUS / "segment-x01.json").read_bytes())
+    (tmp_path / "x.json").mkdir()
+    code = main(["verify-corpus", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {tmp_path / 'x.json'}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_non_utf8_document_is_input_error(tmp_path, capsys):
+    doc = tmp_path / "bad.json"
+    doc.write_bytes(b"\xff\xfe{")
+    code = main(["ri-point", str(doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {doc}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_verify_non_utf8_certificate_is_input_error(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(b"\xff\xfe{")
+    code = main(["verify", str(cert), str(CORPUS / "segment-x01.json"),
+                 str(CORPUS / "square-unit.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read certificate: ")
+    assert captured.err.count("\n") == 1

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from conftest import random_nonempty_hpoly
+from relint_kit.linalg import solve_linear_system
 from relint_kit.polyhedra import (
     HPolyhedron,
     VPolyhedron,
@@ -150,3 +151,54 @@ def test_qri_predicate_on_unbounded_cones():
     whole = HPolyhedron.whole_space(2)
     assert in_qri(whole, vec([5, -3]))
     assert feasible_point(whole) == vec([0, 0])
+
+
+def _emptiness_case(rng, n):
+    """An unanchored system in R^n, with one of three ways to be empty
+    planted about three times in four: an inconsistent pair of equality
+    rows, a zero inequality row with a negative right-hand side, or two
+    opposite inequality rows with a gap between them."""
+    P = random_unanchored_hpoly(rng, n, 5) if n else HPolyhedron.whole_space(0)
+    A, b, E, d = list(P.A), list(P.b), list(P.E), list(P.d)
+    row = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+    c, gap = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(1, 3), rng.randint(1, 2))
+    plant = rng.randrange(4)
+    if plant == 1:
+        E += [row, tuple(2 * v for v in row)]
+        d += [c, 2 * c + gap]
+    elif plant == 2:
+        A.append((Fraction(0),) * n)
+        b.append(-gap)
+    elif plant == 3:
+        A += [row, tuple(-v for v in row)]
+        b += [c, -c - gap]
+    return HPolyhedron(tuple(A), tuple(b), tuple(E), tuple(d), n)
+
+
+def _emptiness_kind(P, empty):
+    if solve_linear_system(P.E, P.d, P.dim) is None:
+        return "inconsistent-equalities"
+    if any(all(v == 0 for v in row) and beta < 0 for row, beta in zip(P.A, P.b)):
+        return "zero-row-negative-rhs"
+    return "empty-by-inequalities" if empty else "nonempty"
+
+
+def test_is_empty_matches_double_description():
+    """The slack LP's verdict against h_to_v, which shares no code with
+    the simplex."""
+    rng = random.Random(503)
+    cases = [HPolyhedron.whole_space(0), HPolyhedron.empty(0)]
+    cases += [_emptiness_case(rng, rng.choice((0, 1, 2, 2, 3, 3))) for _ in range(240)]
+    kinds = {}
+    for P in cases:
+        empty = h_to_v(P).is_empty_set
+        assert is_empty(P) == empty, P
+        if not empty:
+            assert P.contains(feasible_point(P))
+        kind = _emptiness_kind(P, empty)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if P.dim == 0:
+            kinds["dimension-0"] = kinds.get("dimension-0", 0) + 1
+    assert set(kinds) == {"inconsistent-equalities", "zero-row-negative-rhs",
+                          "empty-by-inequalities", "nonempty", "dimension-0"}
+    assert min(kinds.values()) >= 10, kinds

@@ -31,6 +31,7 @@ from relint_kit.polyhedra import (
     v_to_h,
 )
 from relint_kit.rational import dot, mat, matvec, vec
+from relint_kit.relint import ri_point
 
 TRIANGLE = HPolyhedron.make(A=[[-1, 0], [0, -1], [1, 1]], b=[0, 0, 1])
 UNIT_SQUARE = HPolyhedron.make(A=[[1, 0], [-1, 0], [0, 1], [0, -1]], b=[1, 0, 1, 0])
@@ -186,6 +187,8 @@ def test_linear_image_functorial():
 def test_linear_image_dimension_mismatch():
     with pytest.raises(InputError):
         linear_image(mat([[1, 0, 0]]), UNIT_SQUARE)
+    with pytest.raises(InputError, match="row 1 has length 1,"):
+        linear_image(((Fraction(1), Fraction(0)), (Fraction(1),)), UNIT_SQUARE)
 
 
 def test_minkowski_diff_interval():
@@ -295,22 +298,41 @@ def test_implicit_rows_match_generator_oracle():
     assert with_implicit >= 80
 
 
-def test_implicit_rows_solve_one_lp_per_round(monkeypatch):
-    P = HPolyhedron.make(
-        A=[[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
-        b=[1, 0, 1, 0, 0, 0],
-    )
+def _count_lp_solves(monkeypatch) -> list:
+    """Clear the memo tables and record every LP that polyhedra solves."""
     for obj in vars(polyhedra).values():
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
     calls = []
+    real = polyhedra.lp_solve
 
     def counting(problem):
         calls.append(problem)
         return real(problem)
 
-    real = polyhedra.lp_solve
     monkeypatch.setattr(polyhedra, "lp_solve", counting)
+    return calls
+
+
+def test_implicit_rows_solve_one_lp_per_round(monkeypatch):
+    P = HPolyhedron.make(
+        A=[[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+        b=[1, 0, 1, 0, 0, 0],
+    )
+    calls = _count_lp_solves(monkeypatch)
     imp = implicit_rows(P)
     assert imp == frozenset({4, 5})
     assert len(calls) <= 1 + len(imp)
+
+
+def test_emptiness_and_interior_share_one_lp(monkeypatch):
+    """On a full-dimensional set the first slack LP decides emptiness and
+    already has a positive optimum, so every query below reads it."""
+    calls = _count_lp_solves(monkeypatch)
+    assert not is_empty(UNIT_SQUARE)
+    p = ri_point(UNIT_SQUARE)
+    assert implicit_rows(UNIT_SQUARE) == frozenset()
+    assert affine_hull(UNIT_SQUARE).flat_dim == 2
+    assert feasible_point(UNIT_SQUARE) == p
+    assert all(dot(row, p) < beta for row, beta in zip(UNIT_SQUARE.A, UNIT_SQUARE.b))
+    assert len(calls) == 1

@@ -39,3 +39,33 @@ def test_one_lp_front_end():
     end and the cone-membership test encode problems for it."""
     assert _calls_to("_Simplex") == {("lp", "simplex_max")}
     assert _calls_to("simplex_max") == {("lp", "lp_solve"), ("polyhedra", "cone_contains")}
+
+
+def _memo_name(node) -> str | None:
+    """'lru_cache' or 'cache' when `node` is such a decorator, bare or called."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name if name in ("lru_cache", "cache") else None
+
+
+def test_memo_tables_are_the_listed_four():
+    """Every memo table is unbounded and keyed on whole sets or maps, so a
+    new one is a deliberate choice: add it here."""
+    memoized, other_uses = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    if _memo_name(dec):
+                        memoized.add((path.stem, node.name))
+                        decorators.add(id(dec.func if isinstance(dec, ast.Call) else dec))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Name, ast.Attribute)) and _memo_name(node)
+                    and id(node) not in decorators):
+                other_uses.append((path.name, node.lineno))
+    assert memoized == {("polyhedra", "h_to_v"), ("polyhedra", "_interior"),
+                        ("setmaps", "map_domain"), ("setmaps", "epi_polyhedron")}
+    assert other_uses == []
