@@ -6,7 +6,7 @@ functionals, Farkas multipliers, interior witnesses) that re-validate by
 direct evaluation, independently of the solver that produced them.
 """
 
-from .rational import Rat, Vec, Mat, rat, vec, mat, parse_rational, format_rational
+from .rational import Rat, Vec, Mat, vec, mat, parse_rational, format_rational
 from .errors import (
     RelintKitError,
     InputError,

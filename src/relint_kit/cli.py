@@ -466,6 +466,12 @@ def main(argv=None) -> int:
     except RelintKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Last resort: exit 1 means a failed check, so a defect of the
+        # program exits 2 with one line instead of a traceback.
+        msg = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return 2
     report = {"command": args.command, "seed": args.seed}
     report.update(body)
     report["exit_code"] = code

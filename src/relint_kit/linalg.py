@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, TheoremViolation
-from .rational import Mat, Rat, Vec, ZERO, dot, unit, zeros
+from .errors import InputError
+from .rational import Mat, Rat, Vec, ZERO, dot, zeros
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,6 @@ def solve_linear_system(eq_lhs: Mat, eq_rhs: Vec, n: int) -> LinearSolution | No
     return LinearSolution(tuple(particular), tuple(basis))
 
 
-def nullspace_basis(m: Mat, n: int) -> tuple[Vec, ...]:
-    sol = solve_linear_system(m, zeros(len(m)), n)
-    if sol is None:
-        raise TheoremViolation("a homogeneous system is always consistent")
-    return sol.nullspace_basis
-
-
 def in_span(vectors: tuple[Vec, ...], v: Vec) -> bool:
     """Whether v is a linear combination of the given vectors."""
     if all(a == 0 for a in v):
@@ -153,11 +146,3 @@ def int_rank(rows: list[tuple[int, ...]], limit: int | None = None) -> int:
         if r >= target or r == len(work):
             break
     return r
-
-
-def orthogonal_complement_basis(directions: tuple[Vec, ...], n: int) -> tuple[Vec, ...]:
-    """Basis of {y : d·y = 0 for every direction d}."""
-    if not directions:
-        return tuple(unit(n, j) for j in range(n))
-    return nullspace_basis(directions, n)
-

@@ -1,20 +1,22 @@
 """Exact rational linear programming with self-validating certificates.
 
-A dense two-phase tableau simplex over `Fraction` for the standard form
-max c·x subject to rows·x <= rhs, x >= 0 (`simplex_max`), using Bland's
-pivoting rule throughout, which guarantees termination and makes every
-outcome deterministic for a fixed input.  `lp_solve` alone reduces an
-`LPProblem` to that form: each free variable becomes a (+, -) column pair
-and each equality two opposite inequalities.  Outcomes carry checkable
-evidence: optimal points satisfy the constraints exactly, infeasibility
-comes with Farkas multipliers, and unboundedness comes with a feasible
-point plus an improving recession direction.
+A dense two-phase tableau simplex for the standard form max c·x subject
+to rows·x <= rhs, x >= 0 (`simplex_max`), using Bland's pivoting rule
+throughout, which guarantees termination and makes every outcome
+deterministic for a fixed input.  The tableau holds integers over one
+common denominator and pivots fraction-free; outcomes are exact
+`Fraction`s.  `lp_solve` alone reduces an `LPProblem` to that form: each
+free variable becomes a (+, -) column pair and each equality two opposite
+inequalities.  Outcomes carry checkable evidence: optimal points satisfy
+the constraints exactly, infeasibility comes with Farkas multipliers, and
+unboundedness comes with a feasible point plus an improving recession
+direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 
 from .errors import InputError, TheoremViolation
 from .rational import (
@@ -25,7 +27,6 @@ from .rational import (
     ZERO,
     check_dims,
     dot,
-    vneg,
     zeros,
 )
 
@@ -107,7 +108,17 @@ LPOutcome = Optimal | Infeasible | Unbounded
 
 
 class _Simplex:
-    """Tableau simplex in standard form: maximize c·x, rows·x <= rhs, x >= 0."""
+    """Tableau simplex in standard form: maximize c·x, rows·x <= rhs, x >= 0.
+
+    The tableau is fraction-free (Bareiss 1968, Edmonds 1967).  Row i and
+    its right-hand side are scaled by L_i, the lcm of their denominators,
+    and the cost by Lc, so every entry is an integer over one common
+    denominator D: the last pivot, kept positive.  Scaling row i rescales
+    only slack i (to L_i times its value), which changes neither the sign
+    of a reduced cost nor which ratio is least, so the pivots are those of
+    the same tableau over `Fraction`.  Points, rays and multipliers are
+    converted back to exact `Fraction`s for the unscaled problem.
+    """
 
     def __init__(self, c: Vec, rows, rhs):
         self.n = len(c)
@@ -116,12 +127,19 @@ class _Simplex:
         self.pivots = 0
         # Bland's rule visits each basis at most once.
         self.pivot_limit = comb(self.total + 1, self.m) if self.m else 1
-        self.cost = list(c) + [ZERO] * self.m
-        self.tab: list[list[Rat]] = []
+        self.rhs = rhs
+        self.cost_scale = lcm(*[a.denominator for a in c])
+        self.cost = _scaled(c, self.cost_scale) + [0] * self.m
+        self.scales: list[int] = []
+        self.tab: list[list[int]] = []
         for i, (row, beta) in enumerate(zip(rows, rhs)):
-            t = list(row) + [ZERO] * self.m + [beta]
-            t[self.n + i] = ONE
+            scale = lcm(beta.denominator, *[a.denominator for a in row])
+            t = _scaled(row, scale) + [0] * self.m
+            t.append(beta.numerator * (scale // beta.denominator))
+            t[self.n + i] = 1
+            self.scales.append(scale)
             self.tab.append(t)
+        self.denom = 1
         self.basis = [self.n + i for i in range(self.m)]
 
     def _pivot(self, r: int, col: int) -> None:
@@ -129,24 +147,22 @@ class _Simplex:
         if self.pivots > self.pivot_limit:
             raise TheoremViolation("simplex exceeded its combinatorial pivot bound")
         row = self.tab[r]
-        pv = row[col]
-        inv = ONE / pv
-        self.tab[r] = row = [a * inv for a in row]
-        for i in range(self.m):
-            if i == r:
-                continue
-            other = self.tab[i]
-            f = other[col]
-            if f:
-                self.tab[i] = [a - f * b for a, b in zip(other, row)]
-        f = self.obj[col]
-        if f:
-            self.obj = [a - f * b for a, b in zip(self.obj, row)]
+        p = row[col]
+        if p < 0:
+            # Negating the pivot row keeps the new common denominator positive.
+            p = -p
+            self.tab[r] = row = [-a for a in row]
+        d = self.denom
+        for i, other in enumerate(self.tab):
+            if i != r:
+                self.tab[i] = _eliminate(other, row, col, p, d)
+        self.obj = _eliminate(self.obj, row, col, p, d)
+        self.denom = p
         self.basis[r] = col
 
     def _rebuild_objective(self, cost) -> None:
-        # obj[j] = (reduced cost z_j - c_j); last entry carries the value.
-        obj = [-cj for cj in cost] + [ZERO]
+        # obj[j] = D·(reduced cost z_j - c_j); last entry carries D·value.
+        obj = [-cj * self.denom for cj in cost] + [0]
         for i, b in enumerate(self.basis):
             cb = cost[b]
             if cb:
@@ -166,16 +182,16 @@ class _Simplex:
             if enter is None:
                 return None
             leave = None
-            best = None
-            for i in range(self.m):
-                a = self.tab[i][enter]
+            for i, row in enumerate(self.tab):
+                a = row[enter]
                 if a > 0:
-                    ratio = self.tab[i][width] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    if leave is None:
+                        leave, num, den = i, row[width], a
+                        continue
+                    # row[width] / a against num / den, both denominators > 0.
+                    lhs, rhs = row[width] * den, num * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave, num, den = i, row[width], a
             if leave is None:
                 return enter
             self._pivot(leave, enter)
@@ -191,22 +207,23 @@ class _Simplex:
         enter = self._bland(width)
         if enter is not None:
             return "unbounded", (self._extract_ray(enter), self._extract_point())
-        return "optimal", (self._extract_point(), self._duals())
+        return "optimal", (self._extract_point(), self._duals(self.cost_scale))
 
     def _phase_one(self):
         width = self.total + 1
-        for row in self.tab:
-            row.insert(self.total, -ONE)
-        aux_cost = [ZERO] * width
-        aux_cost[self.total] = -ONE
-        # Drive the auxiliary variable in at the most negative row.
-        r0 = min(range(self.m), key=lambda i: (self.tab[i][width], i))
+        for row, scale in zip(self.tab, self.scales):
+            row.insert(self.total, -scale * self.denom)
+        aux_cost = [0] * width
+        aux_cost[self.total] = -1
+        # Drive the auxiliary variable in at the most negative row of the
+        # unscaled problem.
+        r0 = min(range(self.m), key=lambda i: (self.rhs[i], i))
         self._rebuild_objective(aux_cost)
         self._pivot(r0, self.total)
         if self._bland(width) is not None:
             raise TheoremViolation("auxiliary objective is bounded by construction")
         if self.obj[width] < 0:
-            return "infeasible", self._duals()
+            return "infeasible", self._duals(1)
         if self.total in self.basis:
             r = self.basis.index(self.total)
             for j in range(self.total):
@@ -223,38 +240,69 @@ class _Simplex:
         vals = [ZERO] * self.n
         for i, b in enumerate(self.basis):
             if b < self.n:
-                vals[b] = self.tab[i][-1]
+                vals[b] = Rat(self.tab[i][-1], self.denom)
         return tuple(vals)
 
     def _extract_ray(self, enter: int) -> Vec:
         vals = [ZERO] * self.n
         if enter < self.n:
             vals[enter] = ONE
+            scale = 1
+        else:
+            # A unit step of slack j is L_j steps of its scaled column.
+            scale = self.scales[enter - self.n]
         for i, b in enumerate(self.basis):
             if b < self.n:
-                vals[b] = -self.tab[i][enter]
+                vals[b] = Rat(-self.tab[i][enter] * scale, self.denom)
         return tuple(vals)
 
-    def _duals(self) -> Vec:
-        return tuple(self.obj[self.n + i] for i in range(self.m))
+    def _duals(self, cost_scale: int) -> Vec:
+        """Multipliers of the unscaled rows: obj·L_i / (D·Lc)."""
+        den = self.denom * cost_scale
+        return tuple([Rat(self.obj[self.n + i] * scale, den)
+                      for i, scale in enumerate(self.scales)])
+
+
+def _scaled(v, scale: int) -> list[int]:
+    """The integers scale·v_j, for a scale that every denominator divides."""
+    return [a.numerator * (scale // a.denominator) for a in v]
+
+
+def _eliminate(row: list[int], pivot_row: list[int], col: int, p: int, d: int) -> list[int]:
+    """`row` over the new common denominator p after pivoting on column col
+    of `pivot_row`; d is the old one.  Every division is exact."""
+    f = row[col]
+    if f:
+        return [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
+    if p == d:
+        return row
+    return [a * p // d for a in row]
 
 
 def simplex_max(c: Vec, rows, rhs):
     """Low-level entry: maximize c·x with rows·x <= rhs and x >= 0.
     Returns (status, payload, pivots)."""
-    sx = _Simplex(tuple(c), rows, rhs)
+    sx = _Simplex(c, rows, rhs)
     status, data = sx.solve()
     return status, data, sx.pivots
 
 
-def _split(v: Vec) -> Vec:
+# Short-lived sequences in this module are lists, and tuples (star-args
+# included) are built from lists, never from generators.  A tuple built from
+# a generator is over-allocated and then shrunk; when it dies, CPython keeps
+# its block on a per-length free list that only a full collection empties,
+# and the integer tableau allocates too few objects to trigger one often,
+# so those free lists would add to the peak resident memory of long runs.
+
+
+def _split(v: Vec) -> list[Rat]:
     """Coefficients of a free variable vector on its (+, -) column pairs."""
-    return tuple(x for a in v for x in (a, -a))
+    return [x for a in v for x in (a, -a)]
 
 
 def _join(vals: Vec) -> Vec:
     """Free variable values from their (+, -) column pairs."""
-    return tuple(vals[j] - vals[j + 1] for j in range(0, len(vals), 2))
+    return tuple([vals[j] - vals[j + 1] for j in range(0, len(vals), 2)])
 
 
 def lp_solve(p: LPProblem) -> LPOutcome:
@@ -263,15 +311,15 @@ def lp_solve(p: LPProblem) -> LPOutcome:
     Free variables become (+, -) column pairs and each equality two
     opposite inequalities, which puts the problem in `simplex_max`'s
     standard form."""
-    c = vneg(p.objective) if p.sense == "min" else p.objective
+    c = [-a for a in p.objective] if p.sense == "min" else p.objective
     m1 = len(p.ineq_lhs)
     m2 = len(p.eq_lhs)
-    rows = list(p.ineq_lhs) + list(p.eq_lhs) + [vneg(r) for r in p.eq_lhs]
+    rows = list(p.ineq_lhs) + list(p.eq_lhs) + [[-a for a in r] for r in p.eq_lhs]
     rhs = list(p.ineq_rhs) + list(p.eq_rhs) + [-v for v in p.eq_rhs]
     status, data, pivots = simplex_max(_split(c), [_split(r) for r in rows], rhs)
     if status == "infeasible":
         y = data
-        mult_eq = tuple(y[m1 + j] - y[m1 + m2 + j] for j in range(m2))
+        mult_eq = tuple([y[m1 + j] - y[m1 + m2 + j] for j in range(m2)])
         cert = FarkasCertificate(tuple(y[:m1]), mult_eq)
         return Infeasible(cert, pivots)
     if status == "unbounded":
@@ -280,7 +328,7 @@ def lp_solve(p: LPProblem) -> LPOutcome:
     point, y = data
     point = _join(point)
     value = dot(p.objective, point)
-    dual_eq = tuple(y[m1 + j] - y[m1 + m2 + j] for j in range(m2))
+    dual_eq = tuple([y[m1 + j] - y[m1 + m2 + j] for j in range(m2)])
     return Optimal(point, value, tuple(y[:m1]), dual_eq, pivots)
 
 

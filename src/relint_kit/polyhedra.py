@@ -16,7 +16,6 @@ from .dd import dd_cone
 from .errors import EmptySetError, InputError, TheoremViolation
 from .linalg import (
     in_span,
-    orthogonal_complement_basis,
     rank,
     solve_linear_system,
 )
@@ -252,21 +251,6 @@ def dim(P: HPolyhedron) -> int:
     return affine_hull(P).flat_dim
 
 
-def flat_to_hpoly(flat: AffineFlat) -> HPolyhedron:
-    """The flat as an equality-only H-polyhedron."""
-    normals = orthogonal_complement_basis(flat.directions, flat.dim)
-    d = tuple(dot(nrm, flat.basepoint) for nrm in normals)
-    return HPolyhedron((), (), normals, d, flat.dim)
-
-
-def flats_equal(f1: AffineFlat, f2: AffineFlat) -> bool:
-    if f1.dim != f2.dim or f1.flat_dim != f2.flat_dim:
-        return False
-    return f1.contains(f2.basepoint) and f2.contains(f1.basepoint) and all(
-        in_span(f1.directions, v) for v in f2.directions
-    )
-
-
 # -- representation conversion -----------------------------------------------
 
 
@@ -402,13 +386,6 @@ def same_set(P: HPolyhedron, Q: HPolyhedron) -> bool:
     if P.dim != Q.dim:
         return False
     return _subset(P, Q) and _subset(Q, P)
-
-
-def contains_v_member(P: HPolyhedron, V: VPolyhedron) -> bool:
-    """Every generator of V consistent with P: points inside, rays receding."""
-    return all(P.contains(p) for p in V.points) and all(
-        P.recession_contains(r) for r in V.rays
-    )
 
 
 def cone_contains(C: PolyCone, v: Vec) -> bool:

@@ -26,10 +26,6 @@ ONE = Rat(1)
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def rat(p, q=1) -> Rat:
-    return Rat(p, q)
-
-
 def parse_rational(text: str) -> Rat:
     """Parse "p" or "p/q", where p and q are integers written as an
     optional sign and ASCII digits, and q > 0."""

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from relint_kit import docio
+from relint_kit import cli, docio
 from relint_kit.cli import main
 from relint_kit.errors import InputError
 from relint_kit.polyhedra import HPolyhedron, same_set
@@ -361,3 +361,15 @@ def test_cli_verify_non_utf8_certificate_is_input_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot read certificate: ")
     assert captured.err.count("\n") == 1
+
+
+def test_cli_internal_error_is_one_line_with_exit_2(monkeypatch, capsys):
+    def boom(args, docs):
+        raise ZeroDivisionError("division by zero\nsecond line")
+
+    monkeypatch.setitem(cli._HANDLERS, "ri-point", (boom, 1))
+    code = main(["ri-point", str(CORPUS / "square-unit.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "internal error: ZeroDivisionError: division by zero second line\n"

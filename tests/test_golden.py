@@ -119,6 +119,7 @@ LP_OUTCOMES = "bf7e6a002294e39df60bd95f756e47b7da007357b4ffa0292e58f3221f05058d"
 SEPARATION = "ce55a06d1e0c88c758f94e3b953dffb2c989b395fa28d5f759c8d3c5f1186932"
 STRICT_IN_FLAT = "84dd24a29b909a1a7f542ae0ac234baa5e1c25cd794aec5756b7523ca5b32743"
 CONE_VERDICTS = "2e0af92bd6db93faa2cd3a29f551c2c146ad2519828d81072d14ed1ca612fe33"
+WIDE_LP_OUTCOMES = "cde4a8cd774afb07f93e57c86f57467140beb20b1b48775f79c5627c2e656e6b"
 
 
 def test_lp_outcomes_and_pivot_counts_are_pinned():
@@ -127,6 +128,48 @@ def test_lp_outcomes_and_pivot_counts_are_pinned():
     kinds = {type(o) for o in outcomes}
     assert kinds == {Optimal, Infeasible, Unbounded}
     assert _digest(outcomes) == LP_OUTCOMES
+
+
+# Coprime denominators up to 97 and six-digit numerators: the lcm of one
+# row's denominators reaches millions, far past the {1, 2, 3} above, so a
+# tableau that scales rows to integers is exercised on wide scales.
+WIDE_DENOMINATORS = (1, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                     59, 61, 67, 71, 73, 79, 83, 89, 97, 30, 77, 91)
+
+
+def _wide_rat(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-10**6, 10**6), rng.choice(WIDE_DENOMINATORS))
+
+
+def _wide_lp(rng: random.Random) -> LPProblem:
+    """LP with wide denominators, equality rows (whose negated copies start
+    phase one) and, in some draws, a box of one-variable rows so that
+    optimal outcomes occur beside infeasible and unbounded ones."""
+    n = rng.randint(1, 4)
+    m1 = rng.randint(0, 5)
+    m2 = rng.choice((0, 1, 1, 2))
+    A = [tuple(_wide_rat(rng) for _ in range(n)) for _ in range(m1)]
+    b = [_wide_rat(rng) for _ in range(m1)]
+    if rng.random() < 0.4:
+        for j in range(n):
+            for sign in (1, -1):
+                a = Fraction(sign * rng.randint(1, 97), rng.choice(WIDE_DENOMINATORS))
+                A.append(tuple(a if k == j else ZERO for k in range(n)))
+                b.append(Fraction(rng.randint(1, 10**6), rng.choice(WIDE_DENOMINATORS)))
+    E = tuple(tuple(_wide_rat(rng) for _ in range(n)) for _ in range(m2))
+    d = tuple(_wide_rat(rng) for _ in range(m2))
+    c = tuple(_wide_rat(rng) for _ in range(n))
+    return LPProblem(c, rng.choice(("max", "min")), tuple(A), tuple(b), E, d)
+
+
+def test_wide_denominator_lp_outcomes_are_pinned():
+    # Of these 200 LPs (79 optimal, 70 infeasible, 51 unbounded), 13 of the
+    # unbounded ones end with Bland's rule entering a slack column, so their
+    # rays depend on how slack columns are scaled.
+    rng = random.Random(4005)
+    outcomes = [lp_solve(_wide_lp(rng)) for _ in range(200)]
+    assert {type(o) for o in outcomes} == {Optimal, Infeasible, Unbounded}
+    assert _digest(outcomes) == WIDE_LP_OUTCOMES
 
 
 def test_separation_outcomes_are_pinned():

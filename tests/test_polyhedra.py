@@ -9,17 +9,14 @@ import pytest
 from conftest import random_nonempty_hpoly, random_matrix
 from relint_kit import polyhedra
 from relint_kit.errors import EmptySetError, InputError
-from relint_kit.linalg import solve_linear_system
+from relint_kit.linalg import in_span, solve_linear_system
 from relint_kit.polyhedra import (
     AffineFlat,
     HPolyhedron,
     VPolyhedron,
     affine_hull,
-    contains_v_member,
     dim,
     feasible_point,
-    flat_to_hpoly,
-    flats_equal,
     h_to_v,
     implicit_rows,
     is_empty,
@@ -30,12 +27,42 @@ from relint_kit.polyhedra import (
     v_member,
     v_to_h,
 )
-from relint_kit.rational import dot, mat, matvec, vec
+from relint_kit.rational import dot, mat, matvec, unit, vec, zeros
 from relint_kit.relint import ri_point
 
 TRIANGLE = HPolyhedron.make(A=[[-1, 0], [0, -1], [1, 1]], b=[0, 0, 1])
 UNIT_SQUARE = HPolyhedron.make(A=[[1, 0], [-1, 0], [0, 1], [0, -1]], b=[1, 0, 1, 0])
 INTERVAL = HPolyhedron.make(A=[[1], [-1]], b=[1, 0])
+
+
+# -- oracles: plain evaluation and elimination, no LP --------------------------
+
+
+def contains_v_member(P: HPolyhedron, V: VPolyhedron) -> bool:
+    """Every generator of V consistent with P: points inside, rays receding."""
+    return all(P.contains(p) for p in V.points) and all(
+        P.recession_contains(r) for r in V.rays
+    )
+
+
+def flat_to_hpoly(flat: AffineFlat) -> HPolyhedron:
+    """The flat as an equality-only H-polyhedron whose normals span the
+    orthogonal complement of its directions."""
+    if flat.directions:
+        sol = solve_linear_system(flat.directions, zeros(len(flat.directions)), flat.dim)
+        normals = sol.nullspace_basis
+    else:
+        normals = tuple(unit(flat.dim, j) for j in range(flat.dim))
+    d = tuple(dot(nrm, flat.basepoint) for nrm in normals)
+    return HPolyhedron((), (), normals, d, flat.dim)
+
+
+def flats_equal(f1: AffineFlat, f2: AffineFlat) -> bool:
+    if f1.dim != f2.dim or f1.flat_dim != f2.flat_dim:
+        return False
+    return f1.contains(f2.basepoint) and f2.contains(f1.basepoint) and all(
+        in_span(f1.directions, v) for v in f2.directions
+    )
 
 
 def test_is_empty_cases():
