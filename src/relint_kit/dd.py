@@ -2,10 +2,12 @@
 
 Computes generators (lineality basis plus extreme rays) of a cone given
 as {y : m·y <= 0 for rows m}.  Rows are normalized to coprime integer
-vectors and inserted in lexicographic order; adjacency of extreme rays is
-decided algebraically by the rank of the common active constraint set.
-Working over integers keeps the inner products and rank computations
-cheap; directions are rescaled by positive factors only, so ray
+vectors and inserted in lexicographic order.  Every ray carries its zero
+set over the rows inserted so far as a bitmask, and since the current rays
+are exactly the extreme rays modulo the lineality, adjacency is decided
+combinatorially on those masks (Motzkin, Raiffa, Thompson and Thrall
+1953; Fukuda and Prodon 1996).  Working over integers keeps the inner
+products cheap; directions are rescaled by positive factors only, so ray
 orientations are never flipped.
 """
 
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 from math import gcd
 
-from .linalg import int_rank
 from .rational import Vec, primitive_int
 
 IVec = tuple[int, ...]
@@ -50,14 +51,6 @@ class _Ray:
         self.mask = mask
 
 
-def _mask_of(vec: IVec, processed: list[IVec]) -> int:
-    mask = 0
-    for idx, row in enumerate(processed):
-        if _idot(row, vec) == 0:
-            mask |= 1 << idx
-    return mask
-
-
 def dd_cone(rows: list[Vec], dim: int) -> tuple[list[IVec], list[IVec]]:
     """Generators of {y in R^dim : m·y <= 0 for every row m}.
 
@@ -69,9 +62,7 @@ def dd_cone(rows: list[Vec], dim: int) -> tuple[list[IVec], list[IVec]]:
         tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)
     ]
     rays: list[_Ray] = []
-    processed: list[IVec] = []
-    for m in unit_rows:
-        k = len(processed)
+    for k, m in enumerate(unit_rows):
         lin_dots = [_idot(m, l) for l in lineality]
         hit = next((j for j, s in enumerate(lin_dots) if s != 0), None)
         if hit is not None:
@@ -94,14 +85,15 @@ def dd_cone(rows: list[Vec], dim: int) -> tuple[list[IVec], list[IVec]]:
                     ray.mask |= 1 << k
                     new_rays.append(ray)
                 else:
-                    # r - (s/s0) l0, rescaled positively to integers
+                    # r - (s/s0) l0, rescaled positively to integers; l0
+                    # is orthogonal to every processed row, so the zero
+                    # set of r carries over.
                     shifted = tuple(a * s0 - b * s for a, b in zip(ray.vec, l0))
                     if s0 < 0:
                         shifted = tuple(-a for a in shifted)
-                    vec = _iprimitive(shifted)
-                    new_rays.append(_Ray(vec, _mask_of(vec, processed) | (1 << k)))
+                    new_rays.append(_Ray(_iprimitive(shifted), ray.mask | 1 << k))
             r0_vec = l0 if s0 < 0 else tuple(-a for a in l0)
-            new_rays.append(_Ray(r0_vec, _mask_of(r0_vec, processed)))
+            new_rays.append(_Ray(r0_vec, (1 << k) - 1))
             rays = new_rays
         else:
             pos, zero, neg = [], [], []
@@ -115,27 +107,27 @@ def dd_cone(rows: list[Vec], dim: int) -> tuple[list[IVec], list[IVec]]:
                     ray.mask |= 1 << k
                     zero.append(ray)
             kept = zero + [ray for ray, _ in neg]
-            if pos and neg:
-                # Rank of the shared active set must reach the facet
-                # codimension for the pair to be adjacent.
-                target = dim - len(lineality) - 2
+            target = dim - len(lineality) - 2
+            if pos and neg and target >= 0:
+                # The pair is adjacent when its shared zero set has at least
+                # `target` rows and no other current ray's zero set
+                # contains it.  The new ray is zero exactly where both are:
+                # both are <= 0 on every processed row and both
+                # coefficients are positive.
                 seen = {ray.vec for ray in kept}
                 for rp, sp in pos:
                     for rn, sn in neg:
                         shared = rp.mask & rn.mask
-                        if target > 0:
-                            zrows = [processed[i] for i in range(k)
-                                     if shared >> i & 1]
-                            if int_rank(zrows, limit=target) != target:
-                                continue
-                        elif target < 0:
+                        if shared.bit_count() < target or any(
+                                ray.mask & shared == shared
+                                and ray is not rp and ray is not rn
+                                for ray in rays):
                             continue
                         vec = _iprimitive(tuple(
                             sp * bn - sn * bp
                             for bp, bn in zip(rp.vec, rn.vec)))
                         if vec not in seen:
                             seen.add(vec)
-                            kept.append(_Ray(vec, _mask_of(vec, processed) | (1 << k)))
+                            kept.append(_Ray(vec, shared | 1 << k))
             rays = kept
-        processed.append(m)
     return lineality, [ray.vec for ray in rays]

@@ -115,34 +115,3 @@ def project_onto_span(directions: tuple[Vec, ...], v: Vec) -> Vec:
         out = tuple(a + coeff * b for a, b in zip(out, d))
     return out
 
-
-def int_rank(rows: list[tuple[int, ...]], limit: int | None = None) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
-
-    Stops early once `limit` independent rows are found (used by adjacency
-    tests that only care whether a rank threshold is reached).
-    """
-    if not rows:
-        return 0
-    work = [list(r) for r in rows]
-    ncols = len(work[0])
-    r = 0
-    target = len(work) if limit is None else min(limit, len(work))
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        for i in range(r + 1, len(work)):
-            f = work[i][c]
-            if f:
-                work[i] = [a * pv - f * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r >= target or r == len(work):
-            break
-    return r

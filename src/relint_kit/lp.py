@@ -31,12 +31,18 @@ from .rational import (
 )
 
 
+def _check_exact(what: str, entries) -> None:
+    for a in entries:
+        if type(a) is not int and type(a) is not Rat:
+            raise InputError(f"{what}: entry {a!r} is not an int or Fraction")
+
+
 @dataclass(frozen=True)
 class LPProblem:
     """max/min objective·x subject to ineq_lhs·x <= ineq_rhs, eq_lhs·x = eq_rhs.
 
     All variables are free; empty constraint blocks are legal and mean the
-    whole space.
+    whole space.  Every entry is an `int` or a `Fraction`.
     """
 
     objective: Vec
@@ -52,6 +58,12 @@ class LPProblem:
         n = len(self.objective)
         check_dims(self.ineq_lhs, self.ineq_rhs, n, "inequalities")
         check_dims(self.eq_lhs, self.eq_rhs, n, "equalities")
+        _check_exact("objective", self.objective)
+        for what, lhs, rhs in (("inequalities", self.ineq_lhs, self.ineq_rhs),
+                               ("equalities", self.eq_lhs, self.eq_rhs)):
+            _check_exact(what, rhs)
+            for row in lhs:
+                _check_exact(what, row)
 
     @property
     def dim(self) -> int:

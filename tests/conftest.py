@@ -78,3 +78,48 @@ def random_matrix(rng: random.Random, rows: int, cols: int):
     return tuple(
         tuple(Fraction(rng.randint(-2, 2)) for _ in range(cols)) for _ in range(rows)
     )
+
+
+def random_cone_rows(rng: random.Random, dim: int) -> list[tuple[Fraction, ...]]:
+    """Rows m of a cone {y : m·y <= 0} in R^dim.
+
+    Each draw leans towards one kind of row: generic rationals, lineality-
+    heavy (unit rows and opposite pairs) or degenerate (duplicates,
+    positive multiples and zero rows), the cases where double description
+    updates its lineality or meets repeated constraints.  Most draws flip
+    rows to hold at a random nonzero point, so that the cone is not {0}
+    and has rays to pair."""
+    def generic():
+        return tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+                     for _ in range(dim))
+
+    def unit_row():
+        j = rng.randrange(dim)
+        s = Fraction(rng.choice((-1, 1)))
+        return tuple(s if i == j else Fraction(0) for i in range(dim))
+
+    mode = rng.choice(("generic", "lineality", "degenerate"))
+    rows: list[tuple[Fraction, ...]] = []
+    for _ in range(rng.randint(0, dim + 4)):
+        u = rng.random()
+        if mode == "lineality" and u < 0.7:
+            row = unit_row() if rng.random() < 0.5 else generic()
+            rows.append(row)
+            if rng.random() < 0.5:
+                rows.append(tuple(-a for a in row))
+        elif mode == "degenerate" and rows and u < 0.6:
+            if rng.random() < 0.3:
+                rows.append((Fraction(0),) * dim)
+            else:
+                t = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                rows.append(tuple(t * a for a in rng.choice(rows)))
+        else:
+            rows.append(generic())
+    if rng.random() < 0.7:
+        anchor = [rng.randint(-2, 2) for _ in range(dim)]
+        anchor[rng.randrange(dim)] = rng.choice((-1, 1))
+        rows = [tuple(-a for a in row)
+                if sum(a * x for a, x in zip(row, anchor)) > 0 else row
+                for row in rows]
+    rng.shuffle(rows)
+    return rows

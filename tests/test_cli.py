@@ -1,9 +1,13 @@
 """Document parsing, CLI commands, exit codes, and report determinism."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relint_kit import cli, docio
 from relint_kit.cli import main
@@ -373,3 +377,161 @@ def test_cli_internal_error_is_one_line_with_exit_2(monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "internal error: ZeroDivisionError: division by zero second line\n"
+
+
+# -- seeded fuzz of the document grammar and the argument lists ---------------
+#
+# A draw builds the documents and options its command expects, in one
+# dimension of at most 3, then damages them: up to three fields of a
+# document are dropped, replaced by a malformed value or given an extra
+# entry; a document may be cut short, replaced by bytes that are not
+# JSON, or be of the wrong kind; options may be missing or malformed.
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+    st.sampled_from(["", "x", "1/0", "1/-2", "0.5", " 2", "+1", "1e3", "--1"]),
+    st.builds(list), st.builds(dict), st.builds(lambda: [[]]))
+_RATIONAL = st.builds(lambda p, q: f"{p}/{q}" if q > 1 else str(p),
+                      st.integers(-3, 3), st.integers(1, 3))
+
+# command -> (kinds of the documents it reads, options it reads)
+_EXPECTS = {
+    "ri-check": (["hpoly"], ["--point"]),
+    "ri-point": (["hpoly"], []),
+    "suite": (["hpoly"], ["--point"]),
+    "normal-cone": (["hpoly"], ["--point"]),
+    "separate": (["hpoly", "hpoly"], []),
+    "qri-sep": (["hpoly"], ["--point"]),
+    "graph-ri": (["map"], ["--point"]),
+    "epi-ri": (["plfunction"], ["--point", "--level"]),
+    "image-ri": (["hpoly"], ["--matrix"]),
+    "diff-ri": (["hpoly", "hpoly"], []),
+    "seq-classify": (["sequence"], []),
+    "verify": (["certificate", "hpoly", "hpoly"], []),
+    "verify-corpus": (["hpoly", "vpoly", "map"], []),
+}
+
+
+def _vec(draw, dim):
+    return draw(st.lists(_RATIONAL, min_size=dim, max_size=dim))
+
+
+def _rows(draw, dim, most):
+    return [_vec(draw, dim) for _ in range(draw(st.integers(0, most)))]
+
+
+def _hpoly_node(draw, dim):
+    """A set that holds the origin, so that it is nonempty until damaged."""
+    A, E = _rows(draw, dim, 4), _rows(draw, dim, 2)
+    b = [x.lstrip("-") for x in _vec(draw, len(A))]
+    return {"A": A, "b": b, "E": E, "d": ["0"] * len(E), "dim": dim}
+
+
+def _payload(draw, kind, dim):
+    if kind == "hpoly":
+        return _hpoly_node(draw, dim)
+    if kind == "vpoly":
+        return {"points": _rows(draw, dim, 3), "rays": _rows(draw, dim, 2), "dim": dim}
+    if kind == "map":
+        m = draw(st.integers(0, dim))
+        return {"graph": _hpoly_node(draw, dim), "m": m, "n": dim - m}
+    if kind == "plfunction":
+        return {"pieces": [_vec(draw, dim + 1) for _ in range(draw(st.integers(1, 3)))],
+                "domain": _hpoly_node(draw, dim)}
+    if kind == "sequence":
+        tail = draw(st.none() | st.fixed_dictionaries(
+            {"c": _RATIONAL, "q": _RATIONAL, "start": st.integers(0, 3)}))
+        return {"prefix": _vec(draw, draw(st.integers(0, 3))), "tail": tail}
+    return {"functional": _vec(draw, dim), "sup1": draw(_RATIONAL),
+            "inf2": draw(_RATIONAL), "strict_witness_1": _vec(draw, dim),
+            "strict_witness_2": _vec(draw, dim)}
+
+
+def _containers(node):
+    """Every (container, key) pair of a JSON tree, outermost first."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _containers(node[key])
+
+
+def _document(draw, kind, dim) -> bytes:
+    if draw(st.integers(0, 9)) == 0:
+        kind = draw(st.sampled_from(docio.KINDS))
+    if kind == "certificate":
+        node = {"certificate": _payload(draw, kind, dim)}
+    else:
+        node = {"kind": kind, "id": f"{kind}-{draw(st.integers(0, 9))}",
+                "payload": _payload(draw, kind, dim)}
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2, 3]))):
+        spots = list(_containers(node))
+        if not spots:
+            break
+        container, key = draw(st.sampled_from(spots))
+        action = draw(st.sampled_from(["drop", "junk", "grow"]))
+        if action == "grow" and isinstance(container[key], list):
+            container[key].append(draw(_RATIONAL))
+        elif action == "drop":
+            del container[key]
+        else:
+            container[key] = draw(_JUNK)
+    text = json.dumps(node).encode()
+    form = draw(st.sampled_from(["whole"] * 8 + ["cut", "binary"]))
+    if form == "cut":
+        return text[:draw(st.integers(0, len(text)))]
+    return draw(st.binary(max_size=8)) if form == "binary" else text
+
+
+def _option(draw, name, dim):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(alphabet="01-/,;x. ", max_size=8))
+    if name == "--level":
+        return draw(_RATIONAL)
+    n = max(0, dim + draw(st.sampled_from([0, 0, 0, 0, 1, -1])))
+    if name == "--point":
+        return ",".join(_vec(draw, n))
+    return ";".join(",".join(_vec(draw, n)) for _ in range(draw(st.integers(1, 3))))
+
+
+@st.composite
+def _invocation(draw):
+    """A command, its documents as bytes, and the rest of its arguments."""
+    command = draw(st.sampled_from(sorted(_EXPECTS)))
+    kinds, options = _EXPECTS[command]
+    dim = draw(st.integers(0, 3))
+    documents = [_document(draw, kind, dim) for kind in kinds
+                 if draw(st.integers(0, 9)) > 0]
+    args = []
+    for name in options + ["--seed"]:
+        if draw(st.integers(0, 9)) > 0:
+            value = str(draw(st.integers(0, 9))) if name == "--seed" else _option(draw, name, dim)
+            args += [name, value]
+    args += draw(st.sampled_from([[]] * 10 + [["--help"], ["--nope"], ["missing.json"]]))
+    return command, documents, args
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_invocation())
+def test_cli_fuzz_ends_in_a_report_or_one_line_error(invocation):
+    command, documents, args = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for i, data in enumerate(documents):
+            path = Path(tmp) / f"doc{i}.json"
+            path.write_bytes(data)
+            files.append(str(path))
+        if command == "verify-corpus":  # the documents form the corpus
+            files = [tmp]
+        argv = [command, *files, *args]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argument list
+                code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    for text in (out.getvalue(), err.getvalue()):
+        assert "Traceback" not in text and "internal error:" not in text, (argv, text)
+    if code == 1:  # only a failed check exits 1
+        assert "FAIL " in out.getvalue() or "theorem violation:" in err.getvalue(), argv

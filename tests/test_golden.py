@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_nonempty_hpoly, random_pair
+from conftest import random_cone_rows, random_nonempty_hpoly, random_pair
 from relint_kit.cli import main
+from relint_kit.dd import dd_cone
 from relint_kit.lp import Infeasible, LPProblem, Optimal, Unbounded, lp_solve
 from relint_kit.polyhedra import AffineFlat, HPolyhedron, PolyCone, cone_contains
 from relint_kit.rational import ZERO, unit, vadd, vscale, zeros
@@ -120,6 +121,7 @@ SEPARATION = "ce55a06d1e0c88c758f94e3b953dffb2c989b395fa28d5f759c8d3c5f1186932"
 STRICT_IN_FLAT = "84dd24a29b909a1a7f542ae0ac234baa5e1c25cd794aec5756b7523ca5b32743"
 CONE_VERDICTS = "2e0af92bd6db93faa2cd3a29f551c2c146ad2519828d81072d14ed1ca612fe33"
 WIDE_LP_OUTCOMES = "cde4a8cd774afb07f93e57c86f57467140beb20b1b48775f79c5627c2e656e6b"
+DD_CONES = "2aee486e777e10c8dd2c5d150fdbd304aa37ea0c93f6af72e9911f88af4d6462"
 
 
 def test_lp_outcomes_and_pivot_counts_are_pinned():
@@ -218,3 +220,20 @@ def test_cone_membership_verdicts_are_pinned():
         verdicts.append(cone_contains(PolyCone(gens, n), v))
     assert set(verdicts) == {True, False}
     assert _digest(verdicts) == CONE_VERDICTS
+
+
+def test_dd_cone_outputs_are_pinned():
+    # The order of the lineality basis and of the rays is part of the pin:
+    # h_to_v and v_to_h list generators and rows in this order.
+    rng = random.Random(4006)
+    outputs, flat = [], 0
+    for _ in range(1500):
+        dim = rng.randint(1, 6)
+        lineality, rays = dd_cone(random_cone_rows(rng, dim), dim)
+        outputs.append((lineality, rays))
+        # Lineality only shrinks, so the final basis bounds the adjacency
+        # target dim - len(lineality) - 2 of every step from above.
+        flat += dim - len(lineality) - 2 <= 0
+    assert flat >= 100
+    assert sum(1 for lin, rays in outputs if lin and rays) >= 100
+    assert _digest(outputs) == DD_CONES

@@ -1,11 +1,13 @@
 """Exact linear system solving and span utilities."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from relint_kit.errors import InputError
 from relint_kit.linalg import (
     in_span,
-    int_rank,
     project_onto_span,
     rank,
     solve_linear_system,
@@ -40,11 +42,32 @@ def test_solution_actually_solves():
     assert rank(sol.nullspace_basis) == len(sol.nullspace_basis)
 
 
-def test_rank_and_int_rank_agree():
+def test_rank_of_dependent_rows():
     rows = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert rank(rows) == 2
-    assert int_rank([(1, 2, 3), (2, 4, 6), (0, 1, 1)]) == 2
-    assert int_rank([(1, 2, 3), (2, 4, 6), (0, 1, 1)], limit=1) == 1
+
+
+def test_rank_and_nullspace_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4008)
+    deficient = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        M = [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 5))) for _ in range(cols)]
+             for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.5:
+            # the last row becomes a rational combination of earlier ones
+            t = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            M[-1] = [a + t * b for a, b in zip(M[0], M[rng.randrange(rows - 1)])]
+        S = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in row]
+                          for row in M])
+        expected = S.rank()
+        deficient += expected < min(rows, cols)
+        assert rank(M) == expected
+        sol = solve_linear_system(M, (Fraction(0),) * rows, cols)
+        assert len(sol.nullspace_basis) == len(S.nullspace()) == cols - expected
+        assert all(dot(row, v) == 0 for row in M for v in sol.nullspace_basis)
+    assert deficient >= 50
 
 
 def test_in_span():

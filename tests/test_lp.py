@@ -1,6 +1,7 @@
 """LP solver outcomes and their self-validating certificates."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -105,6 +106,17 @@ def test_verify_farkas_rejects_negative_multiplier():
 def test_dimension_mismatch_rejected():
     with pytest.raises(InputError):
         LPProblem.maximize(vec([1, 2]), (mat([[1]]), vec([0])))
+
+
+@pytest.mark.parametrize("args, block", [
+    (((1.5,), "max", ((1.0,),), (2.0,)), "objective"),
+    (((1,), "max", ((Decimal("1"),),), (2,)), "inequalities"),
+    (((1,), "min", ((1,),), (Fraction(1, 2),), ((1,),), (0.5,)), "equalities"),
+    (((True,), "max"), "objective"),
+], ids=["float", "decimal", "float-rhs", "bool"])
+def test_inexact_entries_rejected(args, block):
+    with pytest.raises(InputError, match=f"^{block}: entry "):
+        LPProblem(*args)
 
 
 def _random_feasible_bounded(rng, n, m):

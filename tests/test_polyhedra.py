@@ -6,10 +6,11 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_nonempty_hpoly, random_matrix
+from conftest import random_cone_rows, random_nonempty_hpoly, random_matrix
 from relint_kit import polyhedra
+from relint_kit.dd import dd_cone
 from relint_kit.errors import EmptySetError, InputError
-from relint_kit.linalg import in_span, solve_linear_system
+from relint_kit.linalg import in_span, rank, solve_linear_system
 from relint_kit.polyhedra import (
     AffineFlat,
     HPolyhedron,
@@ -134,6 +135,31 @@ def test_round_trip_on_random_instances():
         assert same_set(P, back)
         if not V.is_empty_set:
             assert v_member(V, feasible_point(P))
+
+
+def test_dd_cone_rays_are_extreme():
+    # Checks each output against its definition with rational dot products
+    # and `rank`, so the adjacency test inside dd_cone is not reused here.
+    rng = random.Random(4007)
+    rays_seen = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        rows = random_cone_rows(rng, n)
+        lineality, rays = dd_cone(rows, n)
+        lin = [vec(l) for l in lineality]
+        assert rank(lin) == len(lin) == n - rank(rows)
+        assert all(dot(m, l) == 0 for m in rows for l in lin)
+        target = n - len(lin) - 1
+        for r in rays:
+            r = vec(r)
+            values = [dot(m, r) for m in rows]
+            assert all(v <= 0 for v in values)
+            assert rank([m for m, v in zip(rows, values) if v == 0]) == target
+        for r1, r2 in combinations(rays, 2):
+            r1, r2 = vec(r1), vec(r2)
+            assert not (rank([r1, r2]) == 1 and dot(r1, r2) > 0)
+        rays_seen += len(rays)
+    assert rays_seen >= 500
 
 
 def test_affine_hull_square_in_plane_slice():
