@@ -25,16 +25,11 @@ from .rational import (
     Rat,
     Vec,
     ZERO,
-    check_dims,
+    check_block,
+    check_exact,
     dot,
     zeros,
 )
-
-
-def _check_exact(what: str, entries) -> None:
-    for a in entries:
-        if type(a) is not int and type(a) is not Rat:
-            raise InputError(f"{what}: entry {a!r} is not an int or Fraction")
 
 
 @dataclass(frozen=True)
@@ -56,14 +51,9 @@ class LPProblem:
         if self.sense not in ("max", "min"):
             raise InputError(f"unknown sense {self.sense!r}")
         n = len(self.objective)
-        check_dims(self.ineq_lhs, self.ineq_rhs, n, "inequalities")
-        check_dims(self.eq_lhs, self.eq_rhs, n, "equalities")
-        _check_exact("objective", self.objective)
-        for what, lhs, rhs in (("inequalities", self.ineq_lhs, self.ineq_rhs),
-                               ("equalities", self.eq_lhs, self.eq_rhs)):
-            _check_exact(what, rhs)
-            for row in lhs:
-                _check_exact(what, row)
+        check_exact("objective", self.objective)
+        check_block(self.ineq_lhs, self.ineq_rhs, n, "inequalities")
+        check_block(self.eq_lhs, self.eq_rhs, n, "equalities")
 
     @property
     def dim(self) -> int:

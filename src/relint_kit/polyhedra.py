@@ -3,6 +3,10 @@
 Conventions fixed here and relied on everywhere else:
   * an HPolyhedron may carry redundant rows; nothing canonicalizes
     implicitly, and emptiness is decided by LP;
+  * every entry of an HPolyhedron and of a point queried against it is an
+    `int` or a `Fraction`; a point is evaluated against the rows once, in
+    integers (`HPolyhedron.residuals`), and every membership and
+    active-set predicate reads the signs of those residuals;
   * a VPolyhedron with no points is the empty set regardless of rays;
   * lines are encoded as opposite ray pairs, never as a separate field.
 """
@@ -10,7 +14,9 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
+from operator import mul
 
 from .dd import dd_cone
 from .errors import EmptySetError, InputError, TheoremViolation
@@ -26,8 +32,8 @@ from .rational import (
     Rat,
     Vec,
     ZERO,
-    check_dims,
-    dot,
+    check_block,
+    check_exact,
     mat,
     matvec,
     vec,
@@ -35,6 +41,9 @@ from .rational import (
     vsub,
     zeros,
 )
+
+# Constraint rows (a, beta) scaled to integers.
+_IntRows = tuple[tuple[tuple[int, ...], int], ...]
 
 
 @dataclass(frozen=True)
@@ -48,8 +57,30 @@ class HPolyhedron:
     dim: int
 
     def __post_init__(self):
-        check_dims(self.A, self.b, self.dim, "inequalities")
-        check_dims(self.E, self.d, self.dim, "equalities")
+        check_block(self.A, self.b, self.dim, "inequalities")
+        check_block(self.E, self.d, self.dim, "equalities")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # The dataclass hash, computed once: every memo-table lookup keyed on
+        # this set would otherwise re-hash every Fraction in it.
+        return hash((self.A, self.b, self.E, self.d, self.dim))
+
+    @cached_property
+    def _int_rows(self) -> tuple[_IntRows, _IntRows]:
+        """(ineq, eq): each row (a, beta) scaled by the positive lcm of its
+        denominators into integers."""
+        def scaled(rows: Mat, rhs: Vec) -> _IntRows:
+            out = []
+            for row, beta in zip(rows, rhs):
+                L = lcm(beta.denominator, *(a.denominator for a in row))
+                out.append((tuple(a.numerator * (L // a.denominator) for a in row),
+                            beta.numerator * (L // beta.denominator)))
+            return tuple(out)
+        return scaled(self.A, self.b), scaled(self.E, self.d)
 
     @classmethod
     def make(cls, A=(), b=(), E=(), d=(), dim=None) -> "HPolyhedron":
@@ -79,17 +110,26 @@ class HPolyhedron:
         eye = tuple(tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n))
         return cls((), (), eye, p, n)
 
-    def contains(self, x: Vec) -> bool:
+    def residuals(self, x: Vec) -> tuple[int, list[int], list[int]]:
+        """(q, ineq, eq) with ineq[i] = L_i q (b_i - a_i·x) and
+        eq[j] = M_j q (d_j - e_j·x), all integers.
+
+        q > 0 is the lcm of the denominators of x, and L_i, M_j > 0 scale
+        row i of A and row j of E to integers, so each residual has the
+        sign of its row's slack at x, and ratios of residuals at two points
+        are exact."""
         if len(x) != self.dim:
             raise InputError(f"point of length {len(x)} in dimension {self.dim}")
-        return all(dot(row, x) <= beta for row, beta in zip(self.A, self.b)) and all(
-            dot(row, x) == delta for row, delta in zip(self.E, self.d)
-        )
+        check_exact("point", x)
+        q = lcm(*(c.denominator for c in x))
+        p = [c.numerator * (q // c.denominator) for c in x]
+        ineq, eq = self._int_rows
+        return (q, [beta * q - sum(map(mul, row, p)) for row, beta in ineq],
+                [delta * q - sum(map(mul, row, p)) for row, delta in eq])
 
-    def recession_contains(self, v: Vec) -> bool:
-        return all(dot(row, v) <= 0 for row in self.A) and all(
-            dot(row, v) == 0 for row in self.E
-        )
+    def contains(self, x: Vec) -> bool:
+        _, ineq, eq = self.residuals(x)
+        return all(r >= 0 for r in ineq) and not any(eq)
 
 
 @dataclass(frozen=True)

@@ -106,9 +106,21 @@ def primitive_int(v: Vec) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def check_dims(rows: Mat, rhs: Vec, n: int, what: str) -> None:
+def check_exact(what: str, entries) -> None:
+    """Every entry is exactly an `int` or a `Fraction`: a float, a Decimal or
+    a bool would make comparisons inexact or fail deep inside a computation."""
+    for a in entries:
+        if type(a) is not Rat and type(a) is not int:
+            raise InputError(f"{what}: entry {a!r} is not an int or Fraction")
+
+
+def check_block(rows: Mat, rhs: Vec, n: int, what: str) -> None:
+    """Shape and exactness of one constraint block rows·x (<= or =) rhs."""
     if len(rows) != len(rhs):
         raise InputError(f"{what}: {len(rows)} rows but {len(rhs)} right-hand sides")
     for row in rows:
         if len(row) != n:
             raise InputError(f"{what}: row of length {len(row)}, expected {n}")
+    check_exact(what, rhs)
+    for row in rows:
+        check_exact(what, row)

@@ -35,7 +35,7 @@ from .polyhedra import (
     implicit_rows,
     is_empty,
 )
-from .rational import ONE, Rat, Vec, dot, vadd, vneg, vscale, vsub, zeros
+from .rational import ONE, Rat, Vec, vadd, vneg, vscale, vsub, zeros
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,14 @@ class QuasiRegularityReport:
     verdict: ClassVar[bool] = True
 
 
-def _find_violation(P: HPolyhedron, x: Vec) -> RowWitness | None:
-    for i, (row, beta) in enumerate(zip(P.A, P.b)):
-        if dot(row, x) > beta:
-            return RowWitness("ineq-violated", i, row, beta)
-    for i, (row, delta) in enumerate(zip(P.E, P.d)):
-        if dot(row, x) != delta:
-            return RowWitness("eq-violated", i, row, delta)
+def _find_violation(P: HPolyhedron, ineq: list[int], eq: list[int]) -> RowWitness | None:
+    """The first row that P.residuals(x) = (q, ineq, eq) shows violated."""
+    for i, r in enumerate(ineq):
+        if r < 0:
+            return RowWitness("ineq-violated", i, P.A[i], P.b[i])
+    for i, r in enumerate(eq):
+        if r:
+            return RowWitness("eq-violated", i, P.E[i], P.d[i])
     return None
 
 
@@ -121,13 +122,14 @@ def ri_membership(P: HPolyhedron, x: Vec) -> RiResult:
         raise InputError(f"point of length {len(x)} in dimension {P.dim}")
     if is_empty(P):
         raise EmptySetError("relative interior of the empty set is undefined")
-    violated = _find_violation(P, x)
+    _, ineq, eq = P.residuals(x)
+    violated = _find_violation(P, ineq, eq)
     if violated is not None:
         return RiResult(False, violated)
     imp = implicit_rows(P)
-    for i, (row, beta) in enumerate(zip(P.A, P.b)):
-        if i not in imp and dot(row, x) == beta:
-            return RiResult(False, RowWitness("ineq-active", i, row, beta))
+    for i, r in enumerate(ineq):
+        if r == 0 and i not in imp:
+            return RiResult(False, RowWitness("ineq-active", i, P.A[i], P.b[i]))
     return RiResult(True)
 
 
@@ -176,18 +178,19 @@ def is_subspace(C: PolyCone) -> bool:
 def normal_cone(P: HPolyhedron, x: Vec) -> PolyCone:
     """N(x; P): generated by the active inequality normals, both signs of
     the implicit inequality normals, and both signs of the equality rows."""
-    if not P.contains(x):
+    _, ineq, eq = P.residuals(x)
+    if _find_violation(P, ineq, eq) is not None:
         raise PointNotInSetError(
             "normal cone at an outside point is empty, not the zero cone")
     imp = implicit_rows(P)
     gens = set()
-    for i, (row, beta) in enumerate(zip(P.A, P.b)):
-        if all(c == 0 for c in row):
+    for i, (row, r) in enumerate(zip(P.A, ineq)):
+        if not any(row):
             continue
         if i in imp:
             gens.add(row)
             gens.add(vneg(row))
-        elif dot(row, x) == beta:
+        elif r == 0:
             gens.add(row)
     for row in P.E:
         if any(c != 0 for c in row):
@@ -217,22 +220,28 @@ def prolongation_test(
 
     Solves the one-dimensional program max s with xbar + s(xbar - x) in P
     in closed form by a ratio test over the inequality rows; returns
-    (u, t) with xbar = t x + (1 - t) u and t in (0, 1)."""
-    if not P.contains(xbar) or not P.contains(x):
+    (u, t) with xbar = t x + (1 - t) u and t in (0, 1).
+
+    With residuals r = L q (b - a·xbar) at xbar and r' = L q' (b - a·x)
+    at x, row a moves at speed a·(xbar - x) = (r' q - r q') / (L q q'),
+    so its bound (b - a·xbar) / speed is exactly r q' / (r' q - r q')."""
+    q, ineq, eq = P.residuals(xbar)
+    if _find_violation(P, ineq, eq) is not None:
+        raise InputError("prolongation requires both points in the set")
+    q1, ineq1, eq1 = P.residuals(x)
+    if _find_violation(P, ineq1, eq1) is not None:
         raise InputError("prolongation requires both points in the set")
     if x == xbar:
         raise InputError("prolongation requires two distinct points")
-    w = vsub(xbar, x)
-    s_max: Rat | None = None
-    for row, beta in zip(P.A, P.b):
-        speed = dot(row, w)
-        if speed > 0:
-            bound = (beta - dot(row, xbar)) / speed
-            if s_max is None or bound < s_max:
-                s_max = bound
-    if s_max is not None and s_max == 0:
+    num, den = 1, 0  # the bound s_max = num / den, +infinity until a row moves
+    for r, r1 in zip(ineq, ineq1):
+        speed = r1 * q - r * q1
+        if speed > 0 and r * q1 * den < num * speed:
+            num, den = r * q1, speed
+    if num == 0:
         return None
-    s = ONE if s_max is None else min(s_max, ONE)
+    s = ONE if den == 0 else min(Rat(num, den), ONE)
+    w = vsub(xbar, x)
     u = vadd(xbar, vscale(s, w))
     t = s / (1 + s)
     return u, t
@@ -250,11 +259,10 @@ def characterization_suite(
         raise InputError(f"point of length {len(xbar)} in dimension {P.dim}")
     if is_empty(P):
         raise EmptySetError("characterizations require a nonempty set")
-    violated = _find_violation(P, xbar)
-    if violated is not None:
-        return MembershipReport(
-            xbar, set_id, False, False, False, False, False, violated)
     ri_res = ri_membership(P, xbar)
+    if ri_res.witness is not None and ri_res.witness.kind != "ineq-active":
+        return MembershipReport(
+            xbar, set_id, False, False, False, False, False, ri_res.witness)
     V = h_to_v(P)
     # Generator points alone are blind to unbounded directions: at the apex
     # of a halfline every other generator point may coincide with the base

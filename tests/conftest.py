@@ -1,4 +1,5 @@
-"""Shared deterministic instance generators for the property suites.
+"""Shared deterministic instance generators and oracles for the property
+suites.
 
 All generators keep coefficient numerators and denominators small (at most
 20) and produce nonempty sets by construction: a known integer point is
@@ -45,6 +46,14 @@ def random_nonempty_hpoly(
             A.append(tuple(row))
             b.append(value + slack)
     return HPolyhedron(tuple(A), tuple(b), tuple(E), tuple(d), dim)
+
+
+def recession_contains(P: HPolyhedron, v) -> bool:
+    """Oracle: v is a recession direction of P, by plain Fraction dot
+    products (a·v <= 0 on every inequality row, e·v = 0 on every equality)."""
+    def dot(row):
+        return sum((a * c for a, c in zip(row, v)), Fraction(0))
+    return all(dot(row) <= 0 for row in P.A) and all(dot(row) == 0 for row in P.E)
 
 
 def random_pair(rng: random.Random, dim: int, max_rows: int):

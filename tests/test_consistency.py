@@ -9,7 +9,7 @@ construction bias shaped.
 import random
 from fractions import Fraction
 
-from conftest import random_nonempty_hpoly
+from conftest import random_nonempty_hpoly, recession_contains
 from relint_kit.linalg import solve_linear_system
 from relint_kit.polyhedra import (
     HPolyhedron,
@@ -75,7 +75,7 @@ def test_generator_side_round_trip():
         for p in back.points:
             assert v_member(V, p)
         for r in back.rays:
-            assert H.recession_contains(r)
+            assert recession_contains(H, r)
 
 
 def test_membership_two_routes_agree():

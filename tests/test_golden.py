@@ -17,9 +17,20 @@ import pytest
 from conftest import random_cone_rows, random_nonempty_hpoly, random_pair
 from relint_kit.cli import main
 from relint_kit.dd import dd_cone
+from relint_kit.errors import RelintKitError
 from relint_kit.lp import Infeasible, LPProblem, Optimal, Unbounded, lp_solve
-from relint_kit.polyhedra import AffineFlat, HPolyhedron, PolyCone, cone_contains
+from relint_kit.polyhedra import AffineFlat, HPolyhedron, PolyCone, cone_contains, h_to_v
 from relint_kit.rational import ZERO, unit, vadd, vscale, zeros
+from relint_kit.relint import (
+    characterization_suite,
+    conic_hull_at,
+    in_iri,
+    in_qri,
+    normal_cone,
+    prolongation_test,
+    ri_membership,
+    ri_point,
+)
 from relint_kit.separation import (
     NotSeparable,
     Separated,
@@ -122,6 +133,7 @@ STRICT_IN_FLAT = "84dd24a29b909a1a7f542ae0ac234baa5e1c25cd794aec5756b7523ca5b327
 CONE_VERDICTS = "2e0af92bd6db93faa2cd3a29f551c2c146ad2519828d81072d14ed1ca612fe33"
 WIDE_LP_OUTCOMES = "cde4a8cd774afb07f93e57c86f57467140beb20b1b48775f79c5627c2e656e6b"
 DD_CONES = "2aee486e777e10c8dd2c5d150fdbd304aa37ea0c93f6af72e9911f88af4d6462"
+POINT_PREDICATES = "39ee2333da2f01d906c0c6889a2edaa0929c5bb671cedfced143f7bfb0b21d23"
 
 
 def test_lp_outcomes_and_pivot_counts_are_pinned():
@@ -237,3 +249,115 @@ def test_dd_cone_outputs_are_pinned():
     assert flat >= 100
     assert sum(1 for lin, rays in outputs if lin and rays) >= 100
     assert _digest(outputs) == DD_CONES
+
+
+# -- point predicates ----------------------------------------------------------
+#
+# Every interior predicate reads the signs of b_i - a_i·x and d_j - e_j·x at
+# one point.  These sets mix wide coprime denominators with equality rows,
+# zero rows (some of them infeasible) and redundant positive multiples, and
+# each is probed in its relative interior, on its boundary, outside an
+# inequality and off an equality.
+
+
+def _wide_small(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.choice(WIDE_DENOMINATORS))
+
+
+def _pinned_set(rng: random.Random) -> tuple[HPolyhedron, tuple]:
+    """A set and a point that satisfies every row except an infeasible zero
+    row, when one is drawn."""
+    n = rng.randint(1, 3)
+    anchor = tuple(_wide_small(rng) for _ in range(n))
+    A, b, E, d = [], [], [], []
+    for _ in range(rng.randint(1, n + 3)):
+        row = tuple(_wide_small(rng) for _ in range(n))
+        value = sum((a * x for a, x in zip(row, anchor)), Fraction(0))
+        u = rng.random()
+        if u < 0.2:
+            E.append(row)
+            d.append(value)
+        elif u < 0.3:
+            A.append(zeros(n))
+            b.append(rng.choice((ZERO, Fraction(rng.randint(1, 9), rng.choice(WIDE_DENOMINATORS)))))
+        else:
+            slack = ZERO if rng.random() < 0.35 else Fraction(
+                rng.randint(1, 9), rng.choice(WIDE_DENOMINATORS))
+            A.append(row)
+            b.append(value + slack)
+    if A and rng.random() < 0.3:
+        i = rng.randrange(len(A))
+        t = Fraction(rng.randint(1, 9), rng.choice(WIDE_DENOMINATORS))
+        A.append(tuple(t * a for a in A[i]))
+        b.append(t * b[i] + rng.choice((ZERO, Fraction(1, rng.choice(WIDE_DENOMINATORS)))))
+    if rng.random() < 0.05:
+        E.append(zeros(n))
+        d.append(ZERO)
+    if rng.random() < 0.03:
+        A.append(zeros(n))
+        b.append(Fraction(-1, rng.choice(WIDE_DENOMINATORS)))
+    return HPolyhedron(tuple(A), tuple(b), tuple(E), tuple(d), n), anchor
+
+
+def _pinned_points(rng: random.Random, P: HPolyhedron, anchor, center):
+    """The anchor, the ri point, a generator point and its midpoint with
+    the ri point, a point past an inequality, one off an equality and a
+    random point."""
+    points = [anchor]
+    if center is not None:
+        points.append(center)
+        gens = h_to_v(P).points
+        if gens:
+            g = rng.choice(gens)
+            points += [g, tuple((c + x) / 2 for c, x in zip(center, g))]
+        rows = [i for i, row in enumerate(P.A) if any(row)]
+        if rows:
+            i = rng.choice(rows)
+            a = P.A[i]
+            gap = P.b[i] - sum((r * c for r, c in zip(a, center)), Fraction(0))
+            t = gap / sum((r * r for r in a), Fraction(0)) + Fraction(1, rng.choice(WIDE_DENOMINATORS))
+            points.append(tuple(c + t * r for c, r in zip(center, a)))
+        rows = [j for j, row in enumerate(P.E) if any(row)]
+        if rows:
+            e = P.E[rng.choice(rows)]
+            t = Fraction(rng.choice((-1, 1)), rng.choice(WIDE_DENOMINATORS))
+            points.append(tuple(c + t * r for c, r in zip(center, e)))
+    points.append(tuple(_wide_small(rng) for _ in range(P.dim)))
+    return points
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except RelintKitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_point_predicates_are_pinned():
+    rng = random.Random(4007)
+    results, kinds = [], set()
+    for _ in range(300):
+        P, anchor = _pinned_set(rng)
+        center = _outcome(ri_point, P)
+        center = None if isinstance(center[0], str) else center
+        points = _pinned_points(rng, P, anchor, center)
+        for x in points:
+            member = _outcome(ri_membership, P, x)
+            kinds.add((P.contains(x), getattr(member, "member", None),
+                       getattr(getattr(member, "witness", None), "kind", None)))
+            results += [
+                P.contains(x),
+                member,
+                _outcome(normal_cone, P, x),
+                _outcome(conic_hull_at, P, x),
+                in_iri(P, x),
+                in_qri(P, x),
+                _outcome(characterization_suite, P, x),
+                _outcome(prolongation_test, P, x, anchor),
+            ]
+            if center is not None:
+                results.append(_outcome(prolongation_test, P, x, center))
+    assert {(True, True, None), (True, False, "ineq-active"),
+            (False, False, "ineq-violated"), (False, False, "eq-violated"),
+            (False, None, None)} <= kinds
+    assert _digest(results) == POINT_PREDICATES

@@ -1,12 +1,13 @@
 """Representation conversions and structural set operations."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from conftest import random_cone_rows, random_nonempty_hpoly, random_matrix
+from conftest import random_cone_rows, random_nonempty_hpoly, random_matrix, recession_contains
 from relint_kit import polyhedra
 from relint_kit.dd import dd_cone
 from relint_kit.errors import EmptySetError, InputError
@@ -42,7 +43,7 @@ INTERVAL = HPolyhedron.make(A=[[1], [-1]], b=[1, 0])
 def contains_v_member(P: HPolyhedron, V: VPolyhedron) -> bool:
     """Every generator of V consistent with P: points inside, rays receding."""
     return all(P.contains(p) for p in V.points) and all(
-        P.recession_contains(r) for r in V.rays
+        recession_contains(P, r) for r in V.rays
     )
 
 
@@ -389,3 +390,86 @@ def test_emptiness_and_interior_share_one_lp(monkeypatch):
     assert feasible_point(UNIT_SQUARE) == p
     assert all(dot(row, p) < beta for row, beta in zip(UNIT_SQUARE.A, UNIT_SQUARE.b))
     assert len(calls) == 1
+
+
+# -- row evaluation at a point ------------------------------------------------
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _oracle_slacks(P: HPolyhedron, x) -> tuple[list[Fraction], list[Fraction]]:
+    """b_i - a_i·x and d_j - e_j·x by plain Fraction arithmetic."""
+    def slack(row, rhs):
+        return Fraction(rhs) - sum((Fraction(a) * Fraction(c) for a, c in zip(row, x)),
+                                   Fraction(0))
+    return ([slack(row, beta) for row, beta in zip(P.A, P.b)],
+            [slack(row, delta) for row, delta in zip(P.E, P.d)])
+
+
+def test_residual_signs_match_a_fraction_oracle():
+    """Each residual has the sign of its row's slack, on sets with int and
+    Fraction entries, empty blocks, zero rows, wide denominators, and
+    points on some of the rows."""
+    rng = random.Random(808)
+    dens = (1, 2, 3, 7, 30, 97, 89 * 97, 10**9 + 7)
+    signs = set()
+
+    def entry():
+        num = rng.randint(-10**4, 10**4)
+        return num if rng.random() < 0.3 else Fraction(num, rng.choice(dens))
+
+    for _ in range(400):
+        n = rng.randint(0, 4)
+        x = tuple(entry() for _ in range(n))
+        blocks = []
+        for _ in range(2):
+            rows, rhs = [], []
+            for _ in range(rng.choice((0, 0, 1, 2, 4))):
+                row = tuple(0 if rng.random() < 0.2 else entry() for _ in range(n))
+                if rng.random() < 0.15:
+                    row = tuple(Fraction(0) for _ in range(n))
+                on_row = sum((Fraction(a) * Fraction(c) for a, c in zip(row, x)), Fraction(0))
+                rhs.append(on_row if rng.random() < 0.3 else entry())
+                rows.append(row)
+            blocks += [tuple(rows), tuple(rhs)]
+        P = HPolyhedron(*blocks, n)
+        q, ineq, eq = P.residuals(x)
+        want_ineq, want_eq = _oracle_slacks(P, x)
+        assert type(q) is int and q > 0
+        assert all(type(r) is int for r in ineq + eq)
+        assert [_sign(r) for r in ineq] == [_sign(s) for s in want_ineq]
+        assert [_sign(r) for r in eq] == [_sign(s) for s in want_eq]
+        assert P.contains(x) == (all(s >= 0 for s in want_ineq)
+                                 and all(s == 0 for s in want_eq))
+        signs.update(_sign(r) for r in ineq + eq)
+    assert signs == {-1, 0, 1}
+
+
+def test_hash_is_the_dataclass_hash():
+    P = random_nonempty_hpoly(random.Random(809), 3, 5)
+    Q = HPolyhedron(tuple(P.A), tuple(P.b), tuple(P.E), tuple(P.d), P.dim)
+    assert hash(P) == hash((P.A, P.b, P.E, P.d, P.dim)) == hash(Q)
+    assert P == Q and P is not Q and {P: 1}[Q] == 1
+
+
+@pytest.mark.parametrize("args, block", [
+    ((((1.5,),), (2.0,), (), (), 1), "inequalities"),
+    ((((1,),), (Fraction(1),), ((Decimal("1"),),), (0,), 1), "equalities"),
+    (((), (), ((1,),), (0.5,), 1), "equalities"),
+    ((((True,),), (1,), (), (), 1), "inequalities"),
+], ids=["float", "decimal", "float-rhs", "bool"])
+def test_inexact_entries_rejected(args, block):
+    with pytest.raises(InputError, match=f"^{block}: entry "):
+        HPolyhedron(*args)
+
+
+@pytest.mark.parametrize("x", [(0.1,), (Decimal("0.1"),), (True,)],
+                         ids=["float", "decimal", "bool"])
+def test_inexact_points_rejected(x):
+    P = HPolyhedron.make([[1]], [1])
+    with pytest.raises(InputError, match="^point: entry "):
+        P.contains(x)
+    with pytest.raises(InputError, match="^point: entry "):
+        P.residuals(x)

@@ -250,3 +250,12 @@ def test_quasi_regularity_singleton():
 def test_quasi_regularity_empty_raises():
     with pytest.raises(EmptySetError):
         quasi_regularity_report(HPolyhedron.make(A=[[1], [-1]], b=[0, -1]))
+
+
+def test_inexact_points_rejected_by_the_predicates():
+    x = (0.5, 0.5)
+    for check in (lambda: ri_membership(UNIT_SQUARE, x), lambda: normal_cone(UNIT_SQUARE, x),
+                  lambda: prolongation_test(UNIT_SQUARE, x, vec([0, 0])),
+                  lambda: characterization_suite(UNIT_SQUARE, x)):
+        with pytest.raises(InputError, match="^point: entry 0.5 "):
+            check()
