@@ -428,25 +428,23 @@ _HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="relint-kit",
-        description="exact relative-interior and separation certificates "
-                    "for polyhedral convex sets",
-    )
-    parser.add_argument("command", choices=tuple(_HANDLERS))
-    parser.add_argument("files", nargs="*", help="instance documents")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the deterministic sampling policy")
-    parser.add_argument("--out", help="write the JSON report to this file")
-    parser.add_argument("--point", help="comma-separated rational coordinates")
-    parser.add_argument("--level", help="epigraph level as a rational")
-    parser.add_argument("--matrix", help="matrix rows 'a,b;c,d' of rationals")
-    return parser
+_PARSER = argparse.ArgumentParser(
+    prog="relint-kit",
+    description="exact relative-interior and separation certificates "
+                "for polyhedral convex sets",
+)
+_PARSER.add_argument("command", choices=tuple(_HANDLERS))
+_PARSER.add_argument("files", nargs="*", help="instance documents")
+_PARSER.add_argument("--seed", type=int, default=0,
+                     help="seed for the deterministic sampling policy")
+_PARSER.add_argument("--out", help="write the JSON report to this file")
+_PARSER.add_argument("--point", help="comma-separated rational coordinates")
+_PARSER.add_argument("--level", help="epigraph level as a rational")
+_PARSER.add_argument("--matrix", help="matrix rows 'a,b;c,d' of rationals")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handler, needs = _HANDLERS[args.command]
     try:
         if args.command in ("verify", "verify-corpus"):

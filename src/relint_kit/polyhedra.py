@@ -25,7 +25,7 @@ from .linalg import (
     rank,
     solve_linear_system,
 )
-from .lp import LPProblem, Optimal, Unbounded, lp_solve, simplex_max
+from .lp import Infeasible, LPProblem, Optimal, Unbounded, lp_solve, simplex_max
 from .rational import (
     Mat,
     ONE,
@@ -208,19 +208,19 @@ class PolyCone:
 
 
 def _max_slack(A: Mat, b: Vec, E: Mat, d: Vec, n: int,
-               tight: frozenset[int] = frozenset()) -> Optimal | None:
+               tight: frozenset[int] = frozenset()) -> Optimal | Infeasible:
     """max t <= 1 over (x, t) with a_i·x + t <= b_i on the rows outside
     `tight`, a_i·x <= b_i on the rows in it, and E x = d.
 
     The one encoding of the slack LP: the cap row comes last and t is the
-    last variable.  Returns the Optimal outcome, whose point is (x, t), or
-    None when the system is infeasible."""
+    last variable.  The cap bounds t, so the outcome is Optimal, whose
+    point is (x, t), or Infeasible; its inequality multipliers end with
+    the cap row's."""
     rows = tuple(row + (ZERO if i in tight else ONE,) for i, row in enumerate(A))
     eqs = tuple(row + (ZERO,) for row in E)
-    out = lp_solve(LPProblem.maximize(
+    return lp_solve(LPProblem.maximize(
         zeros(n) + (ONE,), (rows + (zeros(n) + (ONE,),), tuple(b) + (ONE,)),
         (eqs, tuple(d))))
-    return out if isinstance(out, Optimal) else None
 
 
 @lru_cache(maxsize=None)
@@ -236,7 +236,7 @@ def _interior(P: HPolyhedron) -> tuple[frozenset[int], Vec] | None:
     tight: frozenset[int] = frozenset()
     while True:
         out = _max_slack(P.A, P.b, P.E, P.d, P.dim, tight)
-        if out is None or out.value < 0:
+        if not isinstance(out, Optimal) or out.value < 0:
             if tight:
                 raise TheoremViolation(
                     "slack LP of a nonempty polyhedron is infeasible or negative")

@@ -1,21 +1,21 @@
 """Certificate-producing proper and strict separation of polyhedra.
 
-The separating functional is found by one LP over the generator
-representations: the functional must not exceed a threshold on the first
-set, not fall below it on the second, rays must point the right way, and
-the objective maximizes the total strictness margin.  A positive optimum
-is exactly proper separability of the difference set from the origin;
-a zero optimum triggers construction of a common relative-interior point
-instead, so every verdict comes with checkable evidence.
-"""
+Every separation question is one slack LP over both sets' rows, first set
+first, each set's implicit rows tight (`polyhedra._max_slack`).  A positive
+optimum is a point of both relative interiors.  Otherwise its multipliers
+(y1, z1 | y2, z2), duals at an optimum <= 0 or Farkas multipliers, give
+x* = y1·A1 + z1·E1 = -(y2·A2 + z2·E2) with sup_P1 x* <= y1·b1 + z1·d1 <=
+-(y2·b2 + z2·d2) <= inf_P2 x*, proper because some y_i > 0 is on a
+non-implicit row when the middle bound is tight (Rockafellar 1970, Thm
+11.3).  The certificate is read off the generators, and the multipliers
+re-check without the solver as proof of disjoint relative interiors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import EmptySetError, InputError, TheoremViolation
-from .lp import LPProblem, Optimal, lp_solve
+from .lp import Optimal
 from .linalg import in_span, project_onto_span
 from .polyhedra import (
     AffineFlat,
@@ -26,8 +26,8 @@ from .polyhedra import (
     implicit_rows,
     is_empty,
 )
-from .relint import in_qri, ri_membership
-from .rational import ONE, Rat, Vec, ZERO, dot, unit, vadd, vneg, zeros
+from .relint import in_qri, ri_membership, ri_point
+from .rational import Mat, Rat, Vec, dot, primitive_int, vadd, vec
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ class QriSeparationReport:
 
 @dataclass(frozen=True)
 class RiDisjointnessReport:
-    """Two independent verdicts that must coincide: proper separability and
-    emptiness of the intersection of relative interiors.  For polyhedra the
-    quasi-relative interiors coincide with the relative interiors, so the
-    same verdict covers them."""
+    """Two verdicts that must coincide, each re-checked on its own evidence:
+    proper separability by `verify_certificate`, disjoint relative
+    interiors by the joint LP's multipliers, solver-free.  For polyhedra
+    the quasi-relative interiors are the relative interiors."""
 
     separated: bool
     ri_disjoint: bool
@@ -99,45 +99,67 @@ def _evaluate_bounds(x_star: Vec, V: VPolyhedron) -> tuple[Rat | None, Rat | Non
     return sup, inf
 
 
-def _functional_rows(n: int, points1, rays1, points2=(), rays2=()):
-    """Inequalities over (x*, sigma) for a separating functional.
+def _combination(coeffs: Vec, rows: Mat, n: int) -> Vec:
+    """The sum of coeffs[i]·rows[i] in dimension n."""
+    return tuple([dot(coeffs, [row[j] for row in rows]) for j in range(n)])
 
-    Returns the generator rows, each <= 0 (x*·p <= sigma on points1,
-    x*·p >= sigma on points2, x*·r <= 0 on rays1, x*·r >= 0 on rays2),
-    and the LP system of those rows followed by the box |x*_j| <= 1."""
-    gen = ([p + (-ONE,) for p in points1] + [vneg(p) + (ONE,) for p in points2]
-           + [r + (ZERO,) for r in rays1] + [vneg(r) + (ZERO,) for r in rays2])
-    rows, rhs = list(gen), [ZERO] * len(gen)
-    for j in range(n):
-        e = unit(n + 1, j)
-        rows += [e, vneg(e)]
-        rhs += [ONE, ONE]
-    return gen, (rows, rhs)
+
+def _joint_slack(P1: HPolyhedron, P2: HPolyhedron):
+    """The slack LP over P1's rows then P2's, each set's implicit rows
+    tight, as (outcome, y, z): y and z are its duals or Farkas multipliers
+    on the joint inequality rows (cap row dropped) and equality rows."""
+    tight = implicit_rows(P1) | {len(P1.A) + i for i in implicit_rows(P2)}
+    out = _max_slack(P1.A + P2.A, P1.b + P2.b, P1.E + P2.E, P1.d + P2.d,
+                     P1.dim, tight)
+    if isinstance(out, Optimal):
+        return out, out.dual_ineq[:-1], out.dual_eq
+    cert = out.certificate
+    return out, cert.multipliers_ineq[:-1], cert.multipliers_eq
+
+
+def _functional(P1: HPolyhedron, y: Vec, z: Vec) -> Vec:
+    """x* = y1·A1 + z1·E1 from the joint multipliers, as coprime integers."""
+    m, k = len(P1.A), len(P1.E)
+    return vec(primitive_int(_combination(y[:m] + z[:k], P1.A + P1.E, P1.dim)))
+
+
+def _separate(P1: HPolyhedron, P2: HPolyhedron):
+    """The verdict of `properly_separate` with the joint multipliers it
+    was read from, as (outcome, y, z)."""
+    if P1.dim != P2.dim:
+        raise InputError("separation requires matching dimensions")
+    if is_empty(P1) or is_empty(P2):
+        raise EmptySetError("separation requires nonempty sets")
+    out, y, z = _joint_slack(P1, P2)
+    if isinstance(out, Optimal) and out.value > 0:
+        return NotSeparable(out.point[:P1.dim]), y, z
+    cert = _build_certificate(_functional(P1, y, z), h_to_v(P1), h_to_v(P2))
+    return Separated(cert), y, z
 
 
 def properly_separate(P1: HPolyhedron, P2: HPolyhedron):
     """Proper separation of two nonempty polyhedra, or a common
     relative-interior point when none exists."""
-    if P1.dim != P2.dim:
-        raise InputError("separation requires matching dimensions")
-    if is_empty(P1) or is_empty(P2):
-        raise EmptySetError("separation requires nonempty sets")
-    n = P1.dim
-    V1, V2 = h_to_v(P1), h_to_v(P2)
-    gen, ineq = _functional_rows(n, V1.points, V1.rays, V2.points, V2.rays)
-    # The total strictness margin is minus the sum of the generator rows.
-    obj = vneg(reduce(vadd, gen, zeros(n + 1)))
-    out = lp_solve(LPProblem.maximize(obj, ineq))
-    if not isinstance(out, Optimal):
-        raise TheoremViolation("threshold LP is feasible and box-bounded")
-    if out.value > 0:
-        x_star = out.point[:n]
-        return Separated(_build_certificate(x_star, V1, V2))
-    common = _common_ri_point(P1, P2)
-    if common is None:
-        raise TheoremViolation(
-            "no separating functional and no common relative-interior point")
-    return NotSeparable(common)
+    return _separate(P1, P2)[0]
+
+
+def _proves_ri_disjoint(P1: HPolyhedron, P2: HPolyhedron, y: Vec, z: Vec) -> bool:
+    """Solver-free check that multipliers y on the inequality rows of P1
+    then P2, and z on their equalities, prove ri(P1) and ri(P2) disjoint:
+    y >= 0, y·A + z·E = 0, and y·b + z·d < 0, or y·b + z·d = 0 with some
+    y_i > 0 on a row strict at its own set's `ri_point`.  At x in both
+    relative interiors, y·b + z·d = sum of y_i (b_i - a_i·x), every term
+    >= 0 and that one > 0.  False for malformed multipliers."""
+    rows = P1.A + P2.A + P1.E + P2.E
+    if len(y) != len(P1.A + P2.A) or len(y + z) != len(rows) or any(v < 0 for v in y):
+        return False
+    if any(_combination(y + z, rows, P1.dim)):
+        return False
+    const = dot(y + z, P1.b + P2.b + P1.d + P2.d)
+    if const != 0:
+        return const < 0
+    slack = P1.residuals(ri_point(P1))[1] + P2.residuals(ri_point(P2))[1]
+    return any(v > 0 and s > 0 for v, s in zip(y, slack))
 
 
 def _build_certificate(x_star: Vec, V1: VPolyhedron, V2: VPolyhedron) -> SeparationCertificate:
@@ -171,7 +193,7 @@ def _build_certificate(x_star: Vec, V1: VPolyhedron, V2: VPolyhedron) -> Separat
                 w1, w2 = top1, vadd(bot2, r)
                 break
     if w1 is None:
-        raise TheoremViolation("positive margin without a strict generator")
+        raise TheoremViolation("proper separator without a strict generator")
     return SeparationCertificate(x_star, sup1, inf2, w1, w2)
 
 
@@ -199,18 +221,6 @@ def verify_certificate(
     return dot(x_star, cert.strict_witness_1) < dot(x_star, cert.strict_witness_2)
 
 
-def _common_ri_point(P1: HPolyhedron, P2: HPolyhedron) -> Vec | None:
-    """A point of ri(P1) and ri(P2) from one joint slack-maximization LP
-    over P1's rows followed by P2's."""
-    offset = len(P1.A)
-    tight = implicit_rows(P1) | {offset + i for i in implicit_rows(P2)}
-    found = _max_slack(P1.A + P2.A, P1.b + P2.b, P1.E + P2.E, P1.d + P2.d,
-                       P1.dim, tight)
-    if found is not None and found.value > 0:
-        return found.point[:P1.dim]
-    return None
-
-
 def qri_nonmembership_via_separation(P: HPolyhedron, xbar: Vec) -> QriSeparationReport:
     """Whether the point can be properly separated from the set, which for
     a set member is equivalent to lying outside its quasi-relative
@@ -232,8 +242,9 @@ def strict_separate_in_flat(L: AffineFlat, P: HPolyhedron, xbar: Vec) -> Vec:
     """A nonzero functional u in the subspace L with sup over P strictly
     below its value at xbar.
 
-    Found by margin maximization in the ambient space, then orthogonal
-    projection onto L, which preserves values on L."""
+    Read from the multipliers of the joint slack LP of P and {xbar}, which
+    is infeasible or has a negative optimum as xbar lies outside P, then
+    projected orthogonally onto L, which preserves values on L."""
     if not L.is_linear_subspace():
         raise InputError("the carrier flat must be a linear subspace")
     if is_empty(P):
@@ -247,34 +258,24 @@ def strict_separate_in_flat(L: AffineFlat, P: HPolyhedron, xbar: Vec) -> Vec:
         raise InputError("the set must be contained in the carrier subspace")
     if P.contains(xbar):
         raise InputError("strict separation requires a point outside the set")
-    n = P.dim
-    _, ineq = _functional_rows(n, V.points, V.rays)
-    out = lp_solve(LPProblem.maximize(xbar + (-ONE,), ineq))
-    if not isinstance(out, Optimal) or out.value <= 0:
+    out, y, z = _joint_slack(P, HPolyhedron.singleton(xbar))
+    if isinstance(out, Optimal) and out.value >= 0:
         raise TheoremViolation("a closed polyhedron and an outside point separate strictly")
-    h = out.point[:n]
-    u = project_onto_span(L.directions, h)
+    u = project_onto_span(L.directions, _functional(P, y, z))
     if all(c == 0 for c in u):
         raise TheoremViolation("projected separator vanished on its carrier")
     return u
 
 
 def separation_iff_ri_disjoint(P1: HPolyhedron, P2: HPolyhedron) -> RiDisjointnessReport:
-    """Run the separation verdict and the relative-interior disjointness
-    test independently; the two must agree."""
+    """Decide proper separation with one joint slack LP, then re-check
+    its two sides independently; the two verdicts must agree."""
     if is_empty(P1) or is_empty(P2):
         raise EmptySetError("the equivalence requires nonempty sets")
-    outcome = properly_separate(P1, P2)
-    separated = isinstance(outcome, Separated)
-    # A NotSeparable outcome already carries the joint slack point: the
-    # same deterministic LP, so it is not solved a second time.
-    common = _common_ri_point(P1, P2) if separated else outcome.common_point
-    if common is not None:
-        if not (ri_membership(P1, common).member and ri_membership(P2, common).member):
-            raise TheoremViolation("joint slack point failed relative-interior checks")
-    return RiDisjointnessReport(
-        separated,
-        common is None,
-        outcome.certificate if separated else None,
-        common,
-    )
+    outcome, y, z = _separate(P1, P2)
+    cert = outcome.certificate if isinstance(outcome, Separated) else None
+    common = outcome.common_point if cert is None else None
+    if common is not None and not all(ri_membership(P, common).member for P in (P1, P2)):
+        raise TheoremViolation("joint slack point failed relative-interior checks")
+    return RiDisjointnessReport(cert is not None and verify_certificate(P1, P2, cert),
+                                _proves_ri_disjoint(P1, P2, y, z), cert, common)

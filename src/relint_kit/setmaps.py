@@ -21,6 +21,7 @@ from functools import lru_cache
 from typing import ClassVar
 
 from .errors import EmptySetError, InputError
+from .lp import Optimal
 from .polyhedra import (
     HPolyhedron,
     _max_slack,
@@ -292,7 +293,7 @@ def _strict_preimage(M: Mat, P: HPolyhedron, q: Vec) -> Vec | None:
     """x in P with Mx = q and positive slack on all non-implicit rows."""
     found = _max_slack(P.A, P.b, tuple(P.E) + tuple(M), tuple(P.d) + tuple(q),
                        P.dim, implicit_rows(P))
-    if found is not None and found.value > 0:
+    if isinstance(found, Optimal) and found.value > 0:
         return found.point[:P.dim]
     return None
 

@@ -41,8 +41,8 @@ from relint_kit.separation import (
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "relint_kit" / "corpus"
 
 VERIFY_CORPUS = {
-    0: "c42bc00c70d2bed3eb2eb962fdf88d3be53175d0f14c2145d491bc6cc2f52117",
-    7: "124f7ac1295dee88e7e19ef5396b65380950173efae1f00089ae09d2a62ae2b7",
+    0: "a8f099e8d57eb885028a75043c5f13c4817b757d72c3d732ad8680b68e8ddf7e",
+    7: "5cbc0b04a6f1fdd8adab015b4b8b45dd41ef4f09cd34a2d2564e59489f5d23a0",
 }
 
 RI_POINT = {
@@ -128,8 +128,8 @@ def _random_lp(rng: random.Random) -> LPProblem:
 
 
 LP_OUTCOMES = "bf7e6a002294e39df60bd95f756e47b7da007357b4ffa0292e58f3221f05058d"
-SEPARATION = "ce55a06d1e0c88c758f94e3b953dffb2c989b395fa28d5f759c8d3c5f1186932"
-STRICT_IN_FLAT = "84dd24a29b909a1a7f542ae0ac234baa5e1c25cd794aec5756b7523ca5b32743"
+SEPARATION = "9d7fcc506d138927492e66c0e32de9cfc56a081918ea10050c436feb7fc1225d"
+STRICT_IN_FLAT = "0d73cba9abb681c95cfe6f711c05fc8b27880b3bef6b70ecd4134bf1c9c275a6"
 CONE_VERDICTS = "2e0af92bd6db93faa2cd3a29f551c2c146ad2519828d81072d14ed1ca612fe33"
 WIDE_LP_OUTCOMES = "cde4a8cd774afb07f93e57c86f57467140beb20b1b48775f79c5627c2e656e6b"
 DD_CONES = "2aee486e777e10c8dd2c5d150fdbd304aa37ea0c93f6af72e9911f88af4d6462"

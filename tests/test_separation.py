@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from relint_kit.sampling import sample_points
 from relint_kit.separation import (
     NotSeparable,
     Separated,
+    _proves_ri_disjoint,
+    _separate,
     properly_separate,
     qri_nonmembership_via_separation,
     separation_iff_ri_disjoint,
@@ -238,3 +241,54 @@ def test_not_separable_report_reuses_the_common_point():
         if isinstance(out, NotSeparable):
             assert rep.common_point == out.common_point
             assert not rep.separated and not rep.ri_disjoint
+
+
+def test_ri_disjointness_check_accepts_valid_multipliers():
+    below, above = HPolyhedron.make(A=[[1]], b=[0]), HPolyhedron.make(A=[[-1]], b=[0])
+    far = HPolyhedron.make(A=[[-1]], b=[-1])
+    # x <= 0 plus x >= 1 combine into 0 <= -1.
+    assert _proves_ri_disjoint(below, far, vec([1, 1]), ())
+    # x <= 0 plus x >= 0 combine into 0 <= 0, on rows strict in the interiors.
+    assert _proves_ri_disjoint(below, above, vec([1, 1]), ())
+
+
+def test_ri_disjointness_check_rejects_tampered_multipliers():
+    # Each pair shares relative-interior points, and each set of
+    # multipliers breaks exactly one condition of the check.
+    upto1 = HPolyhedron.make(A=[[1]], b=[1])
+    from0 = HPolyhedron.make(A=[[-1]], b=[0])
+    from_half = HPolyhedron.make(A=[[-1]], b=["-1/2"])
+    origin = HPolyhedron.make(A=[[1], [-1]], b=[0, 0])
+    for P1, P2 in ((upto1, from0), (upto1, from_half), (origin, origin)):
+        assert isinstance(properly_separate(P1, P2), NotSeparable)
+    # A negative multiplier; otherwise 0 <= -1.
+    assert not _proves_ri_disjoint(upto1, from0, vec([-1, -1]), ())
+    # A nonzero combination -x <= -1/2; otherwise a negative constant.
+    assert not _proves_ri_disjoint(upto1, from_half, vec([0, 1]), ())
+    # A positive constant 0 <= 1.
+    assert not _proves_ri_disjoint(upto1, from0, vec([1, 1]), ())
+    # A zero constant whose positive multipliers sit on implicit rows.
+    assert not _proves_ri_disjoint(origin, origin, vec([1, 1, 0, 0]), ())
+    # Malformed: one multiplier per row is required.
+    assert not _proves_ri_disjoint(upto1, from0, vec([1]), ())
+
+
+def test_ri_disjointness_check_matches_the_separation_verdict():
+    rng = random.Random(5151)
+    n_separated = 0
+    for _ in range(1000):
+        P1, P2 = random_pair(rng, rng.randint(1, 3), 5)
+        outcome, y, z = _separate(P1, P2)
+        separated = isinstance(outcome, Separated)
+        n_separated += separated
+        assert _proves_ri_disjoint(P1, P2, y, z) == separated
+    assert n_separated >= 300
+
+
+def test_readme_library_example_prints_its_functional(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    example = example.split("```", 1)[0]
+    assert "# (Fraction(0, 1), Fraction(1, 1))" in example
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "(Fraction(0, 1), Fraction(1, 1))\n"

@@ -36,9 +36,12 @@ def _calls_to(name: str) -> set[tuple[str, str]]:
 
 def test_one_lp_front_end():
     """The tableau is built in one place, and only the general LP front
-    end and the cone-membership test encode problems for it."""
+    end and the cone-membership test encode problems for it.  Above the
+    front end, the slack LP is the one encoding of interior and separation
+    questions, and set containment the only other LP."""
     assert _calls_to("_Simplex") == {("lp", "simplex_max")}
     assert _calls_to("simplex_max") == {("lp", "lp_solve"), ("polyhedra", "cone_contains")}
+    assert _calls_to("lp_solve") == {("polyhedra", "_max_slack"), ("polyhedra", "_subset")}
 
 
 def _memo_name(node) -> str | None:
