@@ -39,7 +39,6 @@ from .polyhedra import (
     linear_image,
     minkowski_diff,
     product,
-    same_set,
 )
 from .relint import (
     MembershipReport,

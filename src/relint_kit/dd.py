@@ -1,36 +1,28 @@
 """Double description method for polyhedral cones over exact integers.
 
 Computes generators (lineality basis plus extreme rays) of a cone given
-as {y : m·y <= 0 for rows m}.  Rows are normalized to coprime integer
-vectors and inserted in lexicographic order.  Every ray carries its zero
-set over the rows inserted so far as a bitmask, and since the current rays
-are exactly the extreme rays modulo the lineality, adjacency is decided
-combinatorially on those masks (Motzkin, Raiffa, Thompson and Thrall
-1953; Fukuda and Prodon 1996).  Working over integers keeps the inner
-products cheap; directions are rescaled by positive factors only, so ray
-orientations are never flipped.
+as {y : m·y <= 0 for integer rows m}, as `HPolyhedron` caches them or
+`rational.scaled_ints` makes them.  Rows are normalized to coprime
+integer vectors and inserted in lexicographic order.  Every ray carries
+its zero set over the rows inserted so far as a bitmask, and since the
+current rays are exactly the extreme rays modulo the lineality,
+adjacency is decided combinatorially on those masks (Motzkin, Raiffa,
+Thompson and Thrall 1953; Fukuda and Prodon 1996).  Working over
+integers keeps the inner products cheap; directions are rescaled by
+positive factors only, so ray orientations are never flipped.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from collections.abc import Sequence
 
-from .rational import Vec, primitive_int
+from .rational import primitive
 
 IVec = tuple[int, ...]
 
 
 def _idot(u: IVec, v: IVec) -> int:
     return sum(a * b for a, b in zip(u, v))
-
-
-def _iprimitive(v) -> IVec:
-    g = 0
-    for k in v:
-        g = gcd(g, abs(k))
-    if g > 1:
-        return tuple(k // g for k in v)
-    return tuple(v)
 
 
 def _sign_canonical(v: IVec) -> IVec:
@@ -51,13 +43,13 @@ class _Ray:
         self.mask = mask
 
 
-def dd_cone(rows: list[Vec], dim: int) -> tuple[list[IVec], list[IVec]]:
+def dd_cone(rows: list[Sequence[int]], dim: int) -> tuple[list[IVec], list[IVec]]:
     """Generators of {y in R^dim : m·y <= 0 for every row m}.
 
     Returns (lineality basis, extreme rays) as primitive integer vectors;
     the represented cone is span(lineality) + cone(rays).
     """
-    unit_rows = sorted({primitive_int(r) for r in rows} - {(0,) * dim})
+    unit_rows = sorted({primitive(r) for r in rows} - {(0,) * dim})
     lineality: list[IVec] = [
         tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)
     ]
@@ -75,8 +67,8 @@ def dd_cone(rows: list[Vec], dim: int) -> tuple[list[IVec], list[IVec]]:
                 if s == 0:
                     new_lin.append(l)
                 else:
-                    new_lin.append(_sign_canonical(_iprimitive(
-                        tuple(a * s0 - b * s for a, b in zip(l, l0)))))
+                    new_lin.append(_sign_canonical(primitive(
+                        [a * s0 - b * s for a, b in zip(l, l0)])))
             lineality = new_lin
             new_rays = []
             for ray in rays:
@@ -88,10 +80,10 @@ def dd_cone(rows: list[Vec], dim: int) -> tuple[list[IVec], list[IVec]]:
                     # r - (s/s0) l0, rescaled positively to integers; l0
                     # is orthogonal to every processed row, so the zero
                     # set of r carries over.
-                    shifted = tuple(a * s0 - b * s for a, b in zip(ray.vec, l0))
+                    shifted = [a * s0 - b * s for a, b in zip(ray.vec, l0)]
                     if s0 < 0:
-                        shifted = tuple(-a for a in shifted)
-                    new_rays.append(_Ray(_iprimitive(shifted), ray.mask | 1 << k))
+                        shifted = [-a for a in shifted]
+                    new_rays.append(_Ray(primitive(shifted), ray.mask | 1 << k))
             r0_vec = l0 if s0 < 0 else tuple(-a for a in l0)
             new_rays.append(_Ray(r0_vec, (1 << k) - 1))
             rays = new_rays
@@ -123,9 +115,9 @@ def dd_cone(rows: list[Vec], dim: int) -> tuple[list[IVec], list[IVec]]:
                                 and ray is not rp and ray is not rn
                                 for ray in rays):
                             continue
-                        vec = _iprimitive(tuple(
+                        vec = primitive([
                             sp * bn - sn * bp
-                            for bp, bn in zip(rp.vec, rn.vec)))
+                            for bp, bn in zip(rp.vec, rn.vec)])
                         if vec not in seen:
                             seen.add(vec)
                             kept.append(_Ray(vec, shared | 1 << k))

@@ -16,7 +16,7 @@ direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb
 
 from .errors import InputError, TheoremViolation
 from .rational import (
@@ -28,6 +28,7 @@ from .rational import (
     check_block,
     check_exact,
     dot,
+    scaled_ints,
     zeros,
 )
 
@@ -130,14 +131,13 @@ class _Simplex:
         # Bland's rule visits each basis at most once.
         self.pivot_limit = comb(self.total + 1, self.m) if self.m else 1
         self.rhs = rhs
-        self.cost_scale = lcm(*[a.denominator for a in c])
-        self.cost = _scaled(c, self.cost_scale) + [0] * self.m
+        self.cost_scale, self.cost = scaled_ints(c)
+        self.cost += [0] * self.m
         self.scales: list[int] = []
         self.tab: list[list[int]] = []
         for i, (row, beta) in enumerate(zip(rows, rhs)):
-            scale = lcm(beta.denominator, *[a.denominator for a in row])
-            t = _scaled(row, scale) + [0] * self.m
-            t.append(beta.numerator * (scale // beta.denominator))
+            scale, t = scaled_ints([*row, beta])
+            t[self.n:self.n] = [0] * self.m
             t[self.n + i] = 1
             self.scales.append(scale)
             self.tab.append(t)
@@ -263,11 +263,6 @@ class _Simplex:
         den = self.denom * cost_scale
         return tuple([Rat(self.obj[self.n + i] * scale, den)
                       for i, scale in enumerate(self.scales)])
-
-
-def _scaled(v, scale: int) -> list[int]:
-    """The integers scale·v_j, for a scale that every denominator divides."""
-    return [a.numerator * (scale // a.denominator) for a in v]
 
 
 def _eliminate(row: list[int], pivot_row: list[int], col: int, p: int, d: int) -> list[int]:

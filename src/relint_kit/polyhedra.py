@@ -3,10 +3,11 @@
 Conventions fixed here and relied on everywhere else:
   * an HPolyhedron may carry redundant rows; nothing canonicalizes
     implicitly, and emptiness is decided by LP;
-  * every entry of an HPolyhedron and of a point queried against it is an
-    `int` or a `Fraction`; a point is evaluated against the rows once, in
-    integers (`HPolyhedron.residuals`), and every membership and
-    active-set predicate reads the signs of those residuals;
+  * every entry of a set (HPolyhedron, VPolyhedron, PolyCone, AffineFlat)
+    and of a point queried against it is an `int` or a `Fraction`; a point
+    is evaluated against the rows once, in integers
+    (`HPolyhedron.residuals`), and every membership and active-set
+    predicate reads the signs of those residuals;
   * a VPolyhedron with no points is the empty set regardless of rays;
   * lines are encoded as opposite ray pairs, never as a separate field.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import lcm
 from operator import mul
 
 from .dd import dd_cone
@@ -25,7 +25,7 @@ from .linalg import (
     rank,
     solve_linear_system,
 )
-from .lp import Infeasible, LPProblem, Optimal, Unbounded, lp_solve, simplex_max
+from .lp import Infeasible, LPProblem, Optimal, lp_solve, simplex_max
 from .rational import (
     Mat,
     ONE,
@@ -36,14 +36,15 @@ from .rational import (
     check_exact,
     mat,
     matvec,
+    scaled_ints,
     vec,
     vneg,
     vsub,
     zeros,
 )
 
-# Constraint rows (a, beta) scaled to integers.
-_IntRows = tuple[tuple[tuple[int, ...], int], ...]
+# Constraint rows a·x <= beta (or = beta) as the integers L·(a, -beta).
+_IntRows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -71,16 +72,12 @@ class HPolyhedron:
 
     @cached_property
     def _int_rows(self) -> tuple[_IntRows, _IntRows]:
-        """(ineq, eq): each row (a, beta) scaled by the positive lcm of its
-        denominators into integers."""
-        def scaled(rows: Mat, rhs: Vec) -> _IntRows:
-            out = []
-            for row, beta in zip(rows, rhs):
-                L = lcm(beta.denominator, *(a.denominator for a in row))
-                out.append((tuple(a.numerator * (L // a.denominator) for a in row),
-                            beta.numerator * (L // beta.denominator)))
-            return tuple(out)
-        return scaled(self.A, self.b), scaled(self.E, self.d)
+        """(ineq, eq): each row a·x <= beta or a·x = beta as the homogenized
+        integers L·(a, -beta), with L > 0 the lcm of its denominators."""
+        return (tuple([tuple(scaled_ints(row + (-beta,))[1])
+                       for row, beta in zip(self.A, self.b)]),
+                tuple([tuple(scaled_ints(row + (-delta,))[1])
+                       for row, delta in zip(self.E, self.d)]))
 
     @classmethod
     def make(cls, A=(), b=(), E=(), d=(), dim=None) -> "HPolyhedron":
@@ -121,11 +118,11 @@ class HPolyhedron:
         if len(x) != self.dim:
             raise InputError(f"point of length {len(x)} in dimension {self.dim}")
         check_exact("point", x)
-        q = lcm(*(c.denominator for c in x))
-        p = [c.numerator * (q // c.denominator) for c in x]
+        q, p = scaled_ints(x)
+        p.append(q)
         ineq, eq = self._int_rows
-        return (q, [beta * q - sum(map(mul, row, p)) for row, beta in ineq],
-                [delta * q - sum(map(mul, row, p)) for row, delta in eq])
+        return (q, [-sum(map(mul, row, p)) for row in ineq],
+                [-sum(map(mul, row, p)) for row in eq])
 
     def contains(self, x: Vec) -> bool:
         _, ineq, eq = self.residuals(x)
@@ -144,6 +141,7 @@ class VPolyhedron:
         for p in self.points + self.rays:
             if len(p) != self.dim:
                 raise InputError("generator of wrong dimension")
+            check_exact("generators", p)
 
     @classmethod
     def make(cls, points=(), rays=(), dim=None) -> "VPolyhedron":
@@ -174,9 +172,11 @@ class AffineFlat:
     def __post_init__(self):
         if len(self.basepoint) != self.dim:
             raise InputError("flat basepoint of wrong dimension")
+        check_exact("flat basepoint", self.basepoint)
         for v in self.directions:
             if len(v) != self.dim:
                 raise InputError("flat direction of wrong dimension")
+            check_exact("flat directions", v)
         if self.directions and rank(self.directions) != len(self.directions):
             raise InputError("flat directions must be linearly independent")
 
@@ -185,6 +185,9 @@ class AffineFlat:
         return len(self.directions)
 
     def contains(self, x: Vec) -> bool:
+        if len(x) != self.dim:
+            raise InputError(f"point of length {len(x)} in dimension {self.dim}")
+        check_exact("point", x)
         return in_span(self.directions, vsub(x, self.basepoint))
 
     def is_linear_subspace(self) -> bool:
@@ -202,6 +205,7 @@ class PolyCone:
         for g in self.generators:
             if len(g) != self.dim:
                 raise InputError("cone generator of wrong dimension")
+            check_exact("cone generators", g)
 
 
 # -- emptiness, implicit equalities and the affine hull ----------------------
@@ -294,13 +298,11 @@ def dim(P: HPolyhedron) -> int:
 # -- representation conversion -----------------------------------------------
 
 
-def _homogenized_rows(P: HPolyhedron) -> list[Vec]:
-    rows = [row + (-beta,) for row, beta in zip(P.A, P.b)]
-    for row, delta in zip(P.E, P.d):
-        rows.append(row + (-delta,))
-        rows.append(vneg(row) + (delta,))
-    rows.append(zeros(P.dim) + (Rat(-1),))
-    return rows
+def _homogenized_rows(P: HPolyhedron) -> list[tuple[int, ...]]:
+    """Integer rows of the cone {(x, t) : Ax <= bt, Ex = dt, t >= 0}."""
+    ineq, eq = P._int_rows
+    return [*ineq, *eq, *[tuple([-k for k in row]) for row in eq],
+            (0,) * P.dim + (-1,)]
 
 
 @lru_cache(maxsize=None)
@@ -338,7 +340,7 @@ def v_to_h(V: VPolyhedron) -> HPolyhedron:
     if not V.points:
         return HPolyhedron.empty(n)
     gens = [p + (ONE,) for p in V.points] + [r + (ZERO,) for r in V.rays]
-    lineality, rays = dd_cone(gens, n + 1)
+    lineality, rays = dd_cone([scaled_ints(g)[1] for g in gens], n + 1)
     A, b, E, d = [], [], [], []
     for r in sorted(rays):
         a, c = r[:-1], r[-1]
@@ -369,6 +371,7 @@ def linear_image(M: Mat, P: HPolyhedron) -> HPolyhedron:
         if len(row) != P.dim:
             raise InputError(f"matrix row {i} has length {len(row)}, "
                              f"but the set has dimension {P.dim}")
+        check_exact("matrix", row)
     target = len(M)
     V = h_to_v(P)
     if V.is_empty_set:
@@ -402,36 +405,14 @@ def product(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:
     return HPolyhedron(tuple(A), P1.b + P2.b, tuple(E), P1.d + P2.d, n1 + n2)
 
 
-# -- set comparison ----------------------------------------------------------
-
-
-def _subset(P: HPolyhedron, Q: HPolyhedron) -> bool:
-    """P contained in Q, decided by one bound LP per row of Q."""
-    if is_empty(P):
-        return True
-    for row, beta in zip(Q.A, Q.b):
-        out = lp_solve(LPProblem.maximize(row, (P.A, P.b), (P.E, P.d)))
-        if isinstance(out, Unbounded) or out.value > beta:
-            return False
-    for row, delta in zip(Q.E, Q.d):
-        for sense, bound in (("max", delta), ("min", delta)):
-            out = lp_solve(LPProblem(row, sense, P.A, P.b, P.E, P.d))
-            if isinstance(out, Unbounded) or out.value != bound:
-                return False
-    return True
-
-
-def same_set(P: HPolyhedron, Q: HPolyhedron) -> bool:
-    """Mutual containment of two H-polyhedra."""
-    if P.dim != Q.dim:
-        return False
-    return _subset(P, Q) and _subset(Q, P)
+# -- cone membership ---------------------------------------------------------
 
 
 def cone_contains(C: PolyCone, v: Vec) -> bool:
     """v in cone(generators), by feasibility of a nonnegative combination."""
     if len(v) != C.dim:
         raise InputError("cone membership query of wrong dimension")
+    check_exact("cone membership query", v)
     if not C.generators:
         return all(c == 0 for c in v)
     k = len(C.generators)
@@ -444,12 +425,3 @@ def cone_contains(C: PolyCone, v: Vec) -> bool:
         rhs.append(-v[j])
     status, _, _ = simplex_max(zeros(k), tuple(rows), tuple(rhs))
     return status != "infeasible"
-
-
-def v_member(V: VPolyhedron, x: Vec) -> bool:
-    """x in conv(points) + cone(rays), by cone membership of (x, 1) in the
-    homogenized generators; independent of any H-representation."""
-    if V.is_empty_set:
-        return False
-    gens = tuple(p + (ONE,) for p in V.points) + tuple(r + (ZERO,) for r in V.rays)
-    return cone_contains(PolyCone(gens, V.dim + 1), tuple(x) + (ONE,))

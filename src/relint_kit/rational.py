@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction as Rat
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -88,22 +88,27 @@ def matvec(m: Mat, x: Vec) -> Vec:
     return tuple(dot(row, x) for row in m)
 
 
-def primitive_int(v: Vec) -> tuple[int, ...]:
-    """Scale a nonzero vector by a positive rational into coprime integers.
+def scaled_ints(v) -> tuple[int, list[int]]:
+    """(L, [L·a for a in v]) with L > 0 the lcm of the denominators: the one
+    place a rational vector is put over the integers.  Every entry is an
+    `int` or a `Fraction` (see `check_exact`); the empty vector gives L = 1."""
+    L = lcm(*[a.denominator for a in v])
+    return L, [a.numerator * (L // a.denominator) for a in v]
 
-    Positive scaling only, so ray directions are preserved.
-    """
-    denlcm = 1
-    for a in v:
-        d = a.denominator
-        denlcm = denlcm * d // gcd(denlcm, d)
-    ints = [int(a * denlcm) for a in v]
-    g = 0
-    for k in ints:
-        g = gcd(g, abs(k))
+
+def primitive(ints) -> tuple[int, ...]:
+    """Integers divided by their gcd, so coprime; the zero vector is left
+    as it is.  Positive scaling only, so directions are preserved."""
+    g = gcd(*ints)
     if g > 1:
-        ints = [k // g for k in ints]
+        return tuple([k // g for k in ints])
     return tuple(ints)
+
+
+def primitive_int(v: Vec) -> tuple[int, ...]:
+    """A rational vector scaled by a positive rational into coprime
+    integers."""
+    return primitive(scaled_ints(v)[1])
 
 
 def check_exact(what: str, entries) -> None:

@@ -13,10 +13,9 @@ and the report flags that equality as structural rather than evidential.
 For a nonempty polyhedron, indeed for every nonempty convex set in finite
 dimension, ri = iri = qri: the relative, intrinsic and quasi-relative
 interiors coincide, and every such set is quasi-regular.  The
-quasi-regularity flags in the reports are therefore constants of the
-theory, not computed results; the evidential field is
-`sampled_equality_check`, which compares the intrinsic and quasi-relative
-predicates point by point.
+quasi-regularity report therefore states no verdict; its evidential field
+is `sampled_equality_check`, which compares the intrinsic and
+quasi-relative predicates point by point.
 """
 
 from __future__ import annotations
@@ -93,15 +92,13 @@ class MembershipReport:
 class QuasiRegularityReport:
     """Sufficient conditions for quasi-regularity and the sampled check.
 
-    Every nonempty convex set in finite dimension is quasi-regular, so
-    `cond_finite_dim` and `verdict` are constants of the theory."""
+    Every nonempty convex set in finite dimension is quasi-regular, so no
+    field states it: `sampled_equality_check` is the evidence."""
 
     set_id: str | None
     cond_int_nonempty: bool
     cond_ri_nonempty: bool
     sampled_equality_check: bool
-    cond_finite_dim: ClassVar[bool] = True
-    verdict: ClassVar[bool] = True
 
 
 def _find_violation(P: HPolyhedron, ineq: list[int], eq: list[int]) -> RowWitness | None:

@@ -245,6 +245,8 @@ def strict_separate_in_flat(L: AffineFlat, P: HPolyhedron, xbar: Vec) -> Vec:
     Read from the multipliers of the joint slack LP of P and {xbar}, which
     is infeasible or has a negative optimum as xbar lies outside P, then
     projected orthogonally onto L, which preserves values on L."""
+    if L.dim != P.dim:
+        raise InputError(f"carrier flat in dimension {L.dim}, set in dimension {P.dim}")
     if not L.is_linear_subspace():
         raise InputError("the carrier flat must be a linear subspace")
     if is_empty(P):

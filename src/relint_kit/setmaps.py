@@ -125,7 +125,6 @@ class EpiRelintReport:
     lhs_qri: bool
     rhs_qri: bool
     single_affine_piece: bool
-    epi_quasi_regular: ClassVar[bool] = True
 
     @property
     def ri_formula_holds(self) -> bool:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from relint_kit.polyhedra import HPolyhedron
+from relint_kit.lp import LPProblem, Unbounded, lp_solve
+from relint_kit.polyhedra import HPolyhedron, PolyCone, VPolyhedron, cone_contains, is_empty
 from relint_kit.setmaps import PLConvexFunction, PolyhedralMap
 
 
@@ -54,6 +55,40 @@ def recession_contains(P: HPolyhedron, v) -> bool:
     def dot(row):
         return sum((a * c for a, c in zip(row, v)), Fraction(0))
     return all(dot(row) <= 0 for row in P.A) and all(dot(row) == 0 for row in P.E)
+
+
+def _subset(P: HPolyhedron, Q: HPolyhedron) -> bool:
+    """P contained in Q, decided by one bound LP per row of Q."""
+    if is_empty(P):
+        return True
+    for row, beta in zip(Q.A, Q.b):
+        out = lp_solve(LPProblem.maximize(row, (P.A, P.b), (P.E, P.d)))
+        if isinstance(out, Unbounded) or out.value > beta:
+            return False
+    for row, delta in zip(Q.E, Q.d):
+        for sense in ("max", "min"):
+            out = lp_solve(LPProblem(row, sense, P.A, P.b, P.E, P.d))
+            if isinstance(out, Unbounded) or out.value != delta:
+                return False
+    return True
+
+
+def same_set(P: HPolyhedron, Q: HPolyhedron) -> bool:
+    """Oracle: mutual containment of two H-polyhedra, by bound LPs on the
+    rows, independent of double description."""
+    if P.dim != Q.dim:
+        return False
+    return _subset(P, Q) and _subset(Q, P)
+
+
+def v_member(V: VPolyhedron, x) -> bool:
+    """Oracle: x in conv(points) + cone(rays), by cone membership of (x, 1)
+    in the homogenized generators; independent of any H-representation."""
+    if V.is_empty_set:
+        return False
+    one, zero = Fraction(1), Fraction(0)
+    gens = tuple(p + (one,) for p in V.points) + tuple(r + (zero,) for r in V.rays)
+    return cone_contains(PolyCone(gens, V.dim + 1), tuple(x) + (one,))
 
 
 def random_pair(rng: random.Random, dim: int, max_rows: int):

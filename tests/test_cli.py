@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relint_kit import cli, docio
+from conftest import same_set
+from relint_kit import cli, docio, separation
 from relint_kit.cli import main
 from relint_kit.errors import InputError
-from relint_kit.polyhedra import HPolyhedron, same_set
+from relint_kit.polyhedra import HPolyhedron
 from relint_kit.rational import vec
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "relint_kit" / "corpus"
@@ -183,6 +184,20 @@ def test_cli_verify_corpus_deterministic(tmp_path, capsys):
         P2 = docio.parse_instance((CORPUS / f"{id2}.json").read_text()).payload
         cert = docio.parse_certificate(entry["certificate"])
         assert verify_certificate(P1, P2, cert)
+
+
+def test_cli_verify_corpus_separation_check_fails_without_evidence(tmp_path, capsys, monkeypatch):
+    # A report with neither a valid certificate nor a common point is a
+    # failed check: a FAIL line and exit 1, not an internal error.
+    for name in ("interval-01", "halfline-neg"):
+        (tmp_path / f"{name}.json").write_bytes((CORPUS / f"{name}.json").read_bytes())
+    monkeypatch.setattr(separation, "verify_certificate", lambda *args: False)
+    monkeypatch.setattr(separation, "_proves_ri_disjoint", lambda *args: False)
+    code = main(["verify-corpus", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "FAIL halfline-neg|interval-01 separation-iff-ri-disjoint" in captured.out
+    assert captured.err == ""
 
 
 def test_cli_verify_corpus_bundled_default(capsys):

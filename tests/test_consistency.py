@@ -9,7 +9,7 @@ construction bias shaped.
 import random
 from fractions import Fraction
 
-from conftest import random_nonempty_hpoly, recession_contains
+from conftest import random_nonempty_hpoly, recession_contains, same_set, v_member
 from relint_kit.linalg import solve_linear_system
 from relint_kit.polyhedra import (
     HPolyhedron,
@@ -17,8 +17,6 @@ from relint_kit.polyhedra import (
     feasible_point,
     h_to_v,
     is_empty,
-    same_set,
-    v_member,
     v_to_h,
 )
 from relint_kit.rational import vec

@@ -20,7 +20,7 @@ from relint_kit.dd import dd_cone
 from relint_kit.errors import RelintKitError
 from relint_kit.lp import Infeasible, LPProblem, Optimal, Unbounded, lp_solve
 from relint_kit.polyhedra import AffineFlat, HPolyhedron, PolyCone, cone_contains, h_to_v
-from relint_kit.rational import ZERO, unit, vadd, vscale, zeros
+from relint_kit.rational import ZERO, primitive_int, unit, vadd, vscale, zeros
 from relint_kit.relint import (
     characterization_suite,
     conic_hull_at,
@@ -241,7 +241,7 @@ def test_dd_cone_outputs_are_pinned():
     outputs, flat = [], 0
     for _ in range(1500):
         dim = rng.randint(1, 6)
-        lineality, rays = dd_cone(random_cone_rows(rng, dim), dim)
+        lineality, rays = dd_cone([primitive_int(r) for r in random_cone_rows(rng, dim)], dim)
         outputs.append((lineality, rays))
         # Lineality only shrinks, so the final basis bounds the adjacency
         # target dim - len(lineality) - 2 of every step from above.

@@ -7,7 +7,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_cone_rows, random_nonempty_hpoly, random_matrix, recession_contains
+from conftest import (
+    random_cone_rows,
+    random_matrix,
+    random_nonempty_hpoly,
+    recession_contains,
+    same_set,
+    v_member,
+)
 from relint_kit import polyhedra
 from relint_kit.dd import dd_cone
 from relint_kit.errors import EmptySetError, InputError
@@ -15,8 +22,10 @@ from relint_kit.linalg import in_span, rank, solve_linear_system
 from relint_kit.polyhedra import (
     AffineFlat,
     HPolyhedron,
+    PolyCone,
     VPolyhedron,
     affine_hull,
+    cone_contains,
     dim,
     feasible_point,
     h_to_v,
@@ -25,11 +34,9 @@ from relint_kit.polyhedra import (
     linear_image,
     minkowski_diff,
     product,
-    same_set,
-    v_member,
     v_to_h,
 )
-from relint_kit.rational import dot, mat, matvec, unit, vec, zeros
+from relint_kit.rational import dot, mat, matvec, primitive_int, unit, vec, zeros
 from relint_kit.relint import ri_point
 
 TRIANGLE = HPolyhedron.make(A=[[-1, 0], [0, -1], [1, 1]], b=[0, 0, 1])
@@ -146,7 +153,7 @@ def test_dd_cone_rays_are_extreme():
     for _ in range(400):
         n = rng.randint(1, 6)
         rows = random_cone_rows(rng, n)
-        lineality, rays = dd_cone(rows, n)
+        lineality, rays = dd_cone([primitive_int(r) for r in rows], n)
         lin = [vec(l) for l in lineality]
         assert rank(lin) == len(lin) == n - rank(rows)
         assert all(dot(m, l) == 0 for m in rows for l in lin)
@@ -243,6 +250,8 @@ def test_linear_image_dimension_mismatch():
         linear_image(mat([[1, 0, 0]]), UNIT_SQUARE)
     with pytest.raises(InputError, match="row 1 has length 1,"):
         linear_image(((Fraction(1), Fraction(0)), (Fraction(1),)), UNIT_SQUARE)
+    with pytest.raises(InputError, match="^matrix: entry "):
+        linear_image(((0.5, 0),), UNIT_SQUARE)
 
 
 def test_minkowski_diff_interval():
@@ -473,3 +482,28 @@ def test_inexact_points_rejected(x):
         P.contains(x)
     with pytest.raises(InputError, match="^point: entry "):
         P.residuals(x)
+
+
+@pytest.mark.parametrize("make, what", [
+    (lambda: VPolyhedron(((Fraction(1, 2),),), ((0.5,),), 1), "generators"),
+    (lambda: VPolyhedron(((Decimal("0.5"),),), (), 1), "generators"),
+    (lambda: PolyCone(((0.5, 0),), 2), "cone generators"),
+    (lambda: AffineFlat((0.5, 0), ((1, 0),), 2), "flat basepoint"),
+    (lambda: AffineFlat((0, 0), ((True, 0),), 2), "flat directions"),
+], ids=["vpoly-ray-float", "vpoly-point-decimal", "cone-float", "flat-base-float",
+        "flat-direction-bool"])
+def test_inexact_generators_rejected(make, what):
+    with pytest.raises(InputError, match=f"^{what}: entry "):
+        make()
+
+
+def test_inexact_or_misshapen_queries_rejected():
+    with pytest.raises(InputError, match="^cone membership query: entry "):
+        cone_contains(PolyCone(((1, 0),), 2), (1.0, 0))
+    with pytest.raises(InputError, match="^cone membership query: entry "):
+        cone_contains(PolyCone((), 2), (Decimal(0), 0))
+    flat = AffineFlat(zeros(2), ((1, 0),), 2)
+    with pytest.raises(InputError, match="point of length 3 in dimension 2"):
+        flat.contains((1, 0, 5))
+    with pytest.raises(InputError, match="^point: entry "):
+        flat.contains((0.5, 0))

@@ -1,5 +1,6 @@
 """Scalar parsing and exact-arithmetic invariants."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from relint_kit.rational import (
     dot,
     format_rational,
     parse_rational,
+    primitive,
     primitive_int,
+    scaled_ints,
     vec,
 )
 
@@ -71,6 +74,56 @@ def test_primitive_int_scales_positively():
     assert primitive_int(vec(["1/2", "-3/4", "0"])) == (2, -3, 0)
     assert primitive_int(vec(["4", "6"])) == (2, 3)
     assert primitive_int(vec(["0", "0"])) == (0, 0)
+
+
+def _seeded_vectors():
+    """Empty, all-zero and all-negative vectors, then seeded ones with zero
+    entries and denominators up to the prime 10**9 + 7."""
+    yield []
+    yield [Fraction(0)] * 3
+    yield [Fraction(-3, 4), Fraction(-5, 6), -2]
+    rng = random.Random(1009)
+    for _ in range(300):
+        big = rng.random() < 0.3
+        out = []
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.2:
+                out.append(Fraction(0))
+            elif big:
+                out.append(Fraction(rng.randint(-10**12, 10**12),
+                                    rng.choice((10**9 + 7, rng.randint(1, 10**9 + 7)))))
+            else:
+                out.append(Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
+        yield out
+
+
+def _euclid(a: int, b: int) -> int:
+    while b:
+        a, b = b, a % b
+    return abs(a)
+
+
+def test_scaled_ints_and_primitive_match_a_fraction_oracle():
+    for v in _seeded_vectors():
+        # The lcm of the denominators, grown one entry at a time: the
+        # denominator of L·a is the factor of a's denominator L still lacks.
+        lcm = 1
+        for a in v:
+            lcm *= (lcm * Fraction(a)).denominator
+        L, ints = scaled_ints(v)
+        assert L == lcm > 0
+        assert all(type(k) is int for k in ints)
+        assert [Fraction(k, L) for k in ints] == [Fraction(a) for a in v]
+        g = 0
+        for k in ints:
+            g = _euclid(g, k)
+        prim = primitive(ints)
+        assert type(prim) is tuple
+        if g == 0:
+            assert prim == tuple(ints)
+        else:
+            assert prim == tuple(Fraction(k, g) for k in ints)
+        assert primitive_int(v) == prim
 
 
 def test_dot_product_exact():

@@ -201,6 +201,11 @@ def test_strict_separation_preconditions():
             HPolyhedron.singleton(vec([0, 0])),
             vec([1, 0]),
         )  # carrier is not a linear subspace
+    plane = AffineFlat(vec([0, 0, 0]), (vec([1, 0, 0]), vec([0, 1, 0])), 3)
+    with pytest.raises(InputError, match="dimension"):
+        strict_separate_in_flat(plane, UNIT_SQUARE, vec([2, 0, 0]))  # set in R^2
+    with pytest.raises(InputError, match="dimension"):
+        strict_separate_in_flat(plane, UNIT_SQUARE, vec([2, 0]))
 
 
 def test_strict_separation_random_subspace_instances():

@@ -11,6 +11,7 @@ from conftest import (
     random_nonempty_hpoly,
     random_pair,
     random_plfunction,
+    same_set,
 )
 from relint_kit.errors import EmptySetError, InputError
 from relint_kit.polyhedra import (
@@ -19,7 +20,6 @@ from relint_kit.polyhedra import (
     is_empty,
     linear_image,
     minkowski_diff,
-    same_set,
 )
 from relint_kit.rational import mat, vec
 from relint_kit.relint import in_ri, ri_point

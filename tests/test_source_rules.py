@@ -37,11 +37,24 @@ def _calls_to(name: str) -> set[tuple[str, str]]:
 def test_one_lp_front_end():
     """The tableau is built in one place, and only the general LP front
     end and the cone-membership test encode problems for it.  Above the
-    front end, the slack LP is the one encoding of interior and separation
-    questions, and set containment the only other LP."""
+    front end, the slack LP is the one encoding of every LP question."""
     assert _calls_to("_Simplex") == {("lp", "simplex_max")}
     assert _calls_to("simplex_max") == {("lp", "lp_solve"), ("polyhedra", "cone_contains")}
-    assert _calls_to("lp_solve") == {("polyhedra", "_max_slack"), ("polyhedra", "_subset")}
+    assert _calls_to("lp_solve") == {("polyhedra", "_max_slack")}
+
+
+def test_integer_scaling_lives_in_rational():
+    """A rational vector is put over the integers in one place: only
+    rational.py calls lcm or gcd, or reads a numerator or denominator."""
+    for name in ("lcm", "gcd"):
+        assert {module for module, _ in _calls_to(name)} == {"rational"}, name
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
+               for node in ast.walk(tree)):
+            readers.add(path.stem)
+    assert readers == {"rational"}
 
 
 def _memo_name(node) -> str | None:
