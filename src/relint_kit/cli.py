@@ -442,13 +442,9 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     handler, needs = _HANDLERS[args.command]
     try:
-        if args.command in ("verify", "verify-corpus"):
-            docs = []
-        else:
-            if len(args.files) < needs:
-                raise InputError(
-                    f"{args.command} needs {needs} instance file(s)")
-            docs = [_load(p) for p in args.files[:needs]]
+        if len(args.files) < needs:
+            raise InputError(f"{args.command} needs {needs} instance file(s)")
+        docs = [_load(p) for p in args.files[:needs]]
         body, code, lines = handler(args, docs)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InputError
 from .polyhedra import HPolyhedron, VPolyhedron
@@ -118,8 +119,12 @@ def _payload(kind: str, node, path: str) -> Payload:
     raise InputError(f"unknown instance kind {kind!r}")
 
 
+@lru_cache
 def parse_instance(text: str, source: str = "<input>") -> InstanceDocument:
-    """Parse one instance document; errors carry location information."""
+    """Parse one instance document; errors carry location information.
+
+    The last 128 distinct (text, source) pairs are kept: equal text returns
+    the same immutable document, and with it the facts its sets cache."""
     try:
         node = json.loads(text)
     except json.JSONDecodeError as exc:

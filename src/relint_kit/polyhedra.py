@@ -8,6 +8,9 @@ Conventions fixed here and relied on everywhere else:
     is evaluated against the rows once, in integers
     (`HPolyhedron.residuals`), and every membership and active-set
     predicate reads the signs of those residuals;
+  * facts derived from an HPolyhedron by LP or double description (its
+    implicit rows and a relative-interior point, its generators) are
+    `cached_property`s of the set itself: computed once, freed with it;
   * a VPolyhedron with no points is the empty set regardless of rays;
   * lines are encoded as opposite ray pairs, never as a separate field.
 """
@@ -15,7 +18,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import mul
 
 from .dd import dd_cone
@@ -61,15 +64,6 @@ class HPolyhedron:
         check_block(self.A, self.b, self.dim, "inequalities")
         check_block(self.E, self.d, self.dim, "equalities")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # The dataclass hash, computed once: every memo-table lookup keyed on
-        # this set would otherwise re-hash every Fraction in it.
-        return hash((self.A, self.b, self.E, self.d, self.dim))
-
     @cached_property
     def _int_rows(self) -> tuple[_IntRows, _IntRows]:
         """(ineq, eq): each row a·x <= beta or a·x = beta as the homogenized
@@ -78,6 +72,60 @@ class HPolyhedron:
                        for row, beta in zip(self.A, self.b)]),
                 tuple([tuple(scaled_ints(row + (-delta,))[1])
                        for row, delta in zip(self.E, self.d)]))
+
+    @cached_property
+    def _interior(self) -> tuple[frozenset[int], Vec] | None:
+        """The implicit rows and a relative-interior point, or None when
+        the set is empty.
+
+        The slack t is free, so the first slack LP is infeasible only when
+        E x = d is, and otherwise the set is empty exactly when its optimum
+        is negative.  Farkas: at a zero slack optimum the duals y >= 0 give
+        y·(b - A x) = 0 on the set, so every row with y_i > 0 is implicit;
+        some lie outside `tight`."""
+        tight: frozenset[int] = frozenset()
+        while True:
+            out = _max_slack(self.A, self.b, self.E, self.d, self.dim, tight)
+            if not isinstance(out, Optimal) or out.value < 0:
+                if tight:
+                    raise TheoremViolation(
+                        "slack LP of a nonempty polyhedron is infeasible or negative")
+                return None
+            if out.value > 0:
+                return tight, out.point[:self.dim]
+            grown = tight | {i for i, y in enumerate(out.dual_ineq[:len(self.A)]) if y > 0}
+            if grown == tight:
+                raise TheoremViolation("zero slack optimum without a new implicit row")
+            tight = grown
+
+    @cached_property
+    def _generators(self) -> VPolyhedron:
+        """The generator representation, from double description of the
+        homogenization cone {(x, t) : Ax <= bt, Ex = dt, t >= 0}."""
+        ineq, eq = self._int_rows
+        rows = [*ineq, *eq, *[tuple([-k for k in row]) for row in eq], (0,) * self.dim + (-1,)]
+        lineality, rays = dd_cone(rows, self.dim + 1)
+        points: list[Vec] = []
+        directions: list[Vec] = []
+        for r in rays:
+            t = r[-1]
+            if t > 0:
+                points.append(tuple(Rat(num, t) for num in r[:-1]))
+            elif t == 0:
+                directions.append(tuple(Rat(num) for num in r[:-1]))
+            else:
+                raise TheoremViolation("homogenization ray with negative t")
+        for l in lineality:
+            if l[-1] != 0:
+                raise TheoremViolation("lineality leaves the t = 0 slice")
+            d = tuple(Rat(num) for num in l[:-1])
+            directions.append(d)
+            directions.append(vneg(d))
+        if not points:
+            return VPolyhedron((), (), self.dim)
+        return VPolyhedron(
+            tuple(sorted(set(points))), tuple(sorted(set(directions))), self.dim
+        )
 
     @classmethod
     def make(cls, A=(), b=(), E=(), d=(), dim=None) -> "HPolyhedron":
@@ -227,34 +275,8 @@ def _max_slack(A: Mat, b: Vec, E: Mat, d: Vec, n: int,
         (eqs, tuple(d))))
 
 
-@lru_cache(maxsize=None)
-def _interior(P: HPolyhedron) -> tuple[frozenset[int], Vec] | None:
-    """The implicit rows of P and a relative-interior point, or None when P
-    is empty.
-
-    The slack t is free, so the first slack LP is infeasible only when
-    E x = d is, and otherwise P is empty exactly when its optimum is
-    negative.  Farkas: at a zero slack optimum the duals y >= 0 give
-    y·(b - A x) = 0 on P, so every row with y_i > 0 is implicit; some lie
-    outside `tight`."""
-    tight: frozenset[int] = frozenset()
-    while True:
-        out = _max_slack(P.A, P.b, P.E, P.d, P.dim, tight)
-        if not isinstance(out, Optimal) or out.value < 0:
-            if tight:
-                raise TheoremViolation(
-                    "slack LP of a nonempty polyhedron is infeasible or negative")
-            return None
-        if out.value > 0:
-            return tight, out.point[:P.dim]
-        grown = tight | {i for i, y in enumerate(out.dual_ineq[:len(P.A)]) if y > 0}
-        if grown == tight:
-            raise TheoremViolation("zero slack optimum without a new implicit row")
-        tight = grown
-
-
 def _nonempty_interior(P: HPolyhedron) -> tuple[frozenset[int], Vec]:
-    found = _interior(P)
+    found = P._interior
     if found is None:
         raise EmptySetError("operation requires a nonempty polyhedron")
     return found
@@ -263,13 +285,13 @@ def _nonempty_interior(P: HPolyhedron) -> tuple[frozenset[int], Vec]:
 def is_empty(P: HPolyhedron) -> bool:
     """P is empty exactly when its first slack optimum is negative (or
     its equalities are inconsistent)."""
-    return _interior(P) is None
+    return P._interior is None
 
 
 def feasible_point(P: HPolyhedron) -> Vec | None:
     """A relative-interior point of P, hence a witness, or None when P is
     empty."""
-    found = _interior(P)
+    found = P._interior
     return None if found is None else found[1]
 
 
@@ -298,39 +320,10 @@ def dim(P: HPolyhedron) -> int:
 # -- representation conversion -----------------------------------------------
 
 
-def _homogenized_rows(P: HPolyhedron) -> list[tuple[int, ...]]:
-    """Integer rows of the cone {(x, t) : Ax <= bt, Ex = dt, t >= 0}."""
-    ineq, eq = P._int_rows
-    return [*ineq, *eq, *[tuple([-k for k in row]) for row in eq],
-            (0,) * P.dim + (-1,)]
-
-
-@lru_cache(maxsize=None)
 def h_to_v(P: HPolyhedron) -> VPolyhedron:
     """Exact generator representation via double description of the
     homogenization cone {(x, t) : Ax <= bt, Ex = dt, t >= 0}."""
-    lineality, rays = dd_cone(_homogenized_rows(P), P.dim + 1)
-    points: list[Vec] = []
-    directions: list[Vec] = []
-    for r in rays:
-        t = r[-1]
-        if t > 0:
-            points.append(tuple(Rat(num, t) for num in r[:-1]))
-        elif t == 0:
-            directions.append(tuple(Rat(num) for num in r[:-1]))
-        else:
-            raise TheoremViolation("homogenization ray with negative t")
-    for l in lineality:
-        if l[-1] != 0:
-            raise TheoremViolation("lineality leaves the t = 0 slice")
-        d = tuple(Rat(num) for num in l[:-1])
-        directions.append(d)
-        directions.append(vneg(d))
-    if not points:
-        return VPolyhedron((), (), P.dim)
-    return VPolyhedron(
-        tuple(sorted(set(points))), tuple(sorted(set(directions))), P.dim
-    )
+    return P._generators
 
 
 def v_to_h(V: VPolyhedron) -> HPolyhedron:

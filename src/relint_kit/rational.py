@@ -3,8 +3,8 @@
 Scalars are `fractions.Fraction` values (arbitrary-precision, canonical
 form with positive denominator), re-exported as `Rat`.  Vectors are plain
 tuples of `Rat`, matrices are tuples of row vectors.  Everything here is
-immutable and hashable, so geometric objects built from these types can be
-memoized directly.
+immutable, so a geometric object built from these types can cache facts
+derived from it on itself (see `polyhedra`).
 """
 
 from __future__ import annotations

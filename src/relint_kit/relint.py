@@ -29,7 +29,6 @@ from .polyhedra import (
     PolyCone,
     _nonempty_interior,
     cone_contains,
-    dim,
     h_to_v,
     implicit_rows,
     is_empty,
@@ -90,14 +89,12 @@ class MembershipReport:
 
 @dataclass(frozen=True)
 class QuasiRegularityReport:
-    """Sufficient conditions for quasi-regularity and the sampled check.
+    """The sampled check of quasi-regularity.
 
     Every nonempty convex set in finite dimension is quasi-regular, so no
     field states it: `sampled_equality_check` is the evidence."""
 
     set_id: str | None
-    cond_int_nonempty: bool
-    cond_ri_nonempty: bool
     sampled_equality_check: bool
 
 
@@ -285,16 +282,13 @@ def characterization_suite(
 def quasi_regularity_report(
     P: HPolyhedron, set_id: str | None = None
 ) -> QuasiRegularityReport:
-    """Sufficient conditions for quasi-regularity, plus a sampled check
-    that the intrinsic and quasi-relative interior predicates agree."""
+    """A sampled check that the intrinsic and quasi-relative interior
+    predicates agree on nonempty P."""
     if is_empty(P):
         raise EmptySetError("quasi-regularity of the empty set is undefined")
-    cond_int = dim(P) == P.dim
-    rp = ri_point(P)
-    cond_ri = ri_membership(P, rp).member
-    samples = list(h_to_v(P).points) + [rp]
+    samples = list(h_to_v(P).points) + [ri_point(P)]
     # The normal-cone subspace test decides membership in the
     # quasi-relative interior, so this compares the intrinsic predicate
     # against the closed-cone one point by point.
     sampled_equal = all(in_iri(P, s) == in_qri(P, s) for s in samples)
-    return QuasiRegularityReport(set_id, cond_int, cond_ri, sampled_equal)
+    return QuasiRegularityReport(set_id, sampled_equal)

@@ -17,7 +17,7 @@ reduce to plain implications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import ClassVar
 
 from .errors import EmptySetError, InputError
@@ -55,6 +55,13 @@ class PolyhedralMap:
             raise InputError(
                 f"graph dimension {self.graph.dim} is not {self.m} + {self.n}")
 
+    @cached_property
+    def _domain(self) -> HPolyhedron:
+        if is_empty(self.graph):
+            return HPolyhedron.empty(self.m)
+        proj = tuple(unit(self.m + self.n, j) for j in range(self.m))
+        return linear_image(proj, self.graph)
+
 
 @dataclass(frozen=True)
 class PLConvexFunction:
@@ -70,6 +77,18 @@ class PLConvexFunction:
         for slope, _ in self.pieces:
             if len(slope) != self.domain.dim:
                 raise InputError("piece slope of wrong dimension")
+
+    @cached_property
+    def _epigraph(self) -> HPolyhedron:
+        if is_empty(self.domain):
+            raise EmptySetError("a proper function needs a nonempty domain")
+        A = [row + (ZERO,) for row in self.domain.A]
+        b = list(self.domain.b)
+        for slope, intercept in self.pieces:
+            A.append(slope + (Rat(-1),))
+            b.append(-intercept)
+        E = tuple(row + (ZERO,) for row in self.domain.E)
+        return HPolyhedron(tuple(A), tuple(b), E, self.domain.d, self.domain.dim + 1)
 
     def value(self, x: Vec) -> Rat:
         if not self.domain.contains(x):
@@ -187,13 +206,9 @@ class CommutationReport:
         return self.forward_ok and self.backward_ok
 
 
-@lru_cache(maxsize=None)
 def map_domain(F: PolyhedralMap) -> HPolyhedron:
-    """Projection of the graph onto the first m coordinates."""
-    if is_empty(F.graph):
-        return HPolyhedron.empty(F.m)
-    proj = tuple(unit(F.m + F.n, j) for j in range(F.m))
-    return linear_image(proj, F.graph)
+    """Projection of the graph onto the first m coordinates, cached on F."""
+    return F._domain
 
 
 def image_at(F: PolyhedralMap, x: Vec) -> HPolyhedron:
@@ -221,19 +236,9 @@ def graph_ri_check(F: PolyhedralMap, x: Vec, y: Vec) -> GraphRIReport:
     return GraphRIReport(x, y, lhs, rhs)
 
 
-@lru_cache(maxsize=None)
 def epi_polyhedron(f: PLConvexFunction) -> HPolyhedron:
     """{(x, alpha) : x in dom, alpha >= every affine piece} in R^(m+1)."""
-    if is_empty(f.domain):
-        raise EmptySetError("a proper function needs a nonempty domain")
-    m = f.domain.dim
-    A = [row + (ZERO,) for row in f.domain.A]
-    b = list(f.domain.b)
-    for slope, intercept in f.pieces:
-        A.append(slope + (Rat(-1),))
-        b.append(-intercept)
-    E = tuple(row + (ZERO,) for row in f.domain.E)
-    return HPolyhedron(tuple(A), tuple(b), E, f.domain.d, m + 1)
+    return f._epigraph
 
 
 def epi_relint_report(f: PLConvexFunction, x: Vec, level: Rat) -> EpiRelintReport:

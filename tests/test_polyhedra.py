@@ -362,10 +362,8 @@ def test_implicit_rows_match_generator_oracle():
 
 
 def _count_lp_solves(monkeypatch) -> list:
-    """Clear the memo tables and record every LP that polyhedra solves."""
-    for obj in vars(polyhedra).values():
-        if callable(getattr(obj, "cache_clear", None)):
-            obj.cache_clear()
+    """Record every LP that polyhedra solves.  Facts are cached on each
+    set, so count on a set that no earlier query has seen."""
     calls = []
     real = polyhedra.lp_solve
 
@@ -391,13 +389,14 @@ def test_implicit_rows_solve_one_lp_per_round(monkeypatch):
 def test_emptiness_and_interior_share_one_lp(monkeypatch):
     """On a full-dimensional set the first slack LP decides emptiness and
     already has a positive optimum, so every query below reads it."""
+    square = HPolyhedron(UNIT_SQUARE.A, UNIT_SQUARE.b, UNIT_SQUARE.E, UNIT_SQUARE.d, 2)
     calls = _count_lp_solves(monkeypatch)
-    assert not is_empty(UNIT_SQUARE)
-    p = ri_point(UNIT_SQUARE)
-    assert implicit_rows(UNIT_SQUARE) == frozenset()
-    assert affine_hull(UNIT_SQUARE).flat_dim == 2
-    assert feasible_point(UNIT_SQUARE) == p
-    assert all(dot(row, p) < beta for row, beta in zip(UNIT_SQUARE.A, UNIT_SQUARE.b))
+    assert not is_empty(square)
+    p = ri_point(square)
+    assert implicit_rows(square) == frozenset()
+    assert affine_hull(square).flat_dim == 2
+    assert feasible_point(square) == p
+    assert all(dot(row, p) < beta for row, beta in zip(square.A, square.b))
     assert len(calls) == 1
 
 
