@@ -15,6 +15,7 @@ positive factors only, so ray orientations are never flipped.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import mul
 
 from .rational import primitive
 
@@ -22,7 +23,7 @@ IVec = tuple[int, ...]
 
 
 def _idot(u: IVec, v: IVec) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _sign_canonical(v: IVec) -> IVec:

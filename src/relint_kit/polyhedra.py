@@ -11,12 +11,17 @@ Conventions fixed here and relied on everywhere else:
   * facts derived from an HPolyhedron by LP or double description (its
     implicit rows and a relative-interior point, its generators) are
     `cached_property`s of the set itself: computed once, freed with it;
+  * its generators are cached as the primitive integer rays (x, t) of its
+    homogenization cone, and `linear_image` and `minkowski_diff` map those
+    integers straight into the next double description; `h_to_v` builds
+    its sorted `Fraction` points from them only when asked;
   * a VPolyhedron with no points is the empty set regardless of rays;
   * lines are encoded as opposite ray pairs, never as a separate field.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -38,7 +43,7 @@ from .rational import (
     check_block,
     check_exact,
     mat,
-    matvec,
+    primitive,
     scaled_ints,
     vec,
     vneg,
@@ -46,7 +51,9 @@ from .rational import (
     zeros,
 )
 
-# Constraint rows a·x <= beta (or = beta) as the integers L·(a, -beta).
+# Homogenized integer vectors: constraint rows a·x <= beta (or = beta) as
+# L·(a, -beta), or generators (x, t) standing for the point x / t (t > 0)
+# or the direction x (t = 0).
 _IntRows = tuple[tuple[int, ...], ...]
 
 
@@ -99,32 +106,40 @@ class HPolyhedron:
             tight = grown
 
     @cached_property
-    def _generators(self) -> VPolyhedron:
-        """The generator representation, from double description of the
-        homogenization cone {(x, t) : Ax <= bt, Ex = dt, t >= 0}."""
+    def _int_generators(self) -> tuple[_IntRows, _IntRows]:
+        """(points, directions): the primitive integer rays (x, t) of the
+        homogenization cone {(x, t) : Ax <= bt, Ex = dt, t >= 0} from double
+        description, split into points (t > 0, standing for x / t) and
+        directions (t = 0), each lineality vector as a +/- pair."""
         ineq, eq = self._int_rows
         rows = [*ineq, *eq, *[tuple([-k for k in row]) for row in eq], (0,) * self.dim + (-1,)]
         lineality, rays = dd_cone(rows, self.dim + 1)
-        points: list[Vec] = []
-        directions: list[Vec] = []
+        points, directions = [], []
         for r in rays:
-            t = r[-1]
-            if t > 0:
-                points.append(tuple(Rat(num, t) for num in r[:-1]))
-            elif t == 0:
-                directions.append(tuple(Rat(num) for num in r[:-1]))
+            if r[-1] > 0:
+                points.append(r)
+            elif r[-1] == 0:
+                directions.append(r)
             else:
                 raise TheoremViolation("homogenization ray with negative t")
         for l in lineality:
             if l[-1] != 0:
                 raise TheoremViolation("lineality leaves the t = 0 slice")
-            d = tuple(Rat(num) for num in l[:-1])
-            directions.append(d)
-            directions.append(vneg(d))
+            directions.append(l)
+            directions.append(tuple([-k for k in l]))
+        return tuple(points), tuple(directions)
+
+    @cached_property
+    def _generators(self) -> VPolyhedron:
+        """The generator representation: `_int_generators` as sorted
+        `Fraction` points and directions."""
+        points, directions = self._int_generators
         if not points:
             return VPolyhedron((), (), self.dim)
         return VPolyhedron(
-            tuple(sorted(set(points))), tuple(sorted(set(directions))), self.dim
+            tuple(sorted({tuple([Rat(k, g[-1]) for k in g[:-1]]) for g in points})),
+            tuple(sorted({tuple([Rat(k) for k in g[:-1]]) for g in directions})),
+            self.dim,
         )
 
     @classmethod
@@ -150,10 +165,15 @@ class HPolyhedron:
 
     @classmethod
     def singleton(cls, point) -> "HPolyhedron":
+        """{point}, as the equalities x = point.  It is nonempty and has no
+        inequality rows, so its interior fact is known without the slack
+        LP: no implicit rows, and the point itself."""
         p = vec(point)
         n = len(p)
         eye = tuple(tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n))
-        return cls((), (), eye, p, n)
+        P = cls((), (), eye, p, n)
+        P.__dict__["_interior"] = (frozenset(), p)
+        return P
 
     def residuals(self, x: Vec) -> tuple[int, list[int], list[int]]:
         """(q, ineq, eq) with ineq[i] = L_i q (b_i - a_i·x) and
@@ -329,11 +349,18 @@ def h_to_v(P: HPolyhedron) -> VPolyhedron:
 def v_to_h(V: VPolyhedron) -> HPolyhedron:
     """Inequality/equality description of conv(points) + cone(rays),
     found by dualizing the homogenization cone."""
-    n = V.dim
     if not V.points:
-        return HPolyhedron.empty(n)
+        return HPolyhedron.empty(V.dim)
     gens = [p + (ONE,) for p in V.points] + [r + (ZERO,) for r in V.rays]
-    lineality, rays = dd_cone([scaled_ints(g)[1] for g in gens], n + 1)
+    return _dual_rows([scaled_ints(g)[1] for g in gens], V.dim)
+
+
+def _dual_rows(gens: list[Sequence[int]], n: int) -> HPolyhedron:
+    """The H-representation of the set whose homogenized integer
+    generators (x, t) are `gens`, at least one of them with t > 0: double
+    description of the dual cone {(a, c) : a·x + c t <= 0 on gens} gives
+    the rows a·x <= -c, and its lineality the equalities."""
+    lineality, rays = dd_cone(gens, n + 1)
     A, b, E, d = [], [], [], []
     for r in sorted(rays):
         a, c = r[:-1], r[-1]
@@ -359,35 +386,49 @@ def v_to_h(V: VPolyhedron) -> HPolyhedron:
 
 def linear_image(M: Mat, P: HPolyhedron) -> HPolyhedron:
     """Exact H-representation of {Mx : x in P}; a matrix with no rows
-    maps onto R^0."""
+    maps onto R^0.
+
+    With D > 0 the lcm of all the denominators of M, each generator
+    (x, t) of P maps to (D M x, D t); one common scale keeps the image, a
+    scale per row would not.  Directions with a zero image are dropped."""
     for i, row in enumerate(M):
         if len(row) != P.dim:
             raise InputError(f"matrix row {i} has length {len(row)}, "
                              f"but the set has dimension {P.dim}")
         check_exact("matrix", row)
     target = len(M)
-    V = h_to_v(P)
-    if V.is_empty_set:
+    points, directions = P._int_generators
+    if not points:
         return HPolyhedron.empty(target)
-    points = [matvec(M, p) for p in V.points]
-    rays = []
-    for r in V.rays:
-        w = matvec(M, r)
-        if any(c != 0 for c in w):
-            rays.append(w)
-    return v_to_h(VPolyhedron(tuple(points), tuple(rays), target))
+    D, flat = scaled_ints([a for row in M for a in row])
+    n = P.dim
+    rows = [flat[i * n:(i + 1) * n] for i in range(target)]
+    gens = [[sum(map(mul, row, g)) for row in rows] + [D * g[-1]] for g in points]
+    for g in directions:
+        w = [sum(map(mul, row, g)) for row in rows]
+        if any(w):
+            gens.append(w + [0])
+    return _dual_rows(gens, target)
 
 
 def minkowski_diff(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:
-    """{w1 - w2 : w1 in P1, w2 in P2} via generator arithmetic."""
+    """{w1 - w2 : w1 in P1, w2 in P2} via generator arithmetic: points
+    (t2 x1 - t1 x2, t1 t2) and directions r1 and -r2, each distinct
+    generator once."""
     if P1.dim != P2.dim:
         raise InputError("set difference requires matching dimensions")
-    V1, V2 = h_to_v(P1), h_to_v(P2)
-    if V1.is_empty_set or V2.is_empty_set:
+    points1, directions1 = P1._int_generators
+    points2, directions2 = P2._int_generators
+    if not points1 or not points2:
         return HPolyhedron.empty(P1.dim)
-    points = sorted({vsub(p1, p2) for p1 in V1.points for p2 in V2.points})
-    rays = sorted(set(V1.rays) | {vneg(r) for r in V2.rays})
-    return v_to_h(VPolyhedron(tuple(points), tuple(rays), P1.dim))
+    points = set()
+    for g1 in points1:
+        t1 = g1[-1]
+        for g2 in points2:
+            t2 = g2[-1]
+            points.add(primitive([t2 * a - t1 * c for a, c in zip(g1[:-1], g2)] + [t1 * t2]))
+    directions = set(directions1) | {tuple([-k for k in g]) for g in directions2}
+    return _dual_rows([*points, *directions], P1.dim)
 
 
 def product(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:

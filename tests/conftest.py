@@ -12,7 +12,16 @@ import random
 from fractions import Fraction
 
 from relint_kit.lp import LPProblem, Unbounded, lp_solve
-from relint_kit.polyhedra import HPolyhedron, PolyCone, VPolyhedron, cone_contains, is_empty
+from relint_kit.polyhedra import (
+    HPolyhedron,
+    PolyCone,
+    VPolyhedron,
+    cone_contains,
+    h_to_v,
+    is_empty,
+    v_to_h,
+)
+from relint_kit.rational import matvec, vneg, vsub
 from relint_kit.setmaps import PLConvexFunction, PolyhedralMap
 
 
@@ -89,6 +98,29 @@ def v_member(V: VPolyhedron, x) -> bool:
     one, zero = Fraction(1), Fraction(0)
     gens = tuple(p + (one,) for p in V.points) + tuple(r + (zero,) for r in V.rays)
     return cone_contains(PolyCone(gens, V.dim + 1), tuple(x) + (one,))
+
+
+def fraction_linear_image(M, P: HPolyhedron) -> HPolyhedron:
+    """Oracle: {Mx : x in P} by `Fraction` arithmetic on the sorted points
+    and rays of `h_to_v`, then `v_to_h`; rays with a zero image are
+    dropped."""
+    V = h_to_v(P)
+    if V.is_empty_set:
+        return HPolyhedron.empty(len(M))
+    points = [matvec(M, p) for p in V.points]
+    rays = [w for w in (matvec(M, r) for r in V.rays) if any(w)]
+    return v_to_h(VPolyhedron(tuple(points), tuple(rays), len(M)))
+
+
+def fraction_minkowski_diff(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:
+    """Oracle: P1 - P2 from the distinct `Fraction` differences of the
+    `h_to_v` points and the rays of P1 and -P2, then `v_to_h`."""
+    V1, V2 = h_to_v(P1), h_to_v(P2)
+    if V1.is_empty_set or V2.is_empty_set:
+        return HPolyhedron.empty(P1.dim)
+    points = sorted({vsub(p1, p2) for p1 in V1.points for p2 in V2.points})
+    rays = sorted(set(V1.rays) | {vneg(r) for r in V2.rays})
+    return v_to_h(VPolyhedron(tuple(points), tuple(rays), P1.dim))
 
 
 def random_pair(rng: random.Random, dim: int, max_rows: int):

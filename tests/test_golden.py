@@ -19,8 +19,16 @@ from relint_kit.cli import main
 from relint_kit.dd import dd_cone
 from relint_kit.errors import RelintKitError
 from relint_kit.lp import Infeasible, LPProblem, Optimal, Unbounded, lp_solve
-from relint_kit.polyhedra import AffineFlat, HPolyhedron, PolyCone, cone_contains, h_to_v
-from relint_kit.rational import ZERO, primitive_int, unit, vadd, vscale, zeros
+from relint_kit.polyhedra import (
+    AffineFlat,
+    HPolyhedron,
+    PolyCone,
+    cone_contains,
+    h_to_v,
+    linear_image,
+    minkowski_diff,
+)
+from relint_kit.rational import ZERO, matvec, primitive_int, unit, vadd, vneg, vscale, vsub, zeros
 from relint_kit.relint import (
     characterization_suite,
     conic_hull_at,
@@ -134,6 +142,8 @@ CONE_VERDICTS = "2e0af92bd6db93faa2cd3a29f551c2c146ad2519828d81072d14ed1ca612fe3
 WIDE_LP_OUTCOMES = "cde4a8cd774afb07f93e57c86f57467140beb20b1b48775f79c5627c2e656e6b"
 DD_CONES = "2aee486e777e10c8dd2c5d150fdbd304aa37ea0c93f6af72e9911f88af4d6462"
 POINT_PREDICATES = "39ee2333da2f01d906c0c6889a2edaa0929c5bb671cedfced143f7bfb0b21d23"
+LINEAR_IMAGES = "a434a64bd4d20d0387996602c70978f34e72c6f14dc9bc0b7ff4f5869f69dd75"
+MINKOWSKI_DIFFS = "8fd489531d47a3de6ab10e5c148b34d3670213f55689b28eb6d808541e5e680d"
 
 
 def test_lp_outcomes_and_pivot_counts_are_pinned():
@@ -361,3 +371,76 @@ def test_point_predicates_are_pinned():
             (False, False, "ineq-violated"), (False, False, "eq-violated"),
             (False, None, None)} <= kinds
     assert _digest(results) == POINT_PREDICATES
+
+
+# -- structural operations -----------------------------------------------------
+#
+# linear_image and minkowski_diff build their result from the generators of
+# their operands, so these pins hash the rows they return.  The operands mix
+# empty sets, sets with lines (a free coordinate, hence a lineality pair among
+# the directions) and plain anchored sets; the matrices mix wide coprime
+# denominators, zero columns that send directions to zero, and no rows at all.
+
+
+def _free_coordinate(P: HPolyhedron, j: int) -> HPolyhedron:
+    """P with a new unconstrained coordinate at position j: P x R, up to
+    the order of the coordinates."""
+    def widen(rows):
+        return tuple(row[:j] + (ZERO,) + row[j:] for row in rows)
+    return HPolyhedron(widen(P.A), P.b, widen(P.E), P.d, P.dim + 1)
+
+
+def _structural_operand(rng: random.Random, n: int) -> HPolyhedron:
+    u = rng.random()
+    if u < 0.08:
+        return HPolyhedron.empty(n)
+    if u < 0.4 and n > 1:
+        return _free_coordinate(random_nonempty_hpoly(rng, n - 1, n + 2), rng.randrange(n))
+    return random_nonempty_hpoly(rng, n, n + 3)
+
+
+def _image_matrix(rng: random.Random, n: int):
+    rows = rng.choice((0, 1, 1, 2, 2, 3))
+    M = [[_wide_small(rng) for _ in range(n)] for _ in range(rows)]
+    if rows and rng.random() < 0.4:
+        j = rng.randrange(n)
+        for row in M:
+            row[j] = ZERO
+    return tuple(tuple(row) for row in M)
+
+
+def test_linear_images_are_pinned():
+    rng = random.Random(4008)
+    outputs, kinds = [], set()
+    for _ in range(160):
+        n = rng.randint(1, 4)
+        P = _structural_operand(rng, n)
+        M = _image_matrix(rng, n)
+        V = h_to_v(P)
+        kinds.add(("empty", V.is_empty_set))
+        kinds.add(("no rows", not M))
+        kinds.add(("line", any(vneg(r) in V.rays for r in V.rays)))
+        kinds.add(("zero image", any(not any(matvec(M, r)) for r in V.rays)))
+        kinds.add(("wide", any(a.denominator > 3 for row in M for a in row)))
+        outputs.append(linear_image(M, P))
+    assert {(kind, True) for kind in ("empty", "no rows", "line", "zero image", "wide")} <= kinds
+    assert _digest(outputs) == LINEAR_IMAGES
+
+
+def test_minkowski_diffs_are_pinned():
+    rng = random.Random(4009)
+    outputs, kinds = [], set()
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        P1, P2 = _structural_operand(rng, n), _structural_operand(rng, n)
+        if rng.random() < 0.2:
+            # P1 - P1 meets 0 once for every generator point of P1.
+            P2 = P1
+        V1, V2 = h_to_v(P1), h_to_v(P2)
+        differences = [vsub(p1, p2) for p1 in V1.points for p2 in V2.points]
+        kinds.add(("empty", V1.is_empty_set or V2.is_empty_set))
+        kinds.add(("line", any(vneg(r) in V.rays for V in (V1, V2) for r in V.rays)))
+        kinds.add(("repeated point", len(set(differences)) < len(differences)))
+        outputs.append(minkowski_diff(P1, P2))
+    assert {(kind, True) for kind in ("empty", "line", "repeated point")} <= kinds
+    assert _digest(outputs) == MINKOWSKI_DIFFS

@@ -6,8 +6,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    fraction_linear_image,
+    fraction_minkowski_diff,
     random_cone_rows,
     random_matrix,
     random_nonempty_hpoly,
@@ -252,6 +255,50 @@ def test_linear_image_dimension_mismatch():
         linear_image(((Fraction(1), Fraction(0)), (Fraction(1),)), UNIT_SQUARE)
     with pytest.raises(InputError, match="^matrix: entry "):
         linear_image(((0.5, 0),), UNIT_SQUARE)
+
+
+# Small H-polyhedra: rows with entries of denominator up to 7, some of them
+# equalities; empty draws and free coordinates (lines) both occur.
+_entries = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@st.composite
+def small_hpolys(draw, dim):
+    rows = draw(st.lists(st.tuples(st.lists(_entries, min_size=dim, max_size=dim),
+                                   _entries, st.booleans()), max_size=dim + 2))
+    A = tuple(tuple(row) for row, _, eq in rows if not eq)
+    b = tuple(beta for _, beta, eq in rows if not eq)
+    E = tuple(tuple(row) for row, _, eq in rows if eq)
+    d = tuple(beta for _, beta, eq in rows if eq)
+    return HPolyhedron(A, b, E, d, dim)
+
+
+@st.composite
+def image_instances(draw):
+    n = draw(st.integers(0, 3))
+    wide = st.fractions(min_value=-9, max_value=9, max_denominator=97)
+    M = draw(st.lists(st.lists(wide, min_size=n, max_size=n), max_size=3))
+    return tuple(tuple(row) for row in M), draw(small_hpolys(n))
+
+
+@st.composite
+def difference_instances(draw):
+    n = draw(st.integers(0, 3))
+    return draw(small_hpolys(n)), draw(small_hpolys(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(image_instances())
+def test_linear_image_matches_the_fraction_route(instance):
+    M, P = instance
+    assert linear_image(M, P) == fraction_linear_image(M, P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(difference_instances())
+def test_minkowski_diff_matches_the_fraction_route(pair):
+    P1, P2 = pair
+    assert minkowski_diff(P1, P2) == fraction_minkowski_diff(P1, P2)
 
 
 def test_minkowski_diff_interval():
