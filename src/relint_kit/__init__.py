@@ -31,7 +31,6 @@ from .polyhedra import (
     AffineFlat,
     PolyCone,
     is_empty,
-    feasible_point,
     affine_hull,
     dim,
     h_to_v,

@@ -312,7 +312,7 @@ def _check_hpoly(ident: str, P: HPolyhedron, seed: int, checks):
     points = sample_points(P, seed=seed, midpoint_cap=6, random_combos=4)[:10]
     agree = all(characterization_suite(P, x, set_id=ident).agree for x in points)
     checks.append((ident, "characterization-equivalence", agree))
-    qrep = quasi_regularity_report(P, set_id=ident)
+    qrep = quasi_regularity_report(P)
     checks.append((ident, "quasi-regularity", qrep.sampled_equality_check))
     lemma_ok = all(
         qri_nonmembership_via_separation(P, x).lemma_agrees is not False
@@ -338,6 +338,9 @@ def _check_pair(id1, P1, id2, P2, checks, certs):
 
 
 def _check_map(ident: str, F: PolyhedralMap, seed: int, checks):
+    if is_empty(F.graph):
+        checks.append((ident, "emptiness-detected", True))
+        return
     points = sample_points(F.graph, seed=seed, midpoint_cap=4, random_combos=3)[:8]
     ok = True
     for pair in points:
@@ -347,6 +350,9 @@ def _check_map(ident: str, F: PolyhedralMap, seed: int, checks):
 
 
 def _check_plfunction(ident: str, f: PLConvexFunction, seed: int, checks):
+    if is_empty(f.domain):
+        checks.append((ident, "emptiness-detected", True))
+        return
     xs = list(h_to_v(f.domain).points)[:4] + [ri_point(f.domain)]
     ok = True
     for x in xs:

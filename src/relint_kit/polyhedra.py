@@ -15,6 +15,9 @@ Conventions fixed here and relied on everywhere else:
     homogenization cone, and `linear_image` and `minkowski_diff` map those
     integers straight into the next double description; `h_to_v` builds
     its sorted `Fraction` points from them only when asked;
+  * every slack LP (emptiness, implicit rows, separation, strict
+    preimages) is encoded and read in `_max_slack` alone, as (t, x, y, z);
+    no other module but the package root imports the LP layer;
   * a VPolyhedron with no points is the empty set regardless of rays;
   * lines are encoded as opposite ray pairs, never as a separate field.
 """
@@ -33,7 +36,7 @@ from .linalg import (
     rank,
     solve_linear_system,
 )
-from .lp import Infeasible, LPProblem, Optimal, lp_solve, simplex_max
+from .lp import LPProblem, Optimal, lp_solve, simplex_max
 from .rational import (
     Mat,
     ONE,
@@ -92,15 +95,15 @@ class HPolyhedron:
         some lie outside `tight`."""
         tight: frozenset[int] = frozenset()
         while True:
-            out = _max_slack(self.A, self.b, self.E, self.d, self.dim, tight)
-            if not isinstance(out, Optimal) or out.value < 0:
+            t, x, y, _ = _max_slack(self.A, self.b, self.E, self.d, self.dim, tight)
+            if t is None or t < 0:
                 if tight:
                     raise TheoremViolation(
                         "slack LP of a nonempty polyhedron is infeasible or negative")
                 return None
-            if out.value > 0:
-                return tight, out.point[:self.dim]
-            grown = tight | {i for i, y in enumerate(out.dual_ineq[:len(self.A)]) if y > 0}
+            if t > 0:
+                return tight, x
+            grown = tight | {i for i, v in enumerate(y) if v > 0}
             if grown == tight:
                 raise TheoremViolation("zero slack optimum without a new implicit row")
             tight = grown
@@ -279,20 +282,25 @@ class PolyCone:
 # -- emptiness, implicit equalities and the affine hull ----------------------
 
 
-def _max_slack(A: Mat, b: Vec, E: Mat, d: Vec, n: int,
-               tight: frozenset[int] = frozenset()) -> Optimal | Infeasible:
+def _max_slack(A: Mat, b: Vec, E: Mat, d: Vec, n: int, tight: frozenset[int]
+               ) -> tuple[Rat | None, Vec | None, Vec, Vec]:
     """max t <= 1 over (x, t) with a_i·x + t <= b_i on the rows outside
-    `tight`, a_i·x <= b_i on the rows in it, and E x = d.
+    `tight`, a_i·x <= b_i on the rows in it, and E x = d, as (t, x, y, z).
 
-    The one encoding of the slack LP: the cap row comes last and t is the
-    last variable.  The cap bounds t, so the outcome is Optimal, whose
-    point is (x, t), or Infeasible; its inequality multipliers end with
-    the cap row's."""
+    The one place the slack LP is encoded and read.  The cap bounds t, so
+    the LP is optimal or infeasible: t is the optimum and x its first n
+    coordinates, both None when infeasible; y and z are the multipliers on
+    the rows of A and of E, duals at an optimum, Farkas multipliers
+    otherwise."""
     rows = tuple(row + (ZERO if i in tight else ONE,) for i, row in enumerate(A))
     eqs = tuple(row + (ZERO,) for row in E)
-    return lp_solve(LPProblem.maximize(
+    out = lp_solve(LPProblem.maximize(
         zeros(n) + (ONE,), (rows + (zeros(n) + (ONE,),), tuple(b) + (ONE,)),
         (eqs, tuple(d))))
+    if isinstance(out, Optimal):
+        return out.value, out.point[:n], out.dual_ineq[:-1], out.dual_eq
+    cert = out.certificate
+    return None, None, cert.multipliers_ineq[:-1], cert.multipliers_eq
 
 
 def _nonempty_interior(P: HPolyhedron) -> tuple[frozenset[int], Vec]:
@@ -306,13 +314,6 @@ def is_empty(P: HPolyhedron) -> bool:
     """P is empty exactly when its first slack optimum is negative (or
     its equalities are inconsistent)."""
     return P._interior is None
-
-
-def feasible_point(P: HPolyhedron) -> Vec | None:
-    """A relative-interior point of P, hence a witness, or None when P is
-    empty."""
-    found = P._interior
-    return None if found is None else found[1]
 
 
 def implicit_rows(P: HPolyhedron) -> frozenset[int]:

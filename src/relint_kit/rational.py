@@ -49,7 +49,11 @@ def format_rational(x: Rat) -> str:
 
 
 def vec(entries) -> Vec:
-    return tuple(Rat(e) for e in entries)
+    """`int`, `Fraction` and "p" or "p/q" string entries as exact
+    `Fraction`s; a float, a bool or a Decimal raises InputError."""
+    entries = tuple(entries)
+    check_exact("vector", [e for e in entries if type(e) is not str])
+    return tuple([parse_rational(e) if type(e) is str else Rat(e) for e in entries])
 
 
 def mat(rows) -> Mat:

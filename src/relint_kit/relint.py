@@ -94,7 +94,6 @@ class QuasiRegularityReport:
     Every nonempty convex set in finite dimension is quasi-regular, so no
     field states it: `sampled_equality_check` is the evidence."""
 
-    set_id: str | None
     sampled_equality_check: bool
 
 
@@ -279,9 +278,7 @@ def characterization_suite(
     )
 
 
-def quasi_regularity_report(
-    P: HPolyhedron, set_id: str | None = None
-) -> QuasiRegularityReport:
+def quasi_regularity_report(P: HPolyhedron) -> QuasiRegularityReport:
     """A sampled check that the intrinsic and quasi-relative interior
     predicates agree on nonempty P."""
     if is_empty(P):
@@ -291,4 +288,4 @@ def quasi_regularity_report(
     # quasi-relative interior, so this compares the intrinsic predicate
     # against the closed-cone one point by point.
     sampled_equal = all(in_iri(P, s) == in_qri(P, s) for s in samples)
-    return QuasiRegularityReport(set_id, sampled_equal)
+    return QuasiRegularityReport(sampled_equal)

@@ -1,21 +1,21 @@
 """Certificate-producing proper and strict separation of polyhedra.
 
 Every separation question is one slack LP over both sets' rows, first set
-first, each set's implicit rows tight (`polyhedra._max_slack`).  A positive
-optimum is a point of both relative interiors.  Otherwise its multipliers
-(y1, z1 | y2, z2), duals at an optimum <= 0 or Farkas multipliers, give
-x* = y1·A1 + z1·E1 = -(y2·A2 + z2·E2) with sup_P1 x* <= y1·b1 + z1·d1 <=
--(y2·b2 + z2·d2) <= inf_P2 x*, proper because some y_i > 0 is on a
-non-implicit row when the middle bound is tight (Rockafellar 1970, Thm
-11.3).  The certificate is read off the generators, and the multipliers
-re-check without the solver as proof of disjoint relative interiors."""
+first, each set's implicit rows tight, encoded and read in
+`polyhedra._max_slack` alone as (t, x, y, z).  A positive t puts x in both
+relative interiors.  Otherwise y = (y1 | y2) and z = (z1 | z2), duals at
+an optimum <= 0 or Farkas multipliers, give x* = y1·A1 + z1·E1 =
+-(y2·A2 + z2·E2) with sup_P1 x* <= y1·b1 + z1·d1 <= -(y2·b2 + z2·d2) <=
+inf_P2 x*, proper because some y_i > 0 is on a non-implicit row when the
+middle bound is tight (Rockafellar 1970, Thm 11.3).  The certificate is
+read off the generators, and the multipliers re-check without the solver
+as proof of disjoint relative interiors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import EmptySetError, InputError, TheoremViolation
-from .lp import Optimal
 from .linalg import in_span, project_onto_span
 from .polyhedra import (
     AffineFlat,
@@ -106,15 +106,10 @@ def _combination(coeffs: Vec, rows: Mat, n: int) -> Vec:
 
 def _joint_slack(P1: HPolyhedron, P2: HPolyhedron):
     """The slack LP over P1's rows then P2's, each set's implicit rows
-    tight, as (outcome, y, z): y and z are its duals or Farkas multipliers
-    on the joint inequality rows (cap row dropped) and equality rows."""
+    tight, as `_max_slack`'s (t, x, y, z)."""
     tight = implicit_rows(P1) | {len(P1.A) + i for i in implicit_rows(P2)}
-    out = _max_slack(P1.A + P2.A, P1.b + P2.b, P1.E + P2.E, P1.d + P2.d,
-                     P1.dim, tight)
-    if isinstance(out, Optimal):
-        return out, out.dual_ineq[:-1], out.dual_eq
-    cert = out.certificate
-    return out, cert.multipliers_ineq[:-1], cert.multipliers_eq
+    return _max_slack(P1.A + P2.A, P1.b + P2.b, P1.E + P2.E, P1.d + P2.d,
+                      P1.dim, tight)
 
 
 def _functional(P1: HPolyhedron, y: Vec, z: Vec) -> Vec:
@@ -130,9 +125,9 @@ def _separate(P1: HPolyhedron, P2: HPolyhedron):
         raise InputError("separation requires matching dimensions")
     if is_empty(P1) or is_empty(P2):
         raise EmptySetError("separation requires nonempty sets")
-    out, y, z = _joint_slack(P1, P2)
-    if isinstance(out, Optimal) and out.value > 0:
-        return NotSeparable(out.point[:P1.dim]), y, z
+    t, x, y, z = _joint_slack(P1, P2)
+    if t is not None and t > 0:
+        return NotSeparable(x), y, z
     cert = _build_certificate(_functional(P1, y, z), h_to_v(P1), h_to_v(P2))
     return Separated(cert), y, z
 
@@ -260,8 +255,8 @@ def strict_separate_in_flat(L: AffineFlat, P: HPolyhedron, xbar: Vec) -> Vec:
         raise InputError("the set must be contained in the carrier subspace")
     if P.contains(xbar):
         raise InputError("strict separation requires a point outside the set")
-    out, y, z = _joint_slack(P, HPolyhedron.singleton(xbar))
-    if isinstance(out, Optimal) and out.value >= 0:
+    t, _, y, z = _joint_slack(P, HPolyhedron.singleton(xbar))
+    if t is not None and t >= 0:
         raise TheoremViolation("a closed polyhedron and an outside point separate strictly")
     u = project_onto_span(L.directions, _functional(P, y, z))
     if all(c == 0 for c in u):

@@ -39,9 +39,9 @@ class HybridSeq:
         if self.tail is not None:
             if not (0 < self.tail.q < 1):
                 raise InputError("geometric ratio must lie strictly between 0 and 1")
-            if self.tail.start != len(self.prefix) + 1:
+            if type(self.tail.start) is not int or self.tail.start != len(self.prefix) + 1:
                 raise InputError(
-                    f"tail starts at index {self.tail.start}, expected "
+                    f"tail starts at index {self.tail.start!r}, expected "
                     f"{len(self.prefix) + 1}")
 
     @classmethod
@@ -49,7 +49,7 @@ class HybridSeq:
         t = None
         if tail is not None:
             c, q, start = tail
-            t = GeomTail(Rat(c), Rat(q), int(start))
+            t = GeomTail(*vec((c, q)), start)
         return cls(vec(prefix), t)
 
     @property

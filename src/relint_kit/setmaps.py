@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import ClassVar
 
 from .errors import EmptySetError, InputError
-from .lp import Optimal
 from .polyhedra import (
     HPolyhedron,
     _max_slack,
@@ -295,11 +294,9 @@ def linear_image_ri_commutes(M: Mat, P: HPolyhedron) -> CommutationReport:
 
 def _strict_preimage(M: Mat, P: HPolyhedron, q: Vec) -> Vec | None:
     """x in P with Mx = q and positive slack on all non-implicit rows."""
-    found = _max_slack(P.A, P.b, tuple(P.E) + tuple(M), tuple(P.d) + tuple(q),
-                       P.dim, implicit_rows(P))
-    if isinstance(found, Optimal) and found.value > 0:
-        return found.point[:P.dim]
-    return None
+    t, x, _, _ = _max_slack(P.A, P.b, tuple(P.E) + tuple(M), tuple(P.d) + tuple(q),
+                            P.dim, implicit_rows(P))
+    return x if t is not None and t > 0 else None
 
 
 def set_difference_ri_commutes(P1: HPolyhedron, P2: HPolyhedron) -> CommutationReport:

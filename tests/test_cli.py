@@ -550,3 +550,27 @@ def test_cli_fuzz_ends_in_a_report_or_one_line_error(invocation):
         assert "Traceback" not in text and "internal error:" not in text, (argv, text)
     if code == 1:  # only a failed check exits 1
         assert "FAIL " in out.getvalue() or "theorem violation:" in err.getvalue(), argv
+
+
+def test_cli_verify_corpus_reports_empty_maps_and_functions(tmp_path, capsys):
+    """A map with an empty graph and a function with an empty domain get
+    the same `emptiness-detected` line as an empty hpoly, instead of
+    stopping the whole run."""
+    empty = {"A": [["1"], ["-1"]], "b": ["0", "-1"], "E": [], "d": [], "dim": 1}
+    docs = {
+        "map-empty": {"kind": "map", "payload": {
+            "graph": {**empty, "A": [["1", "0"], ["-1", "0"]], "dim": 2}, "m": 1, "n": 1}},
+        "fn-empty": {"kind": "plfunction", "payload": {
+            "domain": empty, "pieces": [["1", "0"]]}},
+        "interval": {"kind": "hpoly", "payload": {**empty, "b": ["1", "0"]}},
+    }
+    for ident, doc in docs.items():
+        (tmp_path / f"{ident}.json").write_text(json.dumps({"id": ident, **doc}))
+    code = main(["verify-corpus", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    lines = captured.out[:captured.out.index("{")].splitlines()
+    assert {line.split()[1] for line in lines} == set(docs)
+    for ident in ("fn-empty", "map-empty"):
+        assert [line for line in lines if line.split()[1] == ident] == [
+            f"ok {ident} emptiness-detected"]

@@ -14,13 +14,12 @@ from relint_kit.linalg import solve_linear_system
 from relint_kit.polyhedra import (
     HPolyhedron,
     VPolyhedron,
-    feasible_point,
     h_to_v,
     is_empty,
     v_to_h,
 )
 from relint_kit.rational import vec
-from relint_kit.relint import characterization_suite, in_qri
+from relint_kit.relint import characterization_suite, in_qri, ri_point
 from relint_kit.sampling import sample_points
 from relint_kit.separation import (
     NotSeparable,
@@ -148,7 +147,7 @@ def test_qri_predicate_on_unbounded_cones():
     assert in_qri(quadrant, vec([1, 1]))
     whole = HPolyhedron.whole_space(2)
     assert in_qri(whole, vec([5, -3]))
-    assert feasible_point(whole) == vec([0, 0])
+    assert ri_point(whole) == vec([0, 0])
 
 
 def _emptiness_case(rng, n):
@@ -192,7 +191,7 @@ def test_is_empty_matches_double_description():
         empty = h_to_v(P).is_empty_set
         assert is_empty(P) == empty, P
         if not empty:
-            assert P.contains(feasible_point(P))
+            assert P.contains(ri_point(P))
         kind = _emptiness_kind(P, empty)
         kinds[kind] = kinds.get(kind, 0) + 1
         if P.dim == 0:

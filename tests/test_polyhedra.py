@@ -22,6 +22,7 @@ from relint_kit import polyhedra
 from relint_kit.dd import dd_cone
 from relint_kit.errors import EmptySetError, InputError
 from relint_kit.linalg import in_span, rank, solve_linear_system
+from relint_kit.lp import FarkasCertificate, LPProblem, verify_farkas
 from relint_kit.polyhedra import (
     AffineFlat,
     HPolyhedron,
@@ -30,7 +31,6 @@ from relint_kit.polyhedra import (
     affine_hull,
     cone_contains,
     dim,
-    feasible_point,
     h_to_v,
     implicit_rows,
     is_empty,
@@ -80,7 +80,7 @@ def flats_equal(f1: AffineFlat, f2: AffineFlat) -> bool:
 def test_is_empty_cases():
     assert is_empty(HPolyhedron.make(A=[[1], [-1]], b=[0, -1]))
     assert not is_empty(UNIT_SQUARE)
-    assert UNIT_SQUARE.contains(feasible_point(UNIT_SQUARE))
+    assert UNIT_SQUARE.contains(ri_point(UNIT_SQUARE))
     assert is_empty(HPolyhedron.make(E=[[1], [1]], d=[0, 1], dim=1))
 
 
@@ -145,7 +145,7 @@ def test_round_trip_on_random_instances():
         back = v_to_h(V)
         assert same_set(P, back)
         if not V.is_empty_set:
-            assert v_member(V, feasible_point(P))
+            assert v_member(V, ri_point(P))
 
 
 def test_dd_cone_rays_are_extreme():
@@ -442,10 +442,46 @@ def test_emptiness_and_interior_share_one_lp(monkeypatch):
     p = ri_point(square)
     assert implicit_rows(square) == frozenset()
     assert affine_hull(square).flat_dim == 2
-    assert feasible_point(square) == p
     assert all(dot(row, p) < beta for row, beta in zip(square.A, square.b))
     assert len(calls) == 1
 
+
+
+def test_max_slack_reads_its_lp_as_t_x_y_z():
+    """On random systems and random tight sets: a positive optimum t comes
+    with x in P, strict on every row outside `tight`; an infeasible
+    (t None) or negative slack LP comes with multipliers (y, z), one per
+    row of A and of E, that prove {Ax <= b, Ex = d} empty."""
+    rng = random.Random(1301)
+    seen = {"positive": 0, "zero": 0, "negative": 0, "infeasible": 0}
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        A, b, E, d = [], [], [], []
+        for _ in range(rng.randint(1, 6)):
+            row = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+            rhs = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            if rng.random() < 0.2:
+                E.append(row)
+                d.append(rhs)
+            else:
+                A.append(row)
+                b.append(rhs)
+        P = HPolyhedron(tuple(A), tuple(b), tuple(E), tuple(d), n)
+        tight = frozenset(i for i in range(len(A)) if rng.random() < 0.3)
+        t, x, y, z = polyhedra._max_slack(P.A, P.b, P.E, P.d, n, tight)
+        assert len(y) == len(A) and len(z) == len(E)
+        if t is not None and t >= 0:
+            assert len(x) == n and P.contains(x)
+            if t > 0:
+                _, ineq, _ = P.residuals(x)
+                assert all(r > 0 for i, r in enumerate(ineq) if i not in tight)
+            seen["positive" if t > 0 else "zero"] += 1
+            continue
+        assert x is None if t is None else len(x) == n
+        system = LPProblem.maximize(zeros(n), (P.A, P.b), (P.E, P.d))
+        assert verify_farkas(system, FarkasCertificate(y, z))
+        seen["infeasible" if t is None else "negative"] += 1
+    assert all(seen.values()), seen
 
 # -- row evaluation at a point ------------------------------------------------
 

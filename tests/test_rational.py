@@ -1,21 +1,25 @@
 """Scalar parsing and exact-arithmetic invariants."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from relint_kit.errors import InputError
+from relint_kit.polyhedra import HPolyhedron, VPolyhedron
 from relint_kit.rational import (
     dot,
     format_rational,
+    mat,
     parse_rational,
     primitive,
     primitive_int,
     scaled_ints,
     vec,
 )
+from relint_kit.seqspace import HybridSeq
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -143,3 +147,37 @@ def test_parse_accepts_an_explicit_sign():
     assert parse_rational("+3") == 3
     assert parse_rational("-0/5") == 0
     assert parse_rational("+6/4") == Fraction(3, 2)
+
+
+CONSTRUCTORS = {
+    "vec": lambda e: vec([1, e]),
+    "mat": lambda e: mat([[1], [e]]),
+    "hpoly-A": lambda e: HPolyhedron.make(A=[[e]], b=[1]),
+    "hpoly-b": lambda e: HPolyhedron.make(A=[[1]], b=[e]),
+    "hpoly-E": lambda e: HPolyhedron.make(E=[[e]], d=[0]),
+    "singleton": lambda e: HPolyhedron.singleton([0, e]),
+    "vpoly-point": lambda e: VPolyhedron.make(points=[[e]]),
+    "vpoly-ray": lambda e: VPolyhedron.make(points=[[0]], rays=[[e]]),
+    "seq-prefix": lambda e: HybridSeq.make(prefix=[e]),
+    "seq-tail-c": lambda e: HybridSeq.make(tail=(e, "1/2", 1)),
+    "seq-tail-q": lambda e: HybridSeq.make(tail=("1/2", e, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", [0.1, True, Decimal("0.1")], ids=["float", "bool", "Decimal"])
+@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+def test_constructors_reject_inexact_entries(build, entry):
+    with pytest.raises(InputError, match="is not an int or Fraction"):
+        build(entry)
+
+
+def test_constructors_convert_ints_fractions_and_strings_exactly():
+    assert HPolyhedron.make(A=[["1/10"]], b=[Fraction(1, 3)]).A == ((Fraction(1, 10),),)
+    assert vec([2, Fraction(1, 2), "-3/4"]) == (2, Fraction(1, 2), Fraction(-3, 4))
+    assert HybridSeq.make(tail=("1/2", Fraction(1, 3), 1)).tail.q == Fraction(1, 3)
+    for text in ("abc", "0.1", "1e3"):
+        with pytest.raises(InputError, match="malformed rational"):
+            vec([text])
+    for start in (1.0, True):
+        with pytest.raises(InputError, match="tail start"):
+            HybridSeq.make(tail=("1/2", "1/2", start))

@@ -43,6 +43,43 @@ def test_one_lp_front_end():
     assert _calls_to("lp_solve") == {("polyhedra", "_max_slack")}
 
 
+def _reads_lp(tree) -> tuple[bool, set[str]]:
+    """(imports the LP module, the LP outcome names it mentions) for one
+    module: `from .lp import ...`, `from . import lp` and `import
+    relint_kit.lp` all count as imports."""
+    imports, named = False, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "lp" or any(a.name == "lp" for a in node.names):
+                imports = True
+        elif isinstance(node, ast.Import):
+            imports = imports or any(a.name.split(".")[-1] == "lp" for a in node.names)
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, ast.alias) else None)
+        if name in ("Optimal", "Infeasible", "dual_ineq", "multipliers_ineq"):
+            named.add(name)
+    return imports, named
+
+
+def test_only_polyhedra_reads_lp_outcomes():
+    """Every slack LP is encoded and read in `polyhedra._max_slack`, which
+    hands back (t, x, y, z): among the library modules only `polyhedra`
+    and the package root import from the LP module, and no other module
+    names its outcome types or their multiplier fields."""
+    importers, readers = set(), {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "lp":
+            continue
+        imports, named = _reads_lp(ast.parse(path.read_text(), filename=str(path)))
+        if imports:
+            importers.add(path.stem)
+        if named and path.stem not in ("polyhedra", "__init__"):
+            readers[path.stem] = sorted(named)
+    assert importers == {"polyhedra", "__init__"}
+    assert readers == {}
+
 def test_integer_scaling_lives_in_rational():
     """A rational vector is put over the integers in one place: only
     rational.py calls lcm or gcd, or reads a numerator or denominator."""
