@@ -6,8 +6,10 @@ throughout, which guarantees termination and makes every outcome
 deterministic for a fixed input.  The tableau holds integers over one
 common denominator and pivots fraction-free; outcomes are exact
 `Fraction`s.  `lp_solve` alone reduces an `LPProblem` to that form: each
-free variable becomes a (+, -) column pair and each equality two opposite
-inequalities.  Outcomes carry checkable evidence: optimal points satisfy
+equality becomes two opposite inequalities, and each free variable is a
+(+, -) column pair whose (-) column the tableau reads as the negative of
+its stored (+) column, so it is stored once and pivots as the split
+tableau would.  Outcomes carry checkable evidence: optimal points satisfy
 the constraints exactly, infeasibility comes with Farkas multipliers, and
 unboundedness comes with a feasible point plus an improving recession
 direction.
@@ -121,12 +123,24 @@ class _Simplex:
     of a reduced cost nor which ratio is least, so the pivots are those of
     the same tableau over `Fraction`.  Points, rays and multipliers are
     converted back to exact `Fraction`s for the unscaled problem.
+
+    With `free`, every variable k is free: it is x+ - x- over a (+, -)
+    column pair at indices 2k and 2k + 1, and the slacks and the phase-one
+    auxiliary follow from index 2n.  Only the (+) column is stored.  For
+    any basis B, B^-1(-a) = -B^-1 a, and the reduced cost of (-) is minus
+    that of (+), so the (-) column is read as -1 times the stored one.
+    Every index (the basis, Bland's order, the pivot bound) is an index
+    of the split tableau, which makes the pivots, their count and every
+    outcome those of the split tableau; `_col` maps an index to its
+    stored column and sign.
     """
 
-    def __init__(self, c: Vec, rows, rhs):
+    def __init__(self, c: Vec, rows, rhs, free: bool):
         self.n = len(c)
         self.m = len(rows)
-        self.total = self.n + self.m
+        self.free = free
+        self.slack0 = 2 * self.n if free else self.n
+        self.total = self.slack0 + self.m
         self.pivots = 0
         # Bland's rule visits each basis at most once.
         self.pivot_limit = comb(self.total + 1, self.m) if self.m else 1
@@ -142,14 +156,23 @@ class _Simplex:
             self.scales.append(scale)
             self.tab.append(t)
         self.denom = 1
-        self.basis = [self.n + i for i in range(self.m)]
+        self.basis = [self.slack0 + i for i in range(self.m)]
 
-    def _pivot(self, r: int, col: int) -> None:
+    def _col(self, j: int) -> tuple[int, int]:
+        """(stored column, sign) of tableau index j."""
+        if j >= self.slack0:
+            return j - self.slack0 + self.n, 1
+        if self.free:
+            return j >> 1, -1 if j & 1 else 1
+        return j, 1
+
+    def _pivot(self, r: int, j: int) -> None:
         self.pivots += 1
         if self.pivots > self.pivot_limit:
             raise TheoremViolation("simplex exceeded its combinatorial pivot bound")
+        col, sign = self._col(j)
         row = self.tab[r]
-        p = row[col]
+        p = sign * row[col]
         if p < 0:
             # Negating the pivot row keeps the new common denominator positive.
             p = -p
@@ -157,105 +180,122 @@ class _Simplex:
         d = self.denom
         for i, other in enumerate(self.tab):
             if i != r:
-                self.tab[i] = _eliminate(other, row, col, p, d)
-        self.obj = _eliminate(self.obj, row, col, p, d)
+                self.tab[i] = _eliminate(other, row, sign * other[col], p, d)
+        self.obj = _eliminate(self.obj, row, sign * self.obj[col], p, d)
         self.denom = p
-        self.basis[r] = col
+        self.basis[r] = j
 
     def _rebuild_objective(self, cost) -> None:
-        # obj[j] = D·(reduced cost z_j - c_j); last entry carries D·value.
+        # obj[j] = D·(reduced cost z_j - c_j) per stored column; last entry
+        # carries D·value.
         obj = [-cj * self.denom for cj in cost] + [0]
         for i, b in enumerate(self.basis):
-            cb = cost[b]
+            col, sign = self._col(b)
+            cb = sign * cost[col]
             if cb:
                 row = self.tab[i]
                 obj = [a + cb * t for a, t in zip(obj, row)]
         self.obj = obj
 
-    def _bland(self, width: int):
+    def _entering(self) -> int | None:
+        """Bland's entering index: the least one with a negative reduced
+        cost, or None at optimality."""
+        obj = self.obj
+        start = 0
+        if self.free:
+            for k in range(self.n):
+                v = obj[k]
+                if v:
+                    # (+) has reduced cost v, (-) has -v.
+                    return 2 * k + (v > 0)
+            start = self.n
+        for col in range(start, len(obj) - 1):
+            if obj[col] < 0:
+                return col - self.n + self.slack0
+        return None
+
+    def _bland(self):
         """Run simplex iterations; returns None at optimality or the
-        entering column on unboundedness."""
+        entering index on unboundedness."""
         while True:
-            enter = None
-            for j in range(width):
-                if self.obj[j] < 0:
-                    enter = j
-                    break
+            enter = self._entering()
             if enter is None:
                 return None
+            col, sign = self._col(enter)
             leave = None
             for i, row in enumerate(self.tab):
-                a = row[enter]
+                a = sign * row[col]
                 if a > 0:
                     if leave is None:
-                        leave, num, den = i, row[width], a
+                        leave, num, den = i, row[-1], a
                         continue
-                    # row[width] / a against num / den, both denominators > 0.
-                    lhs, rhs = row[width] * den, num * a
+                    # row[-1] / a against num / den, both denominators > 0.
+                    lhs, rhs = row[-1] * den, num * a
                     if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
-                        leave, num, den = i, row[width], a
+                        leave, num, den = i, row[-1], a
             if leave is None:
                 return enter
             self._pivot(leave, enter)
 
     def solve(self):
         """Returns (status, data); status in {"optimal", "infeasible", "unbounded"}."""
-        width = self.total
-        if any(self.tab[i][width] < 0 for i in range(self.m)):
+        if any(row[-1] < 0 for row in self.tab):
             status = self._phase_one()
             if status is not None:
                 return status
         self._rebuild_objective(self.cost)
-        enter = self._bland(width)
+        enter = self._bland()
         if enter is not None:
             return "unbounded", (self._extract_ray(enter), self._extract_point())
         return "optimal", (self._extract_point(), self._duals(self.cost_scale))
 
     def _phase_one(self):
-        width = self.total + 1
+        aux = len(self.cost)
         for row, scale in zip(self.tab, self.scales):
-            row.insert(self.total, -scale * self.denom)
-        aux_cost = [0] * width
-        aux_cost[self.total] = -1
-        # Drive the auxiliary variable in at the most negative row of the
-        # unscaled problem.
+            row.insert(aux, -scale * self.denom)
+        aux_cost = [0] * aux + [-1]
+        # Drive the auxiliary variable (index total) in at the most
+        # negative row of the unscaled problem.
         r0 = min(range(self.m), key=lambda i: (self.rhs[i], i))
         self._rebuild_objective(aux_cost)
         self._pivot(r0, self.total)
-        if self._bland(width) is not None:
+        if self._bland() is not None:
             raise TheoremViolation("auxiliary objective is bounded by construction")
-        if self.obj[width] < 0:
+        if self.obj[-1] < 0:
             return "infeasible", self._duals(1)
         if self.total in self.basis:
             r = self.basis.index(self.total)
+            row = self.tab[r]
             for j in range(self.total):
-                if self.tab[r][j] != 0 and j not in self.basis:
+                if row[self._col(j)[0]] != 0 and j not in self.basis:
                     self._pivot(r, j)
                     break
             else:
                 raise TheoremViolation("auxiliary variable stuck in the basis")
         for row in self.tab:
-            del row[self.total]
+            del row[aux]
         return None
 
     def _extract_point(self) -> Vec:
         vals = [ZERO] * self.n
         for i, b in enumerate(self.basis):
-            if b < self.n:
-                vals[b] = Rat(self.tab[i][-1], self.denom)
+            if b < self.slack0:
+                col, sign = self._col(b)
+                vals[col] = Rat(sign * self.tab[i][-1], self.denom)
         return tuple(vals)
 
     def _extract_ray(self, enter: int) -> Vec:
         vals = [ZERO] * self.n
-        if enter < self.n:
-            vals[enter] = ONE
-            scale = 1
+        col, scale = self._col(enter)
+        if enter < self.slack0:
+            vals[col] = Rat(scale)
         else:
             # A unit step of slack j is L_j steps of its scaled column.
-            scale = self.scales[enter - self.n]
+            scale = self.scales[col - self.n]
         for i, b in enumerate(self.basis):
-            if b < self.n:
-                vals[b] = Rat(-self.tab[i][enter] * scale, self.denom)
+            if b < self.slack0:
+                k, sign = self._col(b)
+                vals[k] = Rat(-sign * self.tab[i][col] * scale, self.denom)
         return tuple(vals)
 
     def _duals(self, cost_scale: int) -> Vec:
@@ -265,10 +305,10 @@ class _Simplex:
                       for i, scale in enumerate(self.scales)])
 
 
-def _eliminate(row: list[int], pivot_row: list[int], col: int, p: int, d: int) -> list[int]:
-    """`row` over the new common denominator p after pivoting on column col
-    of `pivot_row`; d is the old one.  Every division is exact."""
-    f = row[col]
+def _eliminate(row: list[int], pivot_row: list[int], f: int, p: int, d: int) -> list[int]:
+    """`row` over the new common denominator p after a pivot on `pivot_row`
+    in a column where `row` holds f; d is the old one.  Every division is
+    exact."""
     if f:
         return [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
     if p == d:
@@ -276,10 +316,11 @@ def _eliminate(row: list[int], pivot_row: list[int], col: int, p: int, d: int) -
     return [a * p // d for a in row]
 
 
-def simplex_max(c: Vec, rows, rhs):
-    """Low-level entry: maximize c·x with rows·x <= rhs and x >= 0.
-    Returns (status, payload, pivots)."""
-    sx = _Simplex(c, rows, rhs)
+def simplex_max(c: Vec, rows, rhs, free: bool):
+    """Low-level entry: maximize c·x with rows·x <= rhs, and x >= 0 unless
+    `free`, which makes every variable free.  Returns (status, payload,
+    pivots)."""
+    sx = _Simplex(c, rows, rhs, free)
     status, data = sx.solve()
     return status, data, sx.pivots
 
@@ -292,28 +333,17 @@ def simplex_max(c: Vec, rows, rhs):
 # so those free lists would add to the peak resident memory of long runs.
 
 
-def _split(v: Vec) -> list[Rat]:
-    """Coefficients of a free variable vector on its (+, -) column pairs."""
-    return [x for a in v for x in (a, -a)]
-
-
-def _join(vals: Vec) -> Vec:
-    """Free variable values from their (+, -) column pairs."""
-    return tuple([vals[j] - vals[j + 1] for j in range(0, len(vals), 2)])
-
-
 def lp_solve(p: LPProblem) -> LPOutcome:
     """Solve an LP exactly; deterministic for a fixed input.
 
-    Free variables become (+, -) column pairs and each equality two
-    opposite inequalities, which puts the problem in `simplex_max`'s
-    standard form."""
+    Each equality becomes two opposite inequalities and the variables stay
+    free, which puts the problem in `simplex_max`'s form."""
     c = [-a for a in p.objective] if p.sense == "min" else p.objective
     m1 = len(p.ineq_lhs)
     m2 = len(p.eq_lhs)
     rows = list(p.ineq_lhs) + list(p.eq_lhs) + [[-a for a in r] for r in p.eq_lhs]
     rhs = list(p.ineq_rhs) + list(p.eq_rhs) + [-v for v in p.eq_rhs]
-    status, data, pivots = simplex_max(_split(c), [_split(r) for r in rows], rhs)
+    status, data, pivots = simplex_max(c, rows, rhs, True)
     if status == "infeasible":
         y = data
         mult_eq = tuple([y[m1 + j] - y[m1 + m2 + j] for j in range(m2)])
@@ -321,9 +351,8 @@ def lp_solve(p: LPProblem) -> LPOutcome:
         return Infeasible(cert, pivots)
     if status == "unbounded":
         ray, point = data
-        return Unbounded(_join(ray), _join(point), pivots)
+        return Unbounded(ray, point, pivots)
     point, y = data
-    point = _join(point)
     value = dot(p.objective, point)
     dual_eq = tuple([y[m1 + j] - y[m1 + m2 + j] for j in range(m2)])
     return Optimal(point, value, tuple(y[:m1]), dual_eq, pivots)
@@ -334,6 +363,10 @@ def verify_farkas(p: LPProblem, cert: FarkasCertificate) -> bool:
     0·x <= negative; False for malformed certificates, never an error."""
     lam, mu = cert.multipliers_ineq, cert.multipliers_eq
     if len(lam) != len(p.ineq_lhs) or len(mu) != len(p.eq_lhs):
+        return False
+    # Exactly an int or a Fraction, as in `check_exact`: a float would
+    # make the test inexact, and None or a string cannot be compared.
+    if any(type(v) is not Rat and type(v) is not int for v in [*lam, *mu]):
         return False
     if any(v < 0 for v in lam):
         return False

@@ -458,5 +458,5 @@ def cone_contains(C: PolyCone, v: Vec) -> bool:
         rhs.append(v[j])
         rows.append(vneg(coeffs))
         rhs.append(-v[j])
-    status, _, _ = simplex_max(zeros(k), tuple(rows), tuple(rhs))
+    status, _, _ = simplex_max(zeros(k), tuple(rows), tuple(rhs), False)
     return status != "infeasible"

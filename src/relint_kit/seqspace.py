@@ -48,6 +48,8 @@ class HybridSeq:
     def make(cls, prefix=(), tail=None) -> "HybridSeq":
         t = None
         if tail is not None:
+            if not isinstance(tail, (tuple, list)) or len(tail) != 3:
+                raise InputError(f"tail must be a (c, q, start) triple, got {tail!r}")
             c, q, start = tail
             t = GeomTail(*vec((c, q)), start)
         return cls(vec(prefix), t)

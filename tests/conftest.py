@@ -11,7 +11,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from relint_kit.lp import LPProblem, Unbounded, lp_solve
+from relint_kit.lp import (
+    FarkasCertificate,
+    Infeasible,
+    LPOutcome,
+    LPProblem,
+    Optimal,
+    Unbounded,
+    lp_solve,
+    simplex_max,
+)
 from relint_kit.polyhedra import (
     HPolyhedron,
     PolyCone,
@@ -21,7 +30,7 @@ from relint_kit.polyhedra import (
     is_empty,
     v_to_h,
 )
-from relint_kit.rational import matvec, vneg, vsub
+from relint_kit.rational import dot, matvec, vneg, vsub
 from relint_kit.setmaps import PLConvexFunction, PolyhedralMap
 
 
@@ -80,6 +89,36 @@ def _subset(P: HPolyhedron, Q: HPolyhedron) -> bool:
             if isinstance(out, Unbounded) or out.value != delta:
                 return False
     return True
+
+
+def split_lp_solve(p: LPProblem) -> LPOutcome:
+    """Oracle: `lp_solve` through the split encoding, in which every free
+    variable is an explicit (+, -) pair of nonnegative columns and each
+    equality two opposite inequalities, solved by `simplex_max` with every
+    variable nonnegative.  Bland's rule makes the pivots a function of the
+    column order alone, so the outcome, pivot count included, is the one
+    `lp_solve` must return."""
+    def split(v):
+        return [x for a in v for x in (a, -a)]
+
+    def join(vals):
+        return tuple([vals[j] - vals[j + 1] for j in range(0, len(vals), 2)])
+
+    c = [-a for a in p.objective] if p.sense == "min" else p.objective
+    m1, m2 = len(p.ineq_lhs), len(p.eq_lhs)
+    rows = list(p.ineq_lhs) + list(p.eq_lhs) + [[-a for a in r] for r in p.eq_lhs]
+    rhs = list(p.ineq_rhs) + list(p.eq_rhs) + [-v for v in p.eq_rhs]
+    status, data, pivots = simplex_max(split(c), [split(r) for r in rows], rhs, False)
+    if status == "infeasible":
+        mult_eq = tuple([data[m1 + j] - data[m1 + m2 + j] for j in range(m2)])
+        return Infeasible(FarkasCertificate(tuple(data[:m1]), mult_eq), pivots)
+    if status == "unbounded":
+        ray, point = data
+        return Unbounded(join(ray), join(point), pivots)
+    point, y = data
+    point = join(point)
+    dual_eq = tuple([y[m1 + j] - y[m1 + m2 + j] for j in range(m2)])
+    return Optimal(point, dot(p.objective, point), tuple(y[:m1]), dual_eq, pivots)
 
 
 def same_set(P: HPolyhedron, Q: HPolyhedron) -> bool:

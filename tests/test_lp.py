@@ -6,13 +6,17 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from conftest import split_lp_solve
+from hypothesis import given, settings, strategies as st
 
 from relint_kit.errors import InputError
 from relint_kit.lp import (
+    FarkasCertificate,
     Infeasible,
     LPProblem,
     Optimal,
     Unbounded,
+    _Simplex,
     lp_solve,
     verify_farkas,
 )
@@ -90,17 +94,25 @@ def test_empty_constraint_sets_whole_space():
 
 def test_verify_farkas_rejects_noncontradiction():
     p = LPProblem.maximize(vec([1]), (mat([[1]]), vec([1])))
-    from relint_kit.lp import FarkasCertificate
-
     assert not verify_farkas(p, FarkasCertificate(vec([1]), ()))
 
 
 def test_verify_farkas_rejects_negative_multiplier():
     p = LPProblem.maximize(vec([1]), (mat([[1], [-1]]), vec([0, -1])))
-    from relint_kit.lp import FarkasCertificate
-
     assert not verify_farkas(p, FarkasCertificate(vec([-1, -1]), ()))
     assert not verify_farkas(p, FarkasCertificate(vec([1]), ()))
+
+
+@pytest.mark.parametrize("bad", [None, "1", 1.0, True, Decimal(1)],
+                         ids=["none", "str", "float", "bool", "decimal"])
+def test_verify_farkas_rejects_inexact_multipliers(bad):
+    # x <= -1 and -x <= -1 add up to 0 <= -2 with multipliers (1, 1); the
+    # same value as a float, a bool or a Decimal is not a certificate, and
+    # None or a string is no multiplier at all.
+    p = LPProblem.maximize(vec([1]), (mat([[1], [-1]]), vec([-1, -1])), (mat([[1]]), vec([0])))
+    assert verify_farkas(p, FarkasCertificate((1, Fraction(1)), (0,)))
+    assert not verify_farkas(p, FarkasCertificate((bad, 1), (0,)))
+    assert not verify_farkas(p, FarkasCertificate((1, 1), (bad,)))
 
 
 def test_dimension_mismatch_rejected():
@@ -247,3 +259,83 @@ def test_status_matches_highs():
             assert sign * res.fun == pytest.approx(float(out.value), rel=1e-7, abs=1e-7)
         seen.add(type(out))
     assert seen == {Optimal, Infeasible, Unbounded}
+
+
+def _rat(rng: random.Random, wide: bool) -> Fraction:
+    den = rng.choice((7919, 104729, 2**31 - 1, 10**9 + 7)) if wide else rng.choice((1, 1, 2, 3))
+    return Fraction(rng.randint(-9, 9) * (den if wide and rng.random() < 0.3 else 1), den)
+
+
+def _encoding_lp(rng: random.Random, kind: str) -> LPProblem:
+    """A small LP of one kind: "n0" has no variables, "free" no rows,
+    "eq" equalities only, "wide" large prime denominators, "mixed" both
+    blocks; either sense."""
+    n = 0 if kind == "n0" else rng.randint(1, 4)
+    m1 = 0 if kind in ("free", "eq") else rng.randint(0, 6)
+    m2 = 0 if kind == "free" else rng.randint(1, 3) if kind == "eq" else rng.randint(0, 2)
+    wide = kind == "wide"
+
+    def row():
+        return tuple([_rat(rng, wide) for _ in range(n)])
+
+    A = tuple([row() for _ in range(m1)])
+    b = tuple([_rat(rng, wide) + rng.randint(-1, 3) for _ in range(m1)])
+    E = tuple([row() for _ in range(m2)])
+    d = tuple([_rat(rng, wide) for _ in range(m2)])
+    return LPProblem(row(), rng.choice(("max", "min")), A, b, E, d)
+
+
+def test_free_columns_pivot_as_the_split_tableau():
+    # lp_solve stores each free variable once; the split encoding, with
+    # explicit (+, -) column pairs, must give the same outcome object,
+    # pivot count included.
+    rng = random.Random(1401)
+    seen = set()
+    for i in range(2500):
+        kind = ("n0", "free", "eq", "wide", "mixed", "mixed")[i % 6]
+        p = _encoding_lp(rng, kind)
+        out = lp_solve(p)
+        assert repr(out) == repr(split_lp_solve(p)), p
+        seen.add((kind, type(out).__name__))
+    kinds = {k for k, _ in seen}
+    for kind in ("eq", "wide", "mixed"):
+        assert {(kind, t) for t in ("Optimal", "Infeasible", "Unbounded")} <= seen, kind
+    assert kinds == {"n0", "free", "eq", "wide", "mixed"}
+    assert ("free", "Unbounded") in seen and ("free", "Optimal") in seen
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def lp_problems(draw):
+    n = draw(st.integers(0, 3))
+    m1, m2 = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    vector = st.lists(_small, min_size=n, max_size=n).map(tuple)
+    A = tuple(draw(st.lists(vector, min_size=m1, max_size=m1)))
+    E = tuple(draw(st.lists(vector, min_size=m2, max_size=m2)))
+    b = tuple(draw(st.lists(_small, min_size=m1, max_size=m1)))
+    d = tuple(draw(st.lists(_small, min_size=m2, max_size=m2)))
+    return LPProblem(draw(vector), draw(st.sampled_from(("max", "min"))), A, b, E, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_problems())
+def test_free_columns_pivot_as_the_split_tableau_hypothesis(p):
+    assert repr(lp_solve(p)) == repr(split_lp_solve(p))
+
+
+def test_free_tableau_stores_one_column_per_variable():
+    # Rows hold the variables' (+) columns, m slacks and the right-hand
+    # side; the phase-one auxiliary column is gone again after solving.
+    rng = random.Random(5)
+    for _ in range(50):
+        p = _encoding_lp(rng, "mixed")
+        rows = list(p.ineq_lhs) + list(p.eq_lhs) + [[-a for a in r] for r in p.eq_lhs]
+        rhs = list(p.ineq_rhs) + list(p.eq_rhs) + [-v for v in p.eq_rhs]
+        sx = _Simplex(p.objective, rows, rhs, True)
+        width = len(p.objective) + len(rows) + 1
+        assert [len(row) for row in sx.tab] == [width] * len(rows)
+        if sx.solve()[0] != "infeasible":
+            assert [len(row) for row in sx.tab] == [width] * len(rows)
+            assert len(sx.obj) == width

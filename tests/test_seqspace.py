@@ -65,6 +65,13 @@ def test_tail_ratio_validation():
         seq(tail=("1", "-1/2", 1))
 
 
+@pytest.mark.parametrize("tail", [("1/2", "1/2"), ("1/2", "1/2", 1, 0), 5, "1/2"],
+                         ids=["short", "long", "int", "str"])
+def test_tail_of_wrong_shape_rejected(tail):
+    with pytest.raises(InputError, match=r"\(c, q, start\) triple"):
+        seq(tail=tail)
+
+
 def test_tail_start_must_follow_prefix():
     with pytest.raises(InputError):
         HybridSeq((Fraction(1),), GeomTail(Fraction(1, 2), Fraction(1, 2), 5))

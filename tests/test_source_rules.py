@@ -43,6 +43,48 @@ def test_one_lp_front_end():
     assert _calls_to("lp_solve") == {("polyhedra", "_max_slack")}
 
 
+def _free_param(fn) -> tuple[bool, bool]:
+    """(takes a `free` parameter, gives it a default) for one function."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    for arg in positional:
+        if arg.arg == "free":
+            return True, arg in defaulted
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if arg.arg == "free":
+            return True, default is not None
+    return False, False
+
+
+def test_one_encoding_of_free_variables():
+    """The tableau stores a free variable's (+) column once and reads its
+    (-) column negated: no module defines `_split` or `_join`, which would
+    encode free variables a second way as explicit column pairs, and
+    neither `simplex_max` nor `_Simplex.__init__` gives `free` a default,
+    so each caller states whether its variables are free."""
+    helpers, params = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name in ("_split", "_join"):
+                    helpers.append((path.stem, node.name))
+            elif isinstance(node, ast.Assign):
+                helpers += [(path.stem, t.id) for t in node.targets
+                            if isinstance(t, ast.Name) and t.id in ("_split", "_join")]
+        if path.stem == "lp":
+            for top in tree.body:
+                if isinstance(top, ast.FunctionDef) and top.name == "simplex_max":
+                    params["simplex_max"] = _free_param(top)
+                if isinstance(top, ast.ClassDef) and top.name == "_Simplex":
+                    for fn in top.body:
+                        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                            params["_Simplex.__init__"] = _free_param(fn)
+    assert helpers == []
+    assert params == {"simplex_max": (True, False), "_Simplex.__init__": (True, False)}
+
+
 def _reads_lp(tree) -> tuple[bool, set[str]]:
     """(imports the LP module, the LP outcome names it mentions) for one
     module: `from .lp import ...`, `from . import lp` and `import
