@@ -1,22 +1,22 @@
 """Exact rational linear programming with self-validating certificates.
 
-A dense two-phase tableau simplex for the standard form max c·x subject
-to rows·x <= rhs, x >= 0 (`simplex_max`), using Bland's pivoting rule
-throughout, which guarantees termination and makes every outcome
-deterministic for a fixed input.  The tableau holds integers over one
-common denominator and pivots fraction-free; outcomes are exact
-`Fraction`s.  `lp_solve` alone reduces an `LPProblem` to that form: each
-equality becomes two opposite inequalities, and each free variable is a
+A dense two-phase tableau simplex for max c·x subject to rows·x <= rhs
+over free x (`simplex_max`), using Bland's pivoting rule throughout, which
+guarantees termination and makes every outcome deterministic for a fixed
+input.  The tableau holds integers over one common denominator and pivots
+fraction-free; outcomes are exact `Fraction`s.  Each free variable is a
 (+, -) column pair whose (-) column the tableau reads as the negative of
 its stored (+) column, so it is stored once and pivots as the split
-tableau would.  Outcomes carry checkable evidence: optimal points satisfy
-the constraints exactly, infeasibility comes with Farkas multipliers, and
-unboundedness comes with a feasible point plus an improving recession
-direction.
+tableau would.  `lp_solve` is the one front end: it turns each equality
+of an `LPProblem` into two opposite inequalities.  Outcomes carry
+checkable evidence: optimal points satisfy the constraints exactly,
+infeasibility comes with Farkas multipliers, and unboundedness comes with
+a feasible point plus an improving recession direction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
 
@@ -113,7 +113,7 @@ LPOutcome = Optimal | Infeasible | Unbounded
 
 
 class _Simplex:
-    """Tableau simplex in standard form: maximize c·x, rows·x <= rhs, x >= 0.
+    """Tableau simplex: maximize c·x over free x, rows·x <= rhs.
 
     The tableau is fraction-free (Bareiss 1968, Edmonds 1967).  Row i and
     its right-hand side are scaled by L_i, the lcm of their denominators,
@@ -124,8 +124,8 @@ class _Simplex:
     the same tableau over `Fraction`.  Points, rays and multipliers are
     converted back to exact `Fraction`s for the unscaled problem.
 
-    With `free`, every variable k is free: it is x+ - x- over a (+, -)
-    column pair at indices 2k and 2k + 1, and the slacks and the phase-one
+    Variable k is x+ - x- over a (+, -) column pair of nonnegative
+    variables at indices 2k and 2k + 1, and the slacks and the phase-one
     auxiliary follow from index 2n.  Only the (+) column is stored.  For
     any basis B, B^-1(-a) = -B^-1 a, and the reduced cost of (-) is minus
     that of (+), so the (-) column is read as -1 times the stored one.
@@ -135,11 +135,10 @@ class _Simplex:
     stored column and sign.
     """
 
-    def __init__(self, c: Vec, rows, rhs, free: bool):
+    def __init__(self, c: Vec, rows, rhs):
         self.n = len(c)
         self.m = len(rows)
-        self.free = free
-        self.slack0 = 2 * self.n if free else self.n
+        self.slack0 = 2 * self.n
         self.total = self.slack0 + self.m
         self.pivots = 0
         # Bland's rule visits each basis at most once.
@@ -162,9 +161,7 @@ class _Simplex:
         """(stored column, sign) of tableau index j."""
         if j >= self.slack0:
             return j - self.slack0 + self.n, 1
-        if self.free:
-            return j >> 1, -1 if j & 1 else 1
-        return j, 1
+        return j >> 1, -1 if j & 1 else 1
 
     def _pivot(self, r: int, j: int) -> None:
         self.pivots += 1
@@ -201,15 +198,12 @@ class _Simplex:
         """Bland's entering index: the least one with a negative reduced
         cost, or None at optimality."""
         obj = self.obj
-        start = 0
-        if self.free:
-            for k in range(self.n):
-                v = obj[k]
-                if v:
-                    # (+) has reduced cost v, (-) has -v.
-                    return 2 * k + (v > 0)
-            start = self.n
-        for col in range(start, len(obj) - 1):
+        for k in range(self.n):
+            v = obj[k]
+            if v:
+                # (+) has reduced cost v, (-) has -v.
+                return 2 * k + (v > 0)
+        for col in range(self.n, len(obj) - 1):
             if obj[col] < 0:
                 return col - self.n + self.slack0
         return None
@@ -266,7 +260,10 @@ class _Simplex:
         if self.total in self.basis:
             r = self.basis.index(self.total)
             row = self.tab[r]
-            for j in range(self.total):
+            # A (+, -) pair whose entry in this row is a has reduced costs
+            # -a and +a, both >= 0 at the phase-one optimum, so a = 0: only
+            # a slack can take the auxiliary's place.
+            for j in range(self.slack0, self.total):
                 if row[self._col(j)[0]] != 0 and j not in self.basis:
                     self._pivot(r, j)
                     break
@@ -316,11 +313,10 @@ def _eliminate(row: list[int], pivot_row: list[int], f: int, p: int, d: int) -> 
     return [a * p // d for a in row]
 
 
-def simplex_max(c: Vec, rows, rhs, free: bool):
-    """Low-level entry: maximize c·x with rows·x <= rhs, and x >= 0 unless
-    `free`, which makes every variable free.  Returns (status, payload,
-    pivots)."""
-    sx = _Simplex(c, rows, rhs, free)
+def simplex_max(c: Vec, rows, rhs):
+    """Low-level entry: maximize c·x over free x with rows·x <= rhs.
+    Returns (status, payload, pivots)."""
+    sx = _Simplex(c, rows, rhs)
     status, data = sx.solve()
     return status, data, sx.pivots
 
@@ -336,14 +332,14 @@ def simplex_max(c: Vec, rows, rhs, free: bool):
 def lp_solve(p: LPProblem) -> LPOutcome:
     """Solve an LP exactly; deterministic for a fixed input.
 
-    Each equality becomes two opposite inequalities and the variables stay
-    free, which puts the problem in `simplex_max`'s form."""
+    Each equality becomes two opposite inequalities, which puts the
+    problem in `simplex_max`'s form."""
     c = [-a for a in p.objective] if p.sense == "min" else p.objective
     m1 = len(p.ineq_lhs)
     m2 = len(p.eq_lhs)
     rows = list(p.ineq_lhs) + list(p.eq_lhs) + [[-a for a in r] for r in p.eq_lhs]
     rhs = list(p.ineq_rhs) + list(p.eq_rhs) + [-v for v in p.eq_rhs]
-    status, data, pivots = simplex_max(c, rows, rhs, True)
+    status, data, pivots = simplex_max(c, rows, rhs)
     if status == "infeasible":
         y = data
         mult_eq = tuple([y[m1 + j] - y[m1 + m2 + j] for j in range(m2)])
@@ -362,6 +358,8 @@ def verify_farkas(p: LPProblem, cert: FarkasCertificate) -> bool:
     """Check that the multipliers really combine the constraints into
     0·x <= negative; False for malformed certificates, never an error."""
     lam, mu = cert.multipliers_ineq, cert.multipliers_eq
+    if not isinstance(lam, Sequence) or not isinstance(mu, Sequence):
+        return False
     if len(lam) != len(p.ineq_lhs) or len(mu) != len(p.eq_lhs):
         return False
     # Exactly an int or a Fraction, as in `check_exact`: a float would

@@ -36,7 +36,7 @@ from .linalg import (
     rank,
     solve_linear_system,
 )
-from .lp import LPProblem, Optimal, lp_solve, simplex_max
+from .lp import LPProblem, Optimal, lp_solve
 from .rational import (
     Mat,
     ONE,
@@ -49,7 +49,6 @@ from .rational import (
     primitive,
     scaled_ints,
     vec,
-    vneg,
     vsub,
     zeros,
 )
@@ -444,19 +443,15 @@ def product(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:
 
 
 def cone_contains(C: PolyCone, v: Vec) -> bool:
-    """v in cone(generators), by feasibility of a nonnegative combination."""
+    """v in cone(generators), by the Farkas dual (Schrijver 1986, §7.8):
+    max v·y subject to g·y <= 0 for every generator g is bounded exactly
+    when v is a nonnegative combination of the generators.  With no
+    generators that LP is bounded exactly when v = 0.
+
+    An `Optimal` outcome's duals λ >= 0 satisfy Σλ_i g_i = v; an
+    `Unbounded` outcome's ray y has g·y <= 0 for every g and v·y > 0."""
     if len(v) != C.dim:
         raise InputError("cone membership query of wrong dimension")
     check_exact("cone membership query", v)
-    if not C.generators:
-        return all(c == 0 for c in v)
     k = len(C.generators)
-    rows, rhs = [], []
-    for j in range(C.dim):
-        coeffs = tuple(g[j] for g in C.generators)
-        rows.append(coeffs)
-        rhs.append(v[j])
-        rows.append(vneg(coeffs))
-        rhs.append(-v[j])
-    status, _, _ = simplex_max(zeros(k), tuple(rows), tuple(rhs), False)
-    return status != "infeasible"
+    return isinstance(lp_solve(LPProblem.maximize(v, (C.generators, zeros(k)))), Optimal)

@@ -19,7 +19,6 @@ from relint_kit.lp import (
     Optimal,
     Unbounded,
     lp_solve,
-    simplex_max,
 )
 from relint_kit.polyhedra import (
     HPolyhedron,
@@ -91,13 +90,106 @@ def _subset(P: HPolyhedron, Q: HPolyhedron) -> bool:
     return True
 
 
+class FractionSimplex:
+    """Oracle: a plain two-phase tableau simplex over `Fraction`s for max
+    c·x subject to rows·x <= rhs, x >= 0, sharing no code with
+    `relint_kit.lp`.
+
+    Bland's rule throughout: the least entering index with a negative
+    reduced cost, and the least ratio leaving, ties to the least basic
+    index.  Phase one drives an auxiliary column (index n + m, after the
+    slacks) into the row with the most negative right-hand side, and when
+    the auxiliary stays basic at level zero it leaves for the least
+    nonbasic index with a nonzero entry in its row.  Every pivot counts."""
+
+    def __init__(self, c, rows, rhs):
+        self.n, self.m = len(c), len(rows)
+        self.c = [Fraction(a) for a in c] + [Fraction(0)] * self.m
+        self.rhs = [Fraction(beta) for beta in rhs]
+        self.tab = [[Fraction(a) for a in row]
+                    + [Fraction(int(i == r)) for i in range(self.m)] + [self.rhs[r]]
+                    for r, row in enumerate(rows)]
+        self.basis = [self.n + i for i in range(self.m)]
+        self.pivots = 0
+
+    def _objective(self, cost):
+        # Reduced costs z_j - c_j, then the objective value.
+        obj = [-a for a in cost] + [Fraction(0)]
+        for row, b in zip(self.tab, self.basis):
+            obj = [o + cost[b] * t for o, t in zip(obj, row)]
+        self.obj = obj
+
+    def _pivot(self, r, j):
+        self.pivots += 1
+        p = self.tab[r][j]
+        self.tab[r] = pivot_row = [a / p for a in self.tab[r]]
+        for i, row in enumerate(self.tab):
+            if i != r and row[j]:
+                f = row[j]
+                self.tab[i] = [a - f * b for a, b in zip(row, pivot_row)]
+        f = self.obj[j]
+        self.obj = [a - f * b for a, b in zip(self.obj, pivot_row)]
+        self.basis[r] = j
+
+    def _bland(self):
+        """None at optimality, else the entering index of an improving ray."""
+        while True:
+            enter = next((j for j, v in enumerate(self.obj[:-1]) if v < 0), None)
+            if enter is None:
+                return None
+            rows = [i for i, row in enumerate(self.tab) if row[enter] > 0]
+            if not rows:
+                return enter
+            leave = min(rows, key=lambda i: (self.tab[i][-1] / self.tab[i][enter],
+                                             self.basis[i]))
+            self._pivot(leave, enter)
+
+    def _values(self):
+        vals = [Fraction(0)] * self.n
+        for row, b in zip(self.tab, self.basis):
+            if b < self.n:
+                vals[b] = row[-1]
+        return vals
+
+    def solve(self):
+        """(status, payload, pivots) with the payloads of `simplex_max`."""
+        n, m = self.n, self.m
+        if any(beta < 0 for beta in self.rhs):
+            aux = n + m
+            for row in self.tab:
+                row.insert(aux, Fraction(-1))
+            self._objective([Fraction(0)] * aux + [Fraction(-1)])
+            self._pivot(min(range(m), key=lambda i: (self.rhs[i], i)), aux)
+            self._bland()
+            if self.obj[-1] < 0:
+                return "infeasible", tuple(self.obj[n:n + m]), self.pivots
+            if aux in self.basis:
+                r = self.basis.index(aux)
+                j = next(j for j in range(aux)
+                         if self.tab[r][j] != 0 and j not in self.basis)
+                self._pivot(r, j)
+            for row in self.tab:
+                del row[aux]
+        self._objective(self.c)
+        enter = self._bland()
+        if enter is not None:
+            ray = [Fraction(0)] * n
+            if enter < n:
+                ray[enter] = Fraction(1)
+            for row, b in zip(self.tab, self.basis):
+                if b < n:
+                    ray[b] = -row[enter]
+            return "unbounded", (tuple(ray), tuple(self._values())), self.pivots
+        return "optimal", (tuple(self._values()), tuple(self.obj[n:n + m])), self.pivots
+
+
 def split_lp_solve(p: LPProblem) -> LPOutcome:
     """Oracle: `lp_solve` through the split encoding, in which every free
     variable is an explicit (+, -) pair of nonnegative columns and each
-    equality two opposite inequalities, solved by `simplex_max` with every
-    variable nonnegative.  Bland's rule makes the pivots a function of the
-    column order alone, so the outcome, pivot count included, is the one
-    `lp_solve` must return."""
+    equality two opposite inequalities, solved by `FractionSimplex`.
+    Bland's rule makes the pivots a function of the column order alone,
+    so the outcome, pivot count included, is the one `lp_solve` must
+    return."""
     def split(v):
         return [x for a in v for x in (a, -a)]
 
@@ -108,7 +200,7 @@ def split_lp_solve(p: LPProblem) -> LPOutcome:
     m1, m2 = len(p.ineq_lhs), len(p.eq_lhs)
     rows = list(p.ineq_lhs) + list(p.eq_lhs) + [[-a for a in r] for r in p.eq_lhs]
     rhs = list(p.ineq_rhs) + list(p.eq_rhs) + [-v for v in p.eq_rhs]
-    status, data, pivots = simplex_max(split(c), [split(r) for r in rows], rhs, False)
+    status, data, pivots = FractionSimplex(split(c), [split(r) for r in rows], rhs).solve()
     if status == "infeasible":
         mult_eq = tuple([data[m1 + j] - data[m1 + m2 + j] for j in range(m2)])
         return Infeasible(FarkasCertificate(tuple(data[:m1]), mult_eq), pivots)
@@ -119,6 +211,18 @@ def split_lp_solve(p: LPProblem) -> LPOutcome:
     point = join(point)
     dual_eq = tuple([y[m1 + j] - y[m1 + m2 + j] for j in range(m2)])
     return Optimal(point, dot(p.objective, point), tuple(y[:m1]), dual_eq, pivots)
+
+
+def primal_cone_contains(C: PolyCone, v) -> bool:
+    """Oracle: v in cone(generators) when some λ >= 0 has Gλ = v, each
+    equation written as two opposite rows, solved by `FractionSimplex`."""
+    rows, rhs = [], []
+    for j in range(C.dim):
+        coeffs = [g[j] for g in C.generators]
+        rows += [coeffs, [-a for a in coeffs]]
+        rhs += [v[j], -v[j]]
+    status, _, _ = FractionSimplex([0] * len(C.generators), rows, rhs).solve()
+    return status != "infeasible"
 
 
 def same_set(P: HPolyhedron, Q: HPolyhedron) -> bool:

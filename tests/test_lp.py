@@ -103,16 +103,22 @@ def test_verify_farkas_rejects_negative_multiplier():
     assert not verify_farkas(p, FarkasCertificate(vec([1]), ()))
 
 
-@pytest.mark.parametrize("bad", [None, "1", 1.0, True, Decimal(1)],
-                         ids=["none", "str", "float", "bool", "decimal"])
+@pytest.mark.parametrize("bad", [None, "1", 1.0, True, Decimal(1), FarkasCertificate(None, ()),
+                                 FarkasCertificate((1,), None), FarkasCertificate(5, ())],
+                         ids=["none", "str", "float", "bool", "decimal", "ineq-none", "eq-none",
+                              "ineq-int"])
 def test_verify_farkas_rejects_inexact_multipliers(bad):
     # x <= -1 and -x <= -1 add up to 0 <= -2 with multipliers (1, 1); the
     # same value as a float, a bool or a Decimal is not a certificate, and
-    # None or a string is no multiplier at all.
+    # None or a string is no multiplier at all, nor is a field that is not
+    # a sequence a list of multipliers.
     p = LPProblem.maximize(vec([1]), (mat([[1], [-1]]), vec([-1, -1])), (mat([[1]]), vec([0])))
     assert verify_farkas(p, FarkasCertificate((1, Fraction(1)), (0,)))
-    assert not verify_farkas(p, FarkasCertificate((bad, 1), (0,)))
-    assert not verify_farkas(p, FarkasCertificate((1, 1), (bad,)))
+    if isinstance(bad, FarkasCertificate):
+        assert not verify_farkas(p, bad)
+    else:
+        assert not verify_farkas(p, FarkasCertificate((bad, 1), (0,)))
+        assert not verify_farkas(p, FarkasCertificate((1, 1), (bad,)))
 
 
 def test_dimension_mismatch_rejected():
@@ -333,7 +339,7 @@ def test_free_tableau_stores_one_column_per_variable():
         p = _encoding_lp(rng, "mixed")
         rows = list(p.ineq_lhs) + list(p.eq_lhs) + [[-a for a in r] for r in p.eq_lhs]
         rhs = list(p.ineq_rhs) + list(p.eq_rhs) + [-v for v in p.eq_rhs]
-        sx = _Simplex(p.objective, rows, rhs, True)
+        sx = _Simplex(p.objective, rows, rhs)
         width = len(p.objective) + len(rows) + 1
         assert [len(row) for row in sx.tab] == [width] * len(rows)
         if sx.solve()[0] != "infeasible":

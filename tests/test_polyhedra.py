@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     fraction_linear_image,
     fraction_minkowski_diff,
+    primal_cone_contains,
     random_cone_rows,
     random_matrix,
     random_nonempty_hpoly,
@@ -146,6 +147,41 @@ def test_round_trip_on_random_instances():
         assert same_set(P, back)
         if not V.is_empty_set:
             assert v_member(V, ri_point(P))
+
+
+def test_cone_contains_matches_the_primal_oracle():
+    # cone_contains asks whether the Farkas dual max v·y, g·y <= 0 is
+    # bounded; the oracle solves the primal Σλ_i g_i = v, λ >= 0 on a
+    # simplex of its own.  Draws cover dimension 0, no generators, zero
+    # generators, v = 0 and v a nonnegative combination.
+    rng = random.Random(1501)
+
+    def rat():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+    seen = set()
+    for i in range(600):
+        n, k = i % 5, rng.randint(0, 5)
+        gens = [tuple([rat() for _ in range(n)]) for _ in range(k)]
+        if gens and rng.random() < 0.2:
+            gens[rng.randrange(k)] = zeros(n)
+        mode = rng.choice(("zero", "combination", "random"))
+        if mode == "zero":
+            v = zeros(n)
+        elif mode == "combination":
+            v = zeros(n)
+            for g in gens:
+                t = Fraction(rng.randint(0, 3), rng.randint(1, 2))
+                v = tuple([a + t * b for a, b in zip(v, g)])
+        else:
+            v = tuple([rat() for _ in range(n)])
+        C = PolyCone(tuple(gens), n)
+        inside = cone_contains(C, v)
+        assert inside == primal_cone_contains(C, v), (C, v)
+        assert inside or mode == "random", (C, v)
+        seen.add((n > 0, k > 0, inside))
+    assert seen == {(a, b, c) for a in (False, True) for b in (False, True)
+                    for c in (False, True)} - {(False, True, False), (False, False, False)}
 
 
 def test_dd_cone_rays_are_extreme():

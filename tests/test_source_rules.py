@@ -36,33 +36,25 @@ def _calls_to(name: str) -> set[tuple[str, str]]:
 
 def test_one_lp_front_end():
     """The tableau is built in one place, and only the general LP front
-    end and the cone-membership test encode problems for it.  Above the
-    front end, the slack LP is the one encoding of every LP question."""
+    end encodes problems for it.  Above the front end, the slack LP and
+    the Farkas dual of cone membership are the only encodings of an LP
+    question."""
     assert _calls_to("_Simplex") == {("lp", "simplex_max")}
-    assert _calls_to("simplex_max") == {("lp", "lp_solve"), ("polyhedra", "cone_contains")}
-    assert _calls_to("lp_solve") == {("polyhedra", "_max_slack")}
+    assert _calls_to("simplex_max") == {("lp", "lp_solve")}
+    assert _calls_to("lp_solve") == {("polyhedra", "_max_slack"), ("polyhedra", "cone_contains")}
 
 
-def _free_param(fn) -> tuple[bool, bool]:
-    """(takes a `free` parameter, gives it a default) for one function."""
+def _takes_free(fn) -> bool:
     args = fn.args
-    positional = args.posonlyargs + args.args
-    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
-    for arg in positional:
-        if arg.arg == "free":
-            return True, arg in defaulted
-    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        if arg.arg == "free":
-            return True, default is not None
-    return False, False
+    return any(arg.arg == "free" for arg in args.posonlyargs + args.args + args.kwonlyargs)
 
 
 def test_one_encoding_of_free_variables():
-    """The tableau stores a free variable's (+) column once and reads its
-    (-) column negated: no module defines `_split` or `_join`, which would
-    encode free variables a second way as explicit column pairs, and
-    neither `simplex_max` nor `_Simplex.__init__` gives `free` a default,
-    so each caller states whether its variables are free."""
+    """Every variable of the tableau is free, its (+) column stored once
+    and its (-) column read negated: no module defines `_split` or
+    `_join`, which would encode free variables a second way as explicit
+    column pairs, and neither `simplex_max` nor `_Simplex.__init__` takes
+    a `free` parameter that would bring back a nonnegative mode."""
     helpers, params = [], {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -76,13 +68,13 @@ def test_one_encoding_of_free_variables():
         if path.stem == "lp":
             for top in tree.body:
                 if isinstance(top, ast.FunctionDef) and top.name == "simplex_max":
-                    params["simplex_max"] = _free_param(top)
+                    params["simplex_max"] = _takes_free(top)
                 if isinstance(top, ast.ClassDef) and top.name == "_Simplex":
                     for fn in top.body:
                         if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
-                            params["_Simplex.__init__"] = _free_param(fn)
+                            params["_Simplex.__init__"] = _takes_free(fn)
     assert helpers == []
-    assert params == {"simplex_max": (True, False), "_Simplex.__init__": (True, False)}
+    assert params == {"simplex_max": False, "_Simplex.__init__": False}
 
 
 def _reads_lp(tree) -> tuple[bool, set[str]]:
