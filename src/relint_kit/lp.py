@@ -1,17 +1,17 @@
 """Exact rational linear programming with self-validating certificates.
 
-A dense two-phase tableau simplex for max c·x subject to rows·x <= rhs
+A dense two-phase tableau simplex for max c·x subject to a_i·x <= beta_i
 over free x (`simplex_max`), using Bland's pivoting rule throughout, which
 guarantees termination and makes every outcome deterministic for a fixed
-input.  The tableau holds integers over one common denominator and pivots
-fraction-free; outcomes are exact `Fraction`s.  Each free variable is a
-(+, -) column pair whose (-) column the tableau reads as the negative of
-its stored (+) column, so it is stored once and pivots as the split
-tableau would.  `lp_solve` is the one front end: it turns each equality
-of an `LPProblem` into two opposite inequalities.  Outcomes carry
-checkable evidence: optimal points satisfy the constraints exactly,
-infeasibility comes with Farkas multipliers, and unboundedness comes with
-a feasible point plus an improving recession direction.
+input.  It takes the cost and rows as integers and pivots fraction-free;
+outcomes are exact `Fraction`s, the optimal value read off the tableau.
+Each free variable is a (+, -) column pair whose (-) column the tableau
+reads as the negative of its stored (+) column, so it is stored once and
+pivots as the split tableau would.  `lp_solve` is the one front end: it
+scales each row of an `LPProblem` to integers once and turns each equality
+into two opposite inequalities.  Outcomes carry checkable evidence: optimal
+points satisfy the constraints exactly, infeasibility comes with Farkas
+multipliers, and unboundedness a feasible point and an improving ray.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from math import comb
 from .errors import InputError, TheoremViolation
 from .rational import (
     Mat,
-    ONE,
     Rat,
     Vec,
     ZERO,
@@ -113,16 +112,17 @@ LPOutcome = Optimal | Infeasible | Unbounded
 
 
 class _Simplex:
-    """Tableau simplex: maximize c·x over free x, rows·x <= rhs.
+    """Tableau simplex: maximize c·x over free x, a_i·x <= beta_i.
 
-    The tableau is fraction-free (Bareiss 1968, Edmonds 1967).  Row i and
-    its right-hand side are scaled by L_i, the lcm of their denominators,
-    and the cost by Lc, so every entry is an integer over one common
-    denominator D: the last pivot, kept positive.  Scaling row i rescales
-    only slack i (to L_i times its value), which changes neither the sign
-    of a reduced cost nor which ratio is least, so the pivots are those of
-    the same tableau over `Fraction`.  Points, rays and multipliers are
-    converted back to exact `Fraction`s for the unscaled problem.
+    The tableau is fraction-free (Bareiss 1968, Edmonds 1967), built from
+    the cost as (Lc, Lc·c) and row i as (L_i, L_i·(a_i, beta_i)), each L
+    the lcm of the denominators, so every entry is an integer over one
+    common denominator D: the last pivot, kept positive.  Scaling row i
+    rescales only slack i (to L_i times its value), which changes neither
+    the sign of a reduced cost nor which ratio is least, so the pivots are
+    those of the same tableau over `Fraction`.  Points, rays, multipliers
+    and the optimal value c·x (the objective row's last entry over D·Lc)
+    are exact `Fraction`s of the unscaled problem.
 
     Variable k is x+ - x- over a (+, -) column pair of nonnegative
     variables at indices 2k and 2k + 1, and the slacks and the phase-one
@@ -135,24 +135,22 @@ class _Simplex:
     stored column and sign.
     """
 
-    def __init__(self, c: Vec, rows, rhs):
-        self.n = len(c)
+    def __init__(self, cost: tuple[int, list[int]], rows: list[tuple[int, list[int]]]):
+        self.cost_scale, c = cost
+        self.n = n = len(c)
         self.m = len(rows)
-        self.slack0 = 2 * self.n
+        self.slack0 = 2 * n
         self.total = self.slack0 + self.m
         self.pivots = 0
         # Bland's rule visits each basis at most once.
         self.pivot_limit = comb(self.total + 1, self.m) if self.m else 1
-        self.rhs = rhs
-        self.cost_scale, self.cost = scaled_ints(c)
-        self.cost += [0] * self.m
-        self.scales: list[int] = []
+        self.cost = [*c, *[0] * self.m]
+        self.scales = [scale for scale, _ in rows]
         self.tab: list[list[int]] = []
-        for i, (row, beta) in enumerate(zip(rows, rhs)):
-            scale, t = scaled_ints([*row, beta])
-            t[self.n:self.n] = [0] * self.m
-            t[self.n + i] = 1
-            self.scales.append(scale)
+        for i, (_, t) in enumerate(rows):
+            t = t[:]
+            t[n:n] = [0] * self.m
+            t[n + i] = 1
             self.tab.append(t)
         self.denom = 1
         self.basis = [self.slack0 + i for i in range(self.m)]
@@ -241,16 +239,20 @@ class _Simplex:
         enter = self._bland()
         if enter is not None:
             return "unbounded", (self._extract_ray(enter), self._extract_point())
-        return "optimal", (self._extract_point(), self._duals(self.cost_scale))
+        value = Rat(self.obj[-1], self.denom * self.cost_scale)
+        return "optimal", (self._extract_point(), self._duals(self.cost_scale), value)
 
     def _phase_one(self):
         aux = len(self.cost)
         for row, scale in zip(self.tab, self.scales):
             row.insert(aux, -scale * self.denom)
         aux_cost = [0] * aux + [-1]
-        # Drive the auxiliary variable (index total) in at the most
-        # negative row of the unscaled problem.
-        r0 = min(range(self.m), key=lambda i: (self.rhs[i], i))
+        # Drive the auxiliary variable (index total) in at the most negative
+        # row of the unscaled problem, the least t[-1] / L_i, ties to the lower index.
+        r0 = 0
+        for i in range(1, self.m):
+            if self.tab[i][-1] * self.scales[r0] < self.tab[r0][-1] * self.scales[i]:
+                r0 = i
         self._rebuild_objective(aux_cost)
         self._pivot(r0, self.total)
         if self._bland() is not None:
@@ -313,10 +315,11 @@ def _eliminate(row: list[int], pivot_row: list[int], f: int, p: int, d: int) -> 
     return [a * p // d for a in row]
 
 
-def simplex_max(c: Vec, rows, rhs):
-    """Low-level entry: maximize c·x over free x with rows·x <= rhs.
-    Returns (status, payload, pivots)."""
-    sx = _Simplex(c, rows, rhs)
+def simplex_max(cost: tuple[int, list[int]], rows: list[tuple[int, list[int]]]):
+    """Low-level entry: maximize c·x over free x with a_i·x <= beta_i, given
+    as (Lc, Lc·c) and (L_i, L_i·(a_i, beta_i)) from `scaled_ints`.  Returns
+    (status, payload, pivots); an optimal payload is (point, duals, value)."""
+    sx = _Simplex(cost, rows)
     status, data = sx.solve()
     return status, data, sx.pivots
 
@@ -332,14 +335,15 @@ def simplex_max(c: Vec, rows, rhs):
 def lp_solve(p: LPProblem) -> LPOutcome:
     """Solve an LP exactly; deterministic for a fixed input.
 
-    Each equality becomes two opposite inequalities, which puts the
-    problem in `simplex_max`'s form."""
+    Each row is scaled to integers once, and each equality becomes two
+    opposite inequalities, which puts the problem in `simplex_max`'s form."""
     c = [-a for a in p.objective] if p.sense == "min" else p.objective
     m1 = len(p.ineq_lhs)
     m2 = len(p.eq_lhs)
-    rows = list(p.ineq_lhs) + list(p.eq_lhs) + [[-a for a in r] for r in p.eq_lhs]
-    rhs = list(p.ineq_rhs) + list(p.eq_rhs) + [-v for v in p.eq_rhs]
-    status, data, pivots = simplex_max(c, rows, rhs)
+    rows = [scaled_ints([*row, beta]) for row, beta in zip(p.ineq_lhs, p.ineq_rhs)]
+    eqs = [scaled_ints([*row, delta]) for row, delta in zip(p.eq_lhs, p.eq_rhs)]
+    rows += eqs + [(scale, [-k for k in t]) for scale, t in eqs]
+    status, data, pivots = simplex_max(scaled_ints(c), rows)
     if status == "infeasible":
         y = data
         mult_eq = tuple([y[m1 + j] - y[m1 + m2 + j] for j in range(m2)])
@@ -348,10 +352,9 @@ def lp_solve(p: LPProblem) -> LPOutcome:
     if status == "unbounded":
         ray, point = data
         return Unbounded(ray, point, pivots)
-    point, y = data
-    value = dot(p.objective, point)
+    point, y, value = data
     dual_eq = tuple([y[m1 + j] - y[m1 + m2 + j] for j in range(m2)])
-    return Optimal(point, value, tuple(y[:m1]), dual_eq, pivots)
+    return Optimal(point, -value if p.sense == "min" else value, tuple(y[:m1]), dual_eq, pivots)
 
 
 def verify_farkas(p: LPProblem, cert: FarkasCertificate) -> bool:

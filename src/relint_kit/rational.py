@@ -100,6 +100,13 @@ def scaled_ints(v) -> tuple[int, list[int]]:
     return L, [a.numerator * (L // a.denominator) for a in v]
 
 
+def common_ints(vectors) -> tuple[int, list[list[int]]]:
+    """(L, [[L·a for a in v] for v in vectors]) with L > 0 the lcm of every
+    denominator, so the vectors over one common denominator; L = 1 if none."""
+    L = lcm(*[a.denominator for v in vectors for a in v])
+    return L, [[a.numerator * (L // a.denominator) for a in v] for v in vectors]
+
+
 def primitive(ints) -> tuple[int, ...]:
     """Integers divided by their gcd, so coprime; the zero vector is left
     as it is.  Positive scaling only, so directions are preserved."""

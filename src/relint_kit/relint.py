@@ -33,7 +33,7 @@ from .polyhedra import (
     implicit_rows,
     is_empty,
 )
-from .rational import ONE, Rat, Vec, vadd, vneg, vscale, vsub, zeros
+from .rational import ONE, Rat, Vec, common_ints, vadd, vneg, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -158,14 +158,14 @@ def is_subspace(C: PolyCone) -> bool:
     """True iff -g lies in the cone for every generator g.
 
     Equivalent single query: a cone contains the negation of each of its
-    generators exactly when it contains the negated sum of all of them.
+    generators exactly when it contains the negated sum of all of them, or
+    any positive multiple of it, such as L·(-Σg) over the generators'
+    common denominator L.
     """
     if not C.generators:
         return True
-    total = zeros(C.dim)
-    for g in C.generators:
-        total = vadd(total, g)
-    return cone_contains(C, vneg(total))
+    _, rows = common_ints(C.generators)
+    return cone_contains(C, tuple([-sum(col) for col in zip(*rows)]))
 
 
 def normal_cone(P: HPolyhedron, x: Vec) -> PolyCone:
@@ -194,16 +194,18 @@ def normal_cone(P: HPolyhedron, x: Vec) -> PolyCone:
 
 def in_iri(P: HPolyhedron, x: Vec) -> bool:
     """Intrinsic relative interior: cone(P - x) is a linear subspace."""
-    if is_empty(P) or not P.contains(x):
+    try:
+        return not is_empty(P) and is_subspace(conic_hull_at(P, x))
+    except PointNotInSetError:
         return False
-    return is_subspace(conic_hull_at(P, x))
 
 
 def in_qri(P: HPolyhedron, x: Vec) -> bool:
     """Quasi-relative interior via the normal-cone subspace criterion."""
-    if is_empty(P) or not P.contains(x):
+    try:
+        return not is_empty(P) and is_subspace(normal_cone(P, x))
+    except PointNotInSetError:
         return False
-    return is_subspace(normal_cone(P, x))
 
 
 def prolongation_test(

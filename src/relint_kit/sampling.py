@@ -9,10 +9,10 @@ the sample list is reproducible byte for byte.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from operator import mul
 
 from .polyhedra import HPolyhedron, h_to_v
-from .rational import Rat, Vec, vadd, vscale
+from .rational import Rat, Vec, common_ints, vadd
 from .relint import ri_point
 
 # How many rays shift the center and the first generator point.
@@ -29,13 +29,15 @@ def sample_points(
     dimensions at desk scale."""
     V = h_to_v(P)
     pts = list(V.points)
+    # Midpoints and combinations over the points' common denominator L.
+    L, ints = common_ints(pts)
     samples: list[Vec] = list(pts)
     mids = 0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if mids >= midpoint_cap:
                 break
-            samples.append(vscale(Rat(1, 2), vadd(pts[i], pts[j])))
+            samples.append(tuple([Rat(a + b, 2 * L) for a, b in zip(ints[i], ints[j])]))
             mids += 1
     center = ri_point(P)
     samples.append(center)
@@ -44,6 +46,7 @@ def sample_points(
         if pts:
             samples.append(vadd(pts[0], r))
     rng = random.Random(seed)
+    columns = list(zip(*ints))
     for _ in range(random_combos):
         if not pts:
             break
@@ -51,12 +54,7 @@ def sample_points(
         total = sum(weights)
         if total == 0:
             continue
-        combo = tuple(
-            sum((Fraction(w, total) * p[j] for w, p in zip(weights, pts)),
-                Fraction(0))
-            for j in range(P.dim)
-        )
-        samples.append(combo)
+        samples.append(tuple([Rat(sum(map(mul, weights, col)), L * total) for col in columns]))
     seen = set()
     out = []
     for s in samples:

@@ -18,15 +18,12 @@ from relint_kit.lp import (
     LPProblem,
     Optimal,
     Unbounded,
-    lp_solve,
 )
 from relint_kit.polyhedra import (
     HPolyhedron,
     PolyCone,
     VPolyhedron,
-    cone_contains,
     h_to_v,
-    is_empty,
     v_to_h,
 )
 from relint_kit.rational import dot, matvec, vneg, vsub
@@ -72,22 +69,6 @@ def recession_contains(P: HPolyhedron, v) -> bool:
     def dot(row):
         return sum((a * c for a, c in zip(row, v)), Fraction(0))
     return all(dot(row) <= 0 for row in P.A) and all(dot(row) == 0 for row in P.E)
-
-
-def _subset(P: HPolyhedron, Q: HPolyhedron) -> bool:
-    """P contained in Q, decided by one bound LP per row of Q."""
-    if is_empty(P):
-        return True
-    for row, beta in zip(Q.A, Q.b):
-        out = lp_solve(LPProblem.maximize(row, (P.A, P.b), (P.E, P.d)))
-        if isinstance(out, Unbounded) or out.value > beta:
-            return False
-    for row, delta in zip(Q.E, Q.d):
-        for sense in ("max", "min"):
-            out = lp_solve(LPProblem(row, sense, P.A, P.b, P.E, P.d))
-            if isinstance(out, Unbounded) or out.value != delta:
-                return False
-    return True
 
 
 class FractionSimplex:
@@ -152,7 +133,8 @@ class FractionSimplex:
         return vals
 
     def solve(self):
-        """(status, payload, pivots) with the payloads of `simplex_max`."""
+        """(status, payload, pivots): an optimal payload is (point, duals),
+        an unbounded one (ray, point), an infeasible one the multipliers."""
         n, m = self.n, self.m
         if any(beta < 0 for beta in self.rhs):
             aux = n + m
@@ -225,9 +207,28 @@ def primal_cone_contains(C: PolyCone, v) -> bool:
     return status != "infeasible"
 
 
+def _subset(P: HPolyhedron, Q: HPolyhedron) -> bool:
+    """P contained in Q, decided by one bound LP per row of Q, all solved
+    by `split_lp_solve`; P is empty when its feasibility LP is."""
+    if isinstance(split_lp_solve(LPProblem.maximize([0] * P.dim, (P.A, P.b), (P.E, P.d))),
+                  Infeasible):
+        return True
+    for row, beta in zip(Q.A, Q.b):
+        out = split_lp_solve(LPProblem.maximize(row, (P.A, P.b), (P.E, P.d)))
+        if isinstance(out, Unbounded) or out.value > beta:
+            return False
+    for row, delta in zip(Q.E, Q.d):
+        for sense in ("max", "min"):
+            out = split_lp_solve(LPProblem(row, sense, P.A, P.b, P.E, P.d))
+            if isinstance(out, Unbounded) or out.value != delta:
+                return False
+    return True
+
+
 def same_set(P: HPolyhedron, Q: HPolyhedron) -> bool:
     """Oracle: mutual containment of two H-polyhedra, by bound LPs on the
-    rows, independent of double description."""
+    rows on `FractionSimplex`, independent of double description and of
+    `relint_kit.lp`'s solver."""
     if P.dim != Q.dim:
         return False
     return _subset(P, Q) and _subset(Q, P)
@@ -235,12 +236,13 @@ def same_set(P: HPolyhedron, Q: HPolyhedron) -> bool:
 
 def v_member(V: VPolyhedron, x) -> bool:
     """Oracle: x in conv(points) + cone(rays), by cone membership of (x, 1)
-    in the homogenized generators; independent of any H-representation."""
+    in the homogenized generators on `FractionSimplex`; independent of any
+    H-representation and of `relint_kit.lp`'s solver."""
     if V.is_empty_set:
         return False
     one, zero = Fraction(1), Fraction(0)
     gens = tuple(p + (one,) for p in V.points) + tuple(r + (zero,) for r in V.rays)
-    return cone_contains(PolyCone(gens, V.dim + 1), tuple(x) + (one,))
+    return primal_cone_contains(PolyCone(gens, V.dim + 1), tuple(x) + (one,))
 
 
 def fraction_linear_image(M, P: HPolyhedron) -> HPolyhedron:

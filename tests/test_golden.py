@@ -39,6 +39,7 @@ from relint_kit.relint import (
     ri_membership,
     ri_point,
 )
+from relint_kit.sampling import sample_points
 from relint_kit.separation import (
     NotSeparable,
     Separated,
@@ -144,6 +145,7 @@ DD_CONES = "2aee486e777e10c8dd2c5d150fdbd304aa37ea0c93f6af72e9911f88af4d6462"
 POINT_PREDICATES = "39ee2333da2f01d906c0c6889a2edaa0929c5bb671cedfced143f7bfb0b21d23"
 LINEAR_IMAGES = "a434a64bd4d20d0387996602c70978f34e72c6f14dc9bc0b7ff4f5869f69dd75"
 MINKOWSKI_DIFFS = "8fd489531d47a3de6ab10e5c148b34d3670213f55689b28eb6d808541e5e680d"
+SAMPLE_POINTS = "52c217ee2823c32bc8aef3a45ee736cfda1718c37284b95e3db22684dd88bad5"
 
 
 def test_lp_outcomes_and_pivot_counts_are_pinned():
@@ -444,3 +446,60 @@ def test_minkowski_diffs_are_pinned():
         outputs.append(minkowski_diff(P1, P2))
     assert {(kind, True) for kind in ("empty", "line", "repeated point")} <= kinds
     assert _digest(outputs) == MINKOWSKI_DIFFS
+
+
+# -- sampling ------------------------------------------------------------------
+#
+# The sample list (generator points, midpoints, the ri point, ray shifts and
+# seeded convex combinations, deduplicated in order) feeds every sampled
+# check, so its order and its exact entries are pinned.  The sets are
+# anchored at points with wide coprime denominators; some are boxed, some
+# carry a free coordinate (a line), some are singletons.
+
+
+def _sampled_set(rng: random.Random, n: int) -> HPolyhedron:
+    if n > 1 and rng.random() < 0.25:
+        return _free_coordinate(_sampled_set(rng, n - 1), rng.randrange(n))
+    anchor = tuple(_wide_small(rng) for _ in range(n))
+    u = rng.random()
+    if u < 0.1:
+        return HPolyhedron.singleton(anchor)
+    A, b, E, d = [], [], [], []
+    if u < 0.7:
+        for j in range(n):
+            for sign in (1, -1):
+                A.append(tuple(Fraction(sign) if k == j else ZERO for k in range(n)))
+                b.append(sign * anchor[j] + Fraction(rng.randint(0, 9), rng.choice(WIDE_DENOMINATORS)))
+    for _ in range(rng.randint(0, n + 1)):
+        row = tuple(_wide_small(rng) for _ in range(n))
+        value = sum((a * x for a, x in zip(row, anchor)), Fraction(0))
+        if rng.random() < 0.15:
+            E.append(row)
+            d.append(value)
+        else:
+            slack = ZERO if rng.random() < 0.3 else Fraction(
+                rng.randint(1, 9), rng.choice(WIDE_DENOMINATORS))
+            A.append(row)
+            b.append(value + slack)
+    return HPolyhedron(tuple(A), tuple(b), tuple(E), tuple(d), n)
+
+
+def test_sample_points_are_pinned():
+    rng = random.Random(4010)
+    samples, kinds = [], set()
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        P = _sampled_set(rng, n)
+        V = h_to_v(P)
+        seed = rng.choice((0, 1, 7, 402, 4010))
+        cap, combos = rng.choice(((12, 10), (6, 4), (4, 3), (0, 10)))
+        points = sample_points(P, seed=seed, midpoint_cap=cap, random_combos=combos)
+        kinds.add(("dim", n))
+        kinds.add(("singleton", len(V.points) == 1 and not V.rays))
+        kinds.add(("rays", bool(V.rays)))
+        kinds.add(("line", any(vneg(r) in V.rays for r in V.rays)))
+        kinds.add(("wide", any(c.denominator > 30 for x in points for c in x)))
+        samples.append((seed, cap, combos, points))
+    assert {("dim", n) for n in range(1, 6)} <= kinds
+    assert {(kind, True) for kind in ("singleton", "rays", "line", "wide")} <= kinds
+    assert _digest(samples) == SAMPLE_POINTS

@@ -20,7 +20,7 @@ from relint_kit.lp import (
     lp_solve,
     verify_farkas,
 )
-from relint_kit.rational import dot, mat, vec
+from relint_kit.rational import dot, mat, scaled_ints, vec
 
 UNIT_SQUARE = (
     mat([[1, 0], [-1, 0], [0, 1], [0, -1]]),
@@ -310,6 +310,42 @@ def test_free_columns_pivot_as_the_split_tableau():
     assert ("free", "Unbounded") in seen and ("free", "Optimal") in seen
 
 
+def _boxed_lp(rng: random.Random) -> LPProblem:
+    """An LP with denominators up to 97, no variables in some draws and a
+    box around the origin in most, so that most outcomes are optimal."""
+    n = rng.choice((0, 1, 2, 3, 4, 5))
+
+    def rat():
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 97))
+
+    A = [tuple([rat() for _ in range(n)]) for _ in range(rng.randint(0, 4))]
+    b = [rat() + rng.randint(0, 3) for _ in A]
+    if rng.random() < 0.8:
+        for j in range(n):
+            for sign in (1, -1):
+                A.append(tuple([Fraction(sign, rng.randint(1, 97)) if k == j else 0
+                                for k in range(n)]))
+                b.append(Fraction(rng.randint(1, 99), rng.randint(1, 97)))
+    E = tuple([tuple([rat() for _ in range(n)]) for _ in range(rng.choice((0, 0, 1, 2)))])
+    d = tuple([rat() if rng.random() < 0.7 else Fraction(0) for _ in E])
+    c = tuple([rat() for _ in range(n)])
+    return LPProblem(c, rng.choice(("max", "min")), tuple(A), tuple(b), E, d)
+
+
+def test_optimal_value_read_off_the_tableau_is_the_objective_at_the_point():
+    rng = random.Random(1601)
+    seen = set()
+    for _ in range(2000):
+        p = _boxed_lp(rng)
+        out = lp_solve(p)
+        if isinstance(out, Optimal):
+            assert type(out.value) is Fraction
+            assert out.value == dot(p.objective, out.point), p
+            seen.add((p.sense, p.dim == 0, bool(p.eq_lhs)))
+    assert seen == {(sense, n0, eq) for sense in ("max", "min")
+                    for n0 in (True, False) for eq in (True, False)}
+
+
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
@@ -339,7 +375,8 @@ def test_free_tableau_stores_one_column_per_variable():
         p = _encoding_lp(rng, "mixed")
         rows = list(p.ineq_lhs) + list(p.eq_lhs) + [[-a for a in r] for r in p.eq_lhs]
         rhs = list(p.ineq_rhs) + list(p.eq_rhs) + [-v for v in p.eq_rhs]
-        sx = _Simplex(p.objective, rows, rhs)
+        sx = _Simplex(scaled_ints(p.objective),
+                      [scaled_ints([*row, beta]) for row, beta in zip(rows, rhs)])
         width = len(p.objective) + len(rows) + 1
         assert [len(row) for row in sx.tab] == [width] * len(rows)
         if sx.solve()[0] != "infeasible":

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from relint_kit.errors import InputError
 from relint_kit.polyhedra import HPolyhedron, VPolyhedron
 from relint_kit.rational import (
+    common_ints,
     dot,
     format_rational,
     mat,
@@ -128,6 +129,31 @@ def test_scaled_ints_and_primitive_match_a_fraction_oracle():
         else:
             assert prim == tuple(Fraction(k, g) for k in ints)
         assert primitive_int(v) == prim
+
+
+def test_common_ints_match_fraction_arithmetic():
+    def oracle(vectors):
+        # The least L > 0 with every L·a an integer, found by Fraction
+        # arithmetic alone.
+        L = 1
+        for v in vectors:
+            for a in v:
+                L *= (L * Fraction(a)).denominator
+        return L, [[int(L * Fraction(a)) for a in v] for v in vectors]
+
+    assert common_ints([]) == (1, [])
+    assert common_ints([[], []]) == (1, [[], []])
+    assert common_ints([[3, -2], [0, 5]]) == (1, [[3, -2], [0, 5]])
+    assert common_ints([[Fraction(1, 6), 2], [Fraction(-3, 4), Fraction(0)]]) == (
+        12, [[2, 24], [-9, 0]])
+    vectors = list(_seeded_vectors())
+    for k in range(len(vectors)):
+        group = vectors[k:k + 3]
+        L, rows = common_ints(group)
+        assert (L, rows) == oracle(group)
+        assert all(type(x) is int for row in rows for x in row)
+        assert [[Fraction(x, L) for x in row] for row in rows] == [
+            [Fraction(a) for a in v] for v in group]
 
 
 def test_dot_product_exact():
