@@ -20,7 +20,7 @@ from pathlib import Path
 from . import docio
 from .errors import InputError, RelintKitError, TheoremViolation
 from .polyhedra import HPolyhedron, h_to_v, is_empty
-from .rational import format_rational, parse_rational, unit
+from .rational import parse_rational, unit
 from .relint import (
     characterization_suite,
     conic_hull_at,
@@ -87,18 +87,22 @@ def _hpoly_docs(docs):
 
 
 # -- single-instance commands --------------------------------------------------
+#
+# Each returns (report body, exit code, printed lines); values go into the
+# body as they are, and docio encodes the whole report once.
+
+
+def _verdict(ok: bool, ident: str, check: str) -> tuple[int, list[str]]:
+    """Exit code and printed line of a command's one check."""
+    return (0 if ok else 1), [f"{'ok' if ok else 'FAIL'} {ident} {check}"]
 
 
 def _cmd_ri_check(args, docs):
     ident, P = _hpoly_docs(docs)[0]
     x = _parse_point(args.point)
     res = ri_membership(P, x)
-    report = {
-        "instance": ident,
-        "point": docio.ser_vec(x),
-        "in_relative_interior": res.member,
-        "witness": docio.witness_doc(res.witness),
-    }
+    report = {"instance": ident, "point": x, "in_relative_interior": res.member,
+              "witness": res.witness}
     return report, 0, [f"{'ok' if res.member else 'no'} {ident} ri-membership"]
 
 
@@ -106,17 +110,17 @@ def _cmd_ri_point(args, docs):
     ident, P = _hpoly_docs(docs)[0]
     p = ri_point(P)
     ok = ri_membership(P, p).member
-    report = {"instance": ident, "point": docio.ser_vec(p), "self_check": ok}
-    return report, 0 if ok else 1, [f"{'ok' if ok else 'FAIL'} {ident} ri-point"]
+    return {"instance": ident, "point": p, "self_check": ok}, *_verdict(ok, ident, "ri-point")
 
 
 def _cmd_suite(args, docs):
     ident, P = _hpoly_docs(docs)[0]
-    x = _parse_point(args.point)
-    rep = characterization_suite(P, x, set_id=ident)
-    report = {"instance": ident, "suite": docio.membership_report_doc(rep)}
-    return report, 0 if rep.agree else 1, [
-        f"{'ok' if rep.agree else 'FAIL'} {ident} characterization-equivalence"]
+    rep = characterization_suite(P, _parse_point(args.point), set_id=ident)
+    suite = docio.report_fields(
+        rep, "point", "set_id", "ri_def", "prolongation", "cone_subspace",
+        "closed_cone_subspace", "normal_cone_subspace", "closure_structural", "agree", "witness")
+    return ({"instance": ident, "suite": suite},
+            *_verdict(rep.agree, ident, "characterization-equivalence"))
 
 
 def _cmd_normal_cone(args, docs):
@@ -129,14 +133,8 @@ def _cmd_normal_cone(args, docs):
         for nrm in N.generators
         for g in hull.generators
     )
-    report = {
-        "instance": ident,
-        "point": docio.ser_vec(x),
-        "generators": docio.ser_mat(N.generators),
-        "polarity_ok": polar_ok,
-    }
-    return report, 0 if polar_ok else 1, [
-        f"{'ok' if polar_ok else 'FAIL'} {ident} normal-cone-polarity"]
+    report = {"instance": ident, "point": x, "generators": N.generators, "polarity_ok": polar_ok}
+    return report, *_verdict(polar_ok, ident, "normal-cone-polarity")
 
 
 def _cmd_separate(args, docs):
@@ -144,41 +142,22 @@ def _cmd_separate(args, docs):
     outcome = properly_separate(P1, P2)
     if isinstance(outcome, Separated):
         valid = verify_certificate(P1, P2, outcome.certificate)
-        report = {
-            "instances": [id1, id2],
-            "separated": True,
-            "certificate": docio.certificate_doc(outcome.certificate),
-            "certificate_valid": valid,
-        }
-        return report, 0 if valid else 1, [
-            f"{'ok' if valid else 'FAIL'} {id1}|{id2} proper-separation"]
+        report = {"instances": [id1, id2], "separated": True,
+                  "certificate": outcome.certificate, "certificate_valid": valid}
+        return report, *_verdict(valid, f"{id1}|{id2}", "proper-separation")
     valid = (ri_membership(P1, outcome.common_point).member
              and ri_membership(P2, outcome.common_point).member)
-    report = {
-        "instances": [id1, id2],
-        "separated": False,
-        "common_point": docio.ser_vec(outcome.common_point),
-        "witness_valid": valid,
-    }
-    return report, 0 if valid else 1, [
-        f"{'ok' if valid else 'FAIL'} {id1}|{id2} not-separable-witness"]
+    report = {"instances": [id1, id2], "separated": False,
+              "common_point": outcome.common_point, "witness_valid": valid}
+    return report, *_verdict(valid, f"{id1}|{id2}", "not-separable-witness")
 
 
 def _cmd_qri_sep(args, docs):
     ident, P = _hpoly_docs(docs)[0]
-    x = _parse_point(args.point)
-    rep = qri_nonmembership_via_separation(P, x)
-    ok = rep.lemma_agrees is not False
-    report = {
-        "instance": ident,
-        "point": docio.ser_vec(x),
-        "separable": rep.nonmember,
-        "certificate": None if rep.certificate is None
-        else docio.certificate_doc(rep.certificate),
-        "lemma_agrees": rep.lemma_agrees,
-    }
-    return report, 0 if ok else 1, [
-        f"{'ok' if ok else 'FAIL'} {ident} qri-separation-consistency"]
+    rep = qri_nonmembership_via_separation(P, _parse_point(args.point))
+    report = {"instance": ident, "separable": rep.nonmember,
+              **docio.report_fields(rep, "point", "certificate", "lemma_agrees")}
+    return report, *_verdict(rep.lemma_agrees is not False, ident, "qri-separation-consistency")
 
 
 def _cmd_graph_ri(args, docs):
@@ -188,19 +167,9 @@ def _cmd_graph_ri(args, docs):
     if len(pair) != F.m + F.n:
         raise InputError(f"--point needs {F.m + F.n} coordinates for this map")
     rep = graph_ri_check(F, pair[: F.m], pair[F.m:])
-    ok = rep.product_rule_holds
-    report = {
-        "instance": doc.id,
-        "x": docio.ser_vec(rep.x),
-        "y": docio.ser_vec(rep.y),
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "quasi_reg_graph": rep.quasi_reg_graph,
-        "quasi_reg_dom": rep.quasi_reg_dom,
-        "product_rule_holds": rep.product_rule_holds,
-    }
-    return report, 0 if ok else 1, [
-        f"{'ok' if ok else 'FAIL'} {doc.id} graph-product-rule"]
+    report = {"instance": doc.id, **docio.report_fields(
+        rep, "x", "y", "lhs", "rhs", "quasi_reg_graph", "quasi_reg_dom", "product_rule_holds")}
+    return report, *_verdict(rep.product_rule_holds, doc.id, "graph-product-rule")
 
 
 def _cmd_epi_ri(args, docs):
@@ -209,62 +178,37 @@ def _cmd_epi_ri(args, docs):
     x = _parse_point(args.point)
     if args.level is None:
         raise InputError("epi-ri requires --level")
-    level = _parse_rat(args.level, "--level")
-    rep = epi_relint_report(f, x, level)
-    ok = rep.all_asserted_hold
-    report = {
-        "instance": doc.id,
-        "x": docio.ser_vec(rep.x),
-        "level": format_rational(rep.level),
-        "lhs_ri": rep.lhs_ri, "rhs_ri": rep.rhs_ri,
-        "lhs_iri": rep.lhs_iri, "rhs_iri": rep.rhs_iri,
-        "lhs_qri": rep.lhs_qri, "rhs_qri": rep.rhs_qri,
-        "single_affine_piece": rep.single_affine_piece,
-        "all_asserted_hold": ok,
-    }
-    return report, 0 if ok else 1, [
-        f"{'ok' if ok else 'FAIL'} {doc.id} epigraph-formula"]
+    rep = epi_relint_report(f, x, _parse_rat(args.level, "--level"))
+    report = {"instance": doc.id, **docio.report_fields(
+        rep, "x", "level", "lhs_ri", "rhs_ri", "lhs_iri", "rhs_iri", "lhs_qri", "rhs_qri",
+        "single_affine_piece", "all_asserted_hold")}
+    return report, *_verdict(rep.all_asserted_hold, doc.id, "epigraph-formula")
 
 
 def _cmd_image_ri(args, docs):
     ident, P = _hpoly_docs(docs)[0]
     M = _parse_matrix(args.matrix)
     rep = linear_image_ri_commutes(M, P)
-    report = {
-        "instance": ident,
-        "matrix": docio.ser_mat(M),
-        "forward_ok": rep.forward_ok,
-        "backward_ok": rep.backward_ok,
-        "holds": rep.holds,
-    }
-    return report, 0 if rep.holds else 1, [
-        f"{'ok' if rep.holds else 'FAIL'} {ident} image-commutation"]
+    report = {"instance": ident, "matrix": M,
+              **docio.report_fields(rep, "forward_ok", "backward_ok", "holds")}
+    return report, *_verdict(rep.holds, ident, "image-commutation")
 
 
 def _cmd_diff_ri(args, docs):
     (id1, P1), (id2, P2) = _hpoly_docs(docs)[:2]
     rep = set_difference_ri_commutes(P1, P2)
-    report = {
-        "instances": [id1, id2],
-        "forward_ok": rep.forward_ok,
-        "backward_ok": rep.backward_ok,
-        "holds": rep.holds,
-    }
-    return report, 0 if rep.holds else 1, [
-        f"{'ok' if rep.holds else 'FAIL'} {id1}|{id2} difference-commutation"]
+    report = {"instances": [id1, id2],
+              **docio.report_fields(rep, "forward_ok", "backward_ok", "holds")}
+    return report, *_verdict(rep.holds, f"{id1}|{id2}", "difference-commutation")
 
 
 def _cmd_seq_classify(args, docs):
     doc = docs[0]
     x = _want(doc, "sequence")
     cls = classify_l1ball(x)
-    report = {
-        "instance": doc.id,
-        "l1_norm": format_rational(l1_norm(x)),
-        "classification": docio.classification_doc(cls),
-    }
-    return report, 0 if cls.chain_ok else 1, [
-        f"{'ok' if cls.chain_ok else 'FAIL'} {doc.id} sequence-chain"]
+    report = {"instance": doc.id, "l1_norm": l1_norm(x), "classification": docio.report_fields(
+        cls, "in_set", "in_iri", "in_qri", "finite_support", "chain_ok")}
+    return report, *_verdict(cls.chain_ok, doc.id, "sequence-chain")
 
 
 def _cmd_verify(args, docs_unused):
@@ -281,8 +225,7 @@ def _cmd_verify(args, docs_unused):
     P1, P2 = _want(d1, "hpoly"), _want(d2, "hpoly")
     ok = verify_certificate(P1, P2, cert)
     report = {"instances": [d1.id, d2.id], "certificate_valid": ok}
-    return report, 0 if ok else 1, [
-        f"{'ok' if ok else 'FAIL'} {d1.id}|{d2.id} certificate-revalidation"]
+    return report, *_verdict(ok, f"{d1.id}|{d2.id}", "certificate-revalidation")
 
 
 # -- corpus verification -------------------------------------------------------
@@ -332,8 +275,7 @@ def _check_pair(id1, P1, id2, P2, checks, certs):
     # certificate, and a common point has passed ri_membership in both sets.
     ok = rep.agree and (rep.separated or rep.common_point is not None)
     if rep.separated:
-        certs.append({"instances": [id1, id2],
-                      "certificate": docio.certificate_doc(rep.certificate)})
+        certs.append({"instances": [id1, id2], "certificate": rep.certificate})
     checks.append((pair_id, "separation-iff-ri-disjoint", ok))
 
 

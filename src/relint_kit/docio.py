@@ -2,21 +2,22 @@
 
 Rationals travel as strings "p" or "p/q"; no floating-point literal is
 ever accepted or emitted, so serialized reports are bit-identical across
-platforms.  Parse errors carry the offending field path.
+platforms.  Parse errors carry the offending field path.  Every report
+value reaches JSON through one encoder, `to_json`; a command names the
+fields of a result object that it prints with `report_fields`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 
 from .errors import InputError
 from .polyhedra import HPolyhedron, VPolyhedron
 from .rational import Mat, Rat, Vec, format_rational, parse_rational
-from .relint import MembershipReport, RowWitness
 from .separation import SeparationCertificate
-from .seqspace import HybridSeq, L1BallClassification
+from .seqspace import HybridSeq
 from .setmaps import PLConvexFunction, PolyhedralMap
 
 KINDS = ("hpoly", "vpoly", "map", "plfunction", "sequence")
@@ -149,24 +150,6 @@ def parse_instance(text: str, source: str = "<input>") -> InstanceDocument:
 # -- serialization -------------------------------------------------------------
 
 
-def ser_vec(v: Vec) -> list[str]:
-    return [format_rational(x) for x in v]
-
-
-def ser_mat(m: Mat) -> list[list[str]]:
-    return [ser_vec(row) for row in m]
-
-
-def certificate_doc(cert: SeparationCertificate) -> dict:
-    return {
-        "functional": ser_vec(cert.functional),
-        "sup1": None if cert.sup1 is None else format_rational(cert.sup1),
-        "inf2": None if cert.inf2 is None else format_rational(cert.inf2),
-        "strict_witness_1": ser_vec(cert.strict_witness_1),
-        "strict_witness_2": ser_vec(cert.strict_witness_2),
-    }
-
-
 def parse_certificate(node, path: str = "certificate") -> SeparationCertificate:
     node = _object(node, path)
     return SeparationCertificate(
@@ -178,32 +161,35 @@ def parse_certificate(node, path: str = "certificate") -> SeparationCertificate:
     )
 
 
-def witness_doc(w: RowWitness | None) -> dict | None:
-    if w is None:
-        return None
-    return {"kind": w.kind, "index": w.index, "normal": ser_vec(w.normal),
-            "rhs": format_rational(w.rhs)}
+def report_fields(obj, *names: str) -> dict:
+    """The named fields and properties of a report object, by name."""
+    return {name: getattr(obj, name) for name in names}
 
 
-def membership_report_doc(rep: MembershipReport) -> dict:
-    return {
-        "point": ser_vec(rep.point),
-        "set_id": rep.set_id,
-        "ri_def": rep.ri_def,
-        "prolongation": rep.prolongation,
-        "cone_subspace": rep.cone_subspace,
-        "closed_cone_subspace": rep.closed_cone_subspace,
-        "normal_cone_subspace": rep.normal_cone_subspace,
-        "closure_structural": rep.closure_structural,
-        "agree": rep.agree,
-        "witness": witness_doc(rep.witness),
-    }
+def to_json(value):
+    """The JSON form of a report value: a Fraction becomes its "p" or "p/q"
+    string, a tuple or list a list, a dict or dataclass an object of its
+    entries or fields; an int, bool, str or None stays as it is."""
+    return _encode(value)
 
 
-def classification_doc(cls: L1BallClassification) -> dict:
-    return {"in_set": cls.in_set, "in_iri": cls.in_iri, "in_qri": cls.in_qri,
-            "finite_support": cls.finite_support, "chain_ok": cls.chain_ok}
+def _encode(value):
+    # Exact type first, most frequent first: rationals and vectors fill a
+    # report, so `is_dataclass` runs only for the few remaining values.  The
+    # recursion stays private, so a tracer of public calls sees one per report.
+    kind = type(value)
+    if kind is Rat:
+        return format_rational(value)
+    if kind is tuple or kind is list:
+        return [_encode(v) for v in value]
+    if kind is bool or value is None or kind is str or kind is int:
+        return value
+    if kind is dict:
+        return {k: _encode(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    raise TypeError(f"no JSON form for {kind.__name__}")
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(to_json(report), indent=2, sort_keys=True) + "\n"

@@ -13,6 +13,7 @@ as proof of disjoint relative interiors."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import EmptySetError, InputError, TheoremViolation
@@ -197,10 +198,18 @@ def verify_certificate(
 ) -> bool:
     """Re-validate a certificate by direct generator evaluation, with no
     reference to how it was produced.  False when either set is empty:
-    proper separation is only defined for nonempty sets."""
+    proper separation is only defined for nonempty sets.  False, never an
+    error, for a malformed certificate."""
     x_star = cert.functional
-    if P1.dim != P2.dim or any(len(v) != P1.dim for v in (
-            x_star, cert.strict_witness_1, cert.strict_witness_2)):
+    vectors = (x_star, cert.strict_witness_1, cert.strict_witness_2)
+    if P1.dim != P2.dim or any(not isinstance(v, Sequence) or len(v) != P1.dim
+                               for v in vectors):
+        return False
+    # Exactly an int or a Fraction, as in `verify_farkas`: a float or a bool
+    # would compare inexactly, and None or a string not at all.
+    entries = [*x_star, *cert.strict_witness_1, *cert.strict_witness_2,
+               *(b for b in (cert.sup1, cert.inf2) if b is not None)]
+    if any(type(v) is not Rat and type(v) is not int for v in entries):
         return False
     V1, V2 = h_to_v(P1), h_to_v(P2)
     if V1.is_empty_set or V2.is_empty_set:

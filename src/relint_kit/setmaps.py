@@ -153,25 +153,15 @@ class EpiRelintReport:
         return self.lhs_iri == self.rhs_iri
 
     @property
-    def qri_superset_holds(self) -> bool:
-        return not self.rhs_qri or self.lhs_qri
-
-    @property
     def qri_equality_under_regularity_ok(self) -> bool:
         return self.lhs_qri == self.rhs_qri
-
-    @property
-    def affine_piece_equality_ok(self) -> bool:
-        return not self.single_affine_piece or self.lhs_qri == self.rhs_qri
 
     @property
     def all_asserted_hold(self) -> bool:
         return (
             self.ri_formula_holds
             and self.iri_formula_holds
-            and self.qri_superset_holds
             and self.qri_equality_under_regularity_ok
-            and self.affine_piece_equality_ok
         )
 
 

@@ -4,6 +4,8 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -74,9 +76,28 @@ def test_certificate_round_trip():
     cert = SeparationCertificate(
         vec([0, 1]), vec(["0"])[0], vec(["1/2"])[0], vec([0, 0]), vec([0, 1])
     )
-    doc = docio.certificate_doc(cert)
+    doc = docio.to_json(cert)
     back = docio.parse_certificate(doc)
     assert back == cert
+
+
+def test_to_json_encodes_report_values():
+    @dataclass(frozen=True)
+    class Row:
+        index: int
+        normal: tuple
+
+    assert docio.to_json(Fraction(3)) == "3"
+    assert docio.to_json(Fraction(-1, 2)) == "-1/2"
+    for value in (0, 7, True, False, None, "id"):
+        assert docio.to_json(value) is value
+    assert docio.to_json(((Fraction(1), Fraction(2, 3)), [Fraction(0)], ())) == [
+        ["1", "2/3"], ["0"], []]
+    assert docio.to_json(Row(2, (Fraction(1, 4),))) == {"index": 2, "normal": ["1/4"]}
+    assert docio.to_json({"rows": [Row(0, ())], "ok": True}) == {
+        "rows": [{"index": 0, "normal": []}], "ok": True}
+    with pytest.raises(TypeError):
+        docio.to_json(0.5)
 
 
 def run_cli(capsys, *argv):

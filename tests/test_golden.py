@@ -103,6 +103,100 @@ def test_ri_point_of_empty_corpus_set_is_an_input_error(capsys):
     assert capsys.readouterr().err == "error: operation requires a nonempty polyhedron\n"
 
 
+# Every single-run command on corpus documents.  A bare word names a corpus
+# document and `cert` the certificate that the first `separate` case writes;
+# points go as `--point=...` since argparse reads `--point -1` as an option.
+CLI_CASES = (
+    "ri-check square-unit --point=1/2,1/2",
+    "ri-check square-unit --point=1,1/2",
+    "ri-check square-unit --point=2,0",
+    "ri-check segment-x01 --point=1/2,1",
+    "ri-check quadrant --point=-1,0 --seed=5",
+    "suite segment-x01 --point=1/2,0",
+    "suite triangle --point=0,0",
+    "suite wedge --point=1,1/2",
+    "suite line-x-axis --point=3,0",
+    "suite cube-unit --point=1/2,1/2,1",
+    "normal-cone square-unit --point=1,1",
+    "normal-cone quadrant --point=0,0",
+    "normal-cone triangle --point=1/3,1/3",
+    "normal-cone segment-diag --point=1,1",
+    "separate square-unit square-1-3 --out=cert",
+    "separate square-unit square-1-3",
+    "separate square-unit square-0-2",
+    "separate interval-01 halfline-neg",
+    "separate segment-x01 line-x-axis",
+    "separate triangle wedge",
+    "qri-sep square-unit --point=1,1/2",
+    "qri-sep square-unit --point=2,2",
+    "qri-sep segment-x01 --point=1/2,0",
+    "qri-sep quadrant --point=0,0",
+    "graph-ri map-halfline --point=1,1",
+    "graph-ri map-halfline --point=0,0",
+    "graph-ri map-point --point=0,0",
+    "graph-ri map-slice-degenerate --point=1/2,1/4",
+    "graph-ri map-slice-degenerate --point=0,0",
+    "epi-ri fn-abs --point=0 --level=0",
+    "epi-ri fn-abs --point=0 --level=1",
+    "epi-ri fn-hinge --point=1 --level=0",
+    "epi-ri fn-affine --point=1/2 --level=2",
+    "epi-ri fn-flat-segment --point=1/2,0 --level=0",
+    "image-ri square-unit --matrix=1,0",
+    "image-ri triangle --matrix=1,1",
+    "image-ri cube-unit --matrix=1,0,0;0,1,0",
+    "image-ri segment-x01 --matrix=0,1",
+    "diff-ri square-unit square-0-2",
+    "diff-ri interval-01 halfline-neg",
+    "diff-ri segment-x01 segment-diag",
+    "seq-classify seq-boundary-e1",
+    "seq-classify seq-gap-witness",
+    "seq-classify seq-interior",
+    "seq-classify seq-neg-tail",
+    "seq-classify seq-scaled-witness",
+    "seq-classify seq-zero --seed=3",
+    "verify cert square-unit square-1-3",
+    "verify cert square-1-3 square-unit",
+    "verify cert square-unit square-0-2",
+    # input errors, exit 2
+    "ri-check fn-abs --point=0",
+    "suite square-unit",
+    "epi-ri fn-abs --point=0",
+    "graph-ri map-halfline --point=1",
+    "image-ri square-unit",
+    "separate square-unit",
+    "verify cert square-unit",
+)
+CLI_REPORTS = "cac3c6636c59bbb32e921508181cf3f55874fca79031d9c43a61b7389acb8a04"
+
+
+def test_cli_reports_are_pinned(tmp_path, capsys):
+    """Exit code, stdout and stderr of each case run to stdout, then the
+    same with `--out`, and the bytes written there."""
+    cert = tmp_path / "cert.json"
+    h = hashlib.sha256()
+    for case in CLI_CASES:
+        argv = []
+        for word in case.split():
+            if word == "--out=cert":
+                argv += ["--out", str(cert)]
+            elif word == "cert":
+                argv.append(str(cert))
+            elif not word.startswith("-"):
+                argv.append(word if not argv else str(CORPUS / f"{word}.json"))
+            else:
+                argv.append(word)
+        out = tmp_path / "report.json"
+        runs = [argv] if "--out" in argv else [argv, [*argv, "--out", str(out)]]
+        for run in runs:
+            out.unlink(missing_ok=True)
+            code = main(run)
+            captured = capsys.readouterr()
+            h.update(f"{case}\n{code}\n{captured.out}\n{captured.err}\n".encode())
+            if out.exists():
+                h.update(out.read_bytes())
+    assert h.hexdigest() == CLI_REPORTS
+
+
 # -- pivot paths -------------------------------------------------------------
 #
 # The pins below hash `repr` of solver outcomes, pivot counts included, so a

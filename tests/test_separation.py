@@ -1,6 +1,8 @@
 """Proper and strict separation with re-validating certificates."""
 
 import random
+from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -236,6 +238,33 @@ def test_verify_certificate_rejects_an_empty_set():
     assert not verify_certificate(HPolyhedron.empty(1), interval, cert)
     assert not verify_certificate(interval, HPolyhedron.empty(1), cert)
 
+
+
+def _floats(v):
+    return tuple(float(a) for a in v)
+
+
+# Each turns the valid certificate of SEGMENT against UNIT_SQUARE into a
+# malformed one: inexact entries that compare equal to the exact ones, or
+# fields of the wrong type or length.
+MALFORMED = {
+    "float functional": lambda c: replace(c, functional=_floats(c.functional)),
+    "float sup1": lambda c: replace(c, sup1=float(c.sup1)),
+    "float inf2": lambda c: replace(c, inf2=float(c.inf2)),
+    "bool functional": lambda c: replace(c, functional=tuple(bool(a) for a in c.functional)),
+    "None functional": lambda c: replace(c, functional=None),
+    "float witness": lambda c: replace(c, strict_witness_1=_floats(c.strict_witness_1)),
+    "string witness": lambda c: replace(c, strict_witness_2="01"),
+    "Decimal bound": lambda c: replace(c, sup1=Decimal(0)),
+    "short functional": lambda c: replace(c, functional=c.functional[:1]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_verify_certificate_rejects_malformed_certificates(kind):
+    cert = properly_separate(SEGMENT, UNIT_SQUARE).certificate
+    assert verify_certificate(SEGMENT, UNIT_SQUARE, cert)
+    assert verify_certificate(SEGMENT, UNIT_SQUARE, MALFORMED[kind](cert)) is False
 
 def test_not_separable_report_reuses_the_common_point():
     rng = random.Random(83)

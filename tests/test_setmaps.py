@@ -160,7 +160,7 @@ def test_epi_report_single_piece_tagged():
     rep = epi_relint_report(f, vec(["1/2"]), Fraction(3))
     assert rep.single_affine_piece
     assert rep.lhs_ri and rep.rhs_ri
-    assert rep.affine_piece_equality_ok and rep.all_asserted_hold
+    assert rep.qri_equality_under_regularity_ok and rep.all_asserted_hold
 
 
 def test_epi_report_random_instances():

@@ -157,3 +157,21 @@ def test_one_bounded_memo_table():
                 other_uses.append((path.name, node.lineno))
     assert memoized == {("docio", "parse_instance", "lru_cache")}
     assert other_uses == []
+
+
+SERIALIZERS = ("ser_vec", "ser_mat", "certificate_doc", "witness_doc",
+               "membership_report_doc", "classification_doc")
+
+
+def test_one_report_encoder():
+    """Report values reach JSON through `docio.to_json` alone: only its
+    private recursion formats a rational, and no module defines one of the
+    per-type serializers that it replaced."""
+    assert _calls_to("format_rational") == {("docio", "_encode")}
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [(path.stem, node.name) for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name in SERIALIZERS]
+    assert defined == []
