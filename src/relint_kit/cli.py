@@ -384,10 +384,18 @@ _PARSER.add_argument("--out", help="write the JSON report to this file")
 _PARSER.add_argument("--point", help="comma-separated rational coordinates")
 _PARSER.add_argument("--level", help="epigraph level as a rational")
 _PARSER.add_argument("--matrix", help="matrix rows 'a,b;c,d' of rationals")
+_VALUE_OPTIONS = ("--point", "--level", "--matrix")
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    # argparse takes a word with a leading minus for an option unless it
+    # is a plain number, so `--point -1,0` is read as `--point=-1,0`.
+    words = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and words[-1] in _VALUE_OPTIONS and word[:1] == "-" and word[1:2].isdecimal():
+            word = words.pop() + "=" + word
+        words.append(word)
+    args = _PARSER.parse_args(words)
     handler, needs = _HANDLERS[args.command]
     try:
         if len(args.files) < needs:

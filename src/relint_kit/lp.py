@@ -1,13 +1,14 @@
 """Exact rational linear programming with self-validating certificates.
 
-A dense two-phase tableau simplex for max c·x subject to a_i·x <= beta_i
-over free x (`simplex_max`), using Bland's pivoting rule throughout, which
+A two-phase tableau simplex for max c·x subject to a_i·x <= beta_i over
+free x (`simplex_max`), using Bland's pivoting rule throughout, which
 guarantees termination and makes every outcome deterministic for a fixed
 input.  It takes the cost and rows as integers and pivots fraction-free;
 outcomes are exact `Fraction`s, the optimal value read off the tableau.
-Each free variable is a (+, -) column pair whose (-) column the tableau
-reads as the negative of its stored (+) column, so it is stored once and
-pivots as the split tableau would.  `lp_solve` is the one front end: it
+The tableau is condensed: a row holds one integer per nonbasic variable
+and the right-hand side, n + 1 in all, and a free variable's slot stands
+for either half of its (+, -) pair, so it pivots as the split tableau
+with its 2n + m columns would.  `lp_solve` is the one front end: it
 scales each row of an `LPProblem` to integers once and turns each equality
 into two opposite inequalities.  Outcomes carry checkable evidence: optimal
 points satisfy the constraints exactly, infeasibility comes with Farkas
@@ -112,27 +113,30 @@ LPOutcome = Optimal | Infeasible | Unbounded
 
 
 class _Simplex:
-    """Tableau simplex: maximize c·x over free x, a_i·x <= beta_i.
+    """Condensed tableau simplex: maximize c·x over free x, a_i·x <= beta_i.
 
     The tableau is fraction-free (Bareiss 1968, Edmonds 1967), built from
     the cost as (Lc, Lc·c) and row i as (L_i, L_i·(a_i, beta_i)), each L
     the lcm of the denominators, so every entry is an integer over one
-    common denominator D: the last pivot, kept positive.  Scaling row i
+    common denominator D: the last pivot's magnitude.  Scaling row i
     rescales only slack i (to L_i times its value), which changes neither
     the sign of a reduced cost nor which ratio is least, so the pivots are
     those of the same tableau over `Fraction`.  Points, rays, multipliers
     and the optimal value c·x (the objective row's last entry over D·Lc)
     are exact `Fraction`s of the unscaled problem.
 
-    Variable k is x+ - x- over a (+, -) column pair of nonnegative
-    variables at indices 2k and 2k + 1, and the slacks and the phase-one
-    auxiliary follow from index 2n.  Only the (+) column is stored.  For
-    any basis B, B^-1(-a) = -B^-1 a, and the reduced cost of (-) is minus
-    that of (+), so the (-) column is read as -1 times the stored one.
-    Every index (the basis, Bland's order, the pivot bound) is an index
-    of the split tableau, which makes the pivots, their count and every
-    outcome those of the split tableau; `_col` maps an index to its
-    stored column and sign.
+    Variable k is x+ - x- over a (+, -) pair of nonnegative variables at
+    indices 2k and 2k + 1; the slacks and the phase-one auxiliary follow
+    from index 2n.  As in the integer dictionary of lrs (Avis 2000), a row
+    keeps the right-hand side and one slot per nonbasic variable, slot s
+    holding index `nonbasic[s]`; a pivot is a Jordan exchange that puts
+    the leaving variable in the entering one's slot.  While one half of a
+    free variable is basic, the other has a unit column and reduced cost
+    0, which no rule picks, so it needs no slot; while neither is, one
+    slot reads either half, the other as its negation (B^-1(-a) = -B^-1 a).
+    Every index (the basis, Bland's order, the pivot bound) is one of the
+    split tableau, which makes the pivots, their count and every outcome
+    those of the split tableau.
     """
 
     def __init__(self, cost: tuple[int, list[int]], rows: list[tuple[int, list[int]]]):
@@ -144,79 +148,76 @@ class _Simplex:
         self.pivots = 0
         # Bland's rule visits each basis at most once.
         self.pivot_limit = comb(self.total + 1, self.m) if self.m else 1
-        self.cost = [*c, *[0] * self.m]
+        # The cost of each index: c_k for 2k, -c_k for 2k + 1, 0 for slacks.
+        self.cost = [x for a in c for x in (a, -a)] + [0] * self.m
         self.scales = [scale for scale, _ in rows]
-        self.tab: list[list[int]] = []
-        for i, (_, t) in enumerate(rows):
-            t = t[:]
-            t[n:n] = [0] * self.m
-            t[n + i] = 1
-            self.tab.append(t)
+        self.tab = [t[:] for _, t in rows]
         self.denom = 1
         self.basis = [self.slack0 + i for i in range(self.m)]
+        self.nonbasic = list(range(0, self.slack0, 2))
 
-    def _col(self, j: int) -> tuple[int, int]:
-        """(stored column, sign) of tableau index j."""
-        if j >= self.slack0:
-            return j - self.slack0 + self.n, 1
-        return j >> 1, -1 if j & 1 else 1
-
-    def _pivot(self, r: int, j: int) -> None:
+    def _pivot(self, r: int, s: int) -> None:
+        """Exchange basis[r] with the variable in slot s."""
         self.pivots += 1
         if self.pivots > self.pivot_limit:
             raise TheoremViolation("simplex exceeded its combinatorial pivot bound")
-        col, sign = self._col(j)
-        row = self.tab[r]
-        p = sign * row[col]
-        if p < 0:
+        d, row = self.denom, self.tab[r]
+        sign = 1 if row[s] > 0 else -1
+        if sign < 0:
             # Negating the pivot row keeps the new common denominator positive.
-            p = -p
-            self.tab[r] = row = [-a for a in row]
-        d = self.denom
-        for i, other in enumerate(self.tab):
+            row = [-a for a in row]
+        p, rows = row[s], [*self.tab, self.obj]
+        for i, other in enumerate(rows):
             if i != r:
-                self.tab[i] = _eliminate(other, row, sign * other[col], p, d)
-        self.obj = _eliminate(self.obj, row, sign * self.obj[col], p, d)
+                f = other[s]
+                rows[i] = other = _eliminate(other, row, f, p, d)
+                other[s] = -sign * f
+        row[s], rows[r] = sign * d, row
+        *self.tab, self.obj = rows
         self.denom = p
-        self.basis[r] = j
+        self.basis[r], self.nonbasic[s] = self.nonbasic[s], self.basis[r]
 
-    def _rebuild_objective(self, cost) -> None:
-        # obj[j] = D·(reduced cost z_j - c_j) per stored column; last entry
-        # carries D·value.
-        obj = [-cj * self.denom for cj in cost] + [0]
-        for i, b in enumerate(self.basis):
-            col, sign = self._col(b)
-            cb = sign * cost[col]
+    def _rebuild_objective(self, cost: list[int]) -> None:
+        # obj[s] = D·(reduced cost z_j - c_j) of the index j in slot s; the
+        # last entry carries D·value.
+        obj = [-cost[j] * self.denom for j in self.nonbasic] + [0]
+        for b, row in zip(self.basis, self.tab):
+            cb = cost[b]
             if cb:
-                row = self.tab[i]
                 obj = [a + cb * t for a, t in zip(obj, row)]
         self.obj = obj
 
-    def _entering(self) -> int | None:
-        """Bland's entering index: the least one with a negative reduced
-        cost, or None at optimality."""
-        obj = self.obj
-        for k in range(self.n):
-            v = obj[k]
-            if v:
-                # (+) has reduced cost v, (-) has -v.
-                return 2 * k + (v > 0)
-        for col in range(self.n, len(obj) - 1):
-            if obj[col] < 0:
-                return col - self.n + self.slack0
-        return None
+    def _entering(self) -> tuple[int, int] | None:
+        """Bland's entering index and its slot: the least index with a
+        negative reduced cost, or None at optimality."""
+        best = None
+        for s, j in enumerate(self.nonbasic):
+            v = self.obj[s]
+            if v > 0 and j < self.slack0:
+                j ^= 1  # the other half of a free variable has reduced cost -v
+            elif v >= 0:
+                continue
+            if best is None or j < best[0]:
+                best = j, s
+        return best
 
     def _bland(self):
-        """Run simplex iterations; returns None at optimality or the
-        entering index on unboundedness."""
+        """Run simplex iterations; returns None at optimality or, on
+        unboundedness, the entering slot."""
         while True:
-            enter = self._entering()
-            if enter is None:
+            choice = self._entering()
+            if choice is None:
                 return None
-            col, sign = self._col(enter)
+            enter, s = choice
+            if enter != self.nonbasic[s]:
+                # The other half of a free variable: negate its column.
+                for row in self.tab:
+                    row[s] = -row[s]
+                self.obj[s] = -self.obj[s]
+                self.nonbasic[s] = enter
             leave = None
             for i, row in enumerate(self.tab):
-                a = sign * row[col]
+                a = row[s]
                 if a > 0:
                     if leave is None:
                         leave, num, den = i, row[-1], a
@@ -226,8 +227,8 @@ class _Simplex:
                     if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                         leave, num, den = i, row[-1], a
             if leave is None:
-                return enter
-            self._pivot(leave, enter)
+                return s
+            self._pivot(leave, s)
 
     def solve(self):
         """Returns (status, data); status in {"optimal", "infeasible", "unbounded"}."""
@@ -236,72 +237,78 @@ class _Simplex:
             if status is not None:
                 return status
         self._rebuild_objective(self.cost)
-        enter = self._bland()
-        if enter is not None:
-            return "unbounded", (self._extract_ray(enter), self._extract_point())
+        s = self._bland()
+        if s is not None:
+            return "unbounded", (self._extract_ray(s), self._extract_point())
         value = Rat(self.obj[-1], self.denom * self.cost_scale)
         return "optimal", (self._extract_point(), self._duals(self.cost_scale), value)
 
     def _phase_one(self):
-        aux = len(self.cost)
+        # The auxiliary (index total) takes one more slot; no pivot has
+        # been made yet, so D = 1.
+        aux = self.total
         for row, scale in zip(self.tab, self.scales):
-            row.insert(aux, -scale * self.denom)
-        aux_cost = [0] * aux + [-1]
-        # Drive the auxiliary variable (index total) in at the most negative
-        # row of the unscaled problem, the least t[-1] / L_i, ties to the lower index.
+            row.insert(self.n, -scale)
+        self.nonbasic.append(aux)
+        # Drive it in at the most negative row of the unscaled problem, the
+        # least t[-1] / L_i, ties to the lower index.
         r0 = 0
         for i in range(1, self.m):
             if self.tab[i][-1] * self.scales[r0] < self.tab[r0][-1] * self.scales[i]:
                 r0 = i
-        self._rebuild_objective(aux_cost)
-        self._pivot(r0, self.total)
+        self._rebuild_objective([0] * aux + [-1])
+        self._pivot(r0, self.n)
         if self._bland() is not None:
             raise TheoremViolation("auxiliary objective is bounded by construction")
         if self.obj[-1] < 0:
             return "infeasible", self._duals(1)
-        if self.total in self.basis:
-            r = self.basis.index(self.total)
+        if aux in self.basis:
+            r = self.basis.index(aux)
             row = self.tab[r]
-            # A (+, -) pair whose entry in this row is a has reduced costs
-            # -a and +a, both >= 0 at the phase-one optimum, so a = 0: only
-            # a slack can take the auxiliary's place.
-            for j in range(self.slack0, self.total):
-                if row[self._col(j)[0]] != 0 and j not in self.basis:
-                    self._pivot(r, j)
-                    break
-            else:
+            # With the auxiliary basic in row r, obj[s] = -row[s] in every
+            # slot.  A free variable's slot offers reduced costs v and -v,
+            # both >= 0 at the phase-one optimum, so its entry is 0: only a
+            # slack can take the auxiliary's place.
+            exits = [(j, s) for s, j in enumerate(self.nonbasic)
+                     if j >= self.slack0 and row[s] != 0]
+            if not exits:
                 raise TheoremViolation("auxiliary variable stuck in the basis")
+            self._pivot(r, min(exits)[1])
+        s = self.nonbasic.index(aux)
+        del self.nonbasic[s]
         for row in self.tab:
-            del row[aux]
+            del row[s]
         return None
 
     def _extract_point(self) -> Vec:
         vals = [ZERO] * self.n
-        for i, b in enumerate(self.basis):
+        for b, row in zip(self.basis, self.tab):
             if b < self.slack0:
-                col, sign = self._col(b)
-                vals[col] = Rat(sign * self.tab[i][-1], self.denom)
+                vals[b >> 1] = Rat(-row[-1] if b & 1 else row[-1], self.denom)
         return tuple(vals)
 
-    def _extract_ray(self, enter: int) -> Vec:
+    def _extract_ray(self, s: int) -> Vec:
         vals = [ZERO] * self.n
-        col, scale = self._col(enter)
-        if enter < self.slack0:
-            vals[col] = Rat(scale)
+        j, scale = self.nonbasic[s], 1
+        if j < self.slack0:
+            vals[j >> 1] = Rat(-1 if j & 1 else 1)
         else:
             # A unit step of slack j is L_j steps of its scaled column.
-            scale = self.scales[col - self.n]
-        for i, b in enumerate(self.basis):
+            scale = self.scales[j - self.slack0]
+        for b, row in zip(self.basis, self.tab):
             if b < self.slack0:
-                k, sign = self._col(b)
-                vals[k] = Rat(-sign * self.tab[i][col] * scale, self.denom)
+                vals[b >> 1] = Rat(row[s] * scale if b & 1 else -row[s] * scale, self.denom)
         return tuple(vals)
 
     def _duals(self, cost_scale: int) -> Vec:
-        """Multipliers of the unscaled rows: obj·L_i / (D·Lc)."""
-        den = self.denom * cost_scale
-        return tuple([Rat(self.obj[self.n + i] * scale, den)
-                      for i, scale in enumerate(self.scales)])
+        """Multipliers of the unscaled rows: obj·L_i / (D·Lc) for a
+        nonbasic slack i, 0 for a basic one."""
+        y = [ZERO] * self.m
+        for s, j in enumerate(self.nonbasic):
+            i = j - self.slack0
+            if 0 <= i < self.m:
+                y[i] = Rat(self.obj[s] * self.scales[i], self.denom * cost_scale)
+        return tuple(y)
 
 
 def _eliminate(row: list[int], pivot_row: list[int], f: int, p: int, d: int) -> list[int]:

@@ -97,19 +97,21 @@ class FractionSimplex:
         # Reduced costs z_j - c_j, then the objective value.
         obj = [-a for a in cost] + [Fraction(0)]
         for row, b in zip(self.tab, self.basis):
-            obj = [o + cost[b] * t for o, t in zip(obj, row)]
+            if cost[b]:
+                obj = [o + cost[b] * t for o, t in zip(obj, row)]
         self.obj = obj
 
     def _pivot(self, r, j):
         self.pivots += 1
         p = self.tab[r][j]
         self.tab[r] = pivot_row = [a / p for a in self.tab[r]]
-        for i, row in enumerate(self.tab):
-            if i != r and row[j]:
-                f = row[j]
-                self.tab[i] = [a - f * b for a, b in zip(row, pivot_row)]
-        f = self.obj[j]
-        self.obj = [a - f * b for a, b in zip(self.obj, pivot_row)]
+        # Only the pivot row's nonzero entries change the other rows.
+        support = [k for k, b in enumerate(pivot_row) if b]
+        for i, row in enumerate([*self.tab, self.obj]):
+            f = row[j]
+            if i != r and f:
+                for k in support:
+                    row[k] -= f * pivot_row[k]
         self.basis[r] = j
 
     def _bland(self):

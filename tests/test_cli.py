@@ -331,6 +331,22 @@ def test_cli_malformed_level_is_located(capsys, level):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, ident, before, option, value", [
+    ("ri-check", "cross-poly-2d", (), "--point", "-1,0"),
+    ("epi-ri", "fn-abs", ("--point=0",), "--level", "-1/2"),
+    ("image-ri", "square-unit", (), "--matrix", "-1,0;0,1"),
+], ids=["point", "level", "matrix"])
+def test_cli_negative_value_as_a_separate_word(capsys, command, ident, before, option, value):
+    # argparse alone reads `--point -1,0` as two options; both spellings
+    # must give the same report and exit code.
+    argv = [command, str(CORPUS / f"{ident}.json"), *before]
+    joined = main([*argv, f"{option}={value}"]), capsys.readouterr()
+    split = main([*argv, option, value]), capsys.readouterr()
+    assert split == joined
+    assert joined[0] in (0, 1) and joined[1].err == ""
+    assert json.loads(joined[1].out[joined[1].out.index("{"):])["command"] == command
+
+
 def test_cli_verify_wrong_length_strict_witness_fails_with_a_report(tmp_path, capsys):
     sets = (str(CORPUS / "segment-x01.json"), str(CORPUS / "square-unit.json"))
     out_file = tmp_path / "report.json"

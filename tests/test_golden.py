@@ -105,7 +105,8 @@ def test_ri_point_of_empty_corpus_set_is_an_input_error(capsys):
 
 # Every single-run command on corpus documents.  A bare word names a corpus
 # document and `cert` the certificate that the first `separate` case writes;
-# points go as `--point=...` since argparse reads `--point -1` as an option.
+# values go as `--point=...`, the spelling the pins were recorded with
+# (`main` reads `--point -1,0` as `--point=-1,0`).
 CLI_CASES = (
     "ri-check square-unit --point=1/2,1/2",
     "ri-check square-unit --point=1,1/2",

@@ -367,18 +367,97 @@ def test_free_columns_pivot_as_the_split_tableau_hypothesis(p):
     assert repr(lp_solve(p)) == repr(split_lp_solve(p))
 
 
+def _holds_each_index_once(sx: _Simplex) -> bool:
+    """`basis` and `nonbasic` together hold every slack once and exactly
+    one half of each free variable."""
+    held = sorted(sx.basis + sx.nonbasic)
+    halves = [j >> 1 for j in held if j < 2 * sx.n]
+    return halves == list(range(sx.n)) and held[sx.n:] == list(range(2 * sx.n, sx.total))
+
+
 def test_free_tableau_stores_one_column_per_variable():
-    # Rows hold the variables' (+) columns, m slacks and the right-hand
-    # side; the phase-one auxiliary column is gone again after solving.
+    # Rows hold one slot per nonbasic variable and the right-hand side,
+    # n + 1 entries; the phase-one auxiliary's slot is gone after solving.
     rng = random.Random(5)
+    seen = set()
     for _ in range(50):
         p = _encoding_lp(rng, "mixed")
         rows = list(p.ineq_lhs) + list(p.eq_lhs) + [[-a for a in r] for r in p.eq_lhs]
         rhs = list(p.ineq_rhs) + list(p.eq_rhs) + [-v for v in p.eq_rhs]
         sx = _Simplex(scaled_ints(p.objective),
                       [scaled_ints([*row, beta]) for row, beta in zip(rows, rhs)])
-        width = len(p.objective) + len(rows) + 1
+        width = len(p.objective) + 1
         assert [len(row) for row in sx.tab] == [width] * len(rows)
-        if sx.solve()[0] != "infeasible":
+        assert len(sx.nonbasic) == width - 1 and _holds_each_index_once(sx)
+        status = sx.solve()[0]
+        seen.add(status)
+        if status != "infeasible":
             assert [len(row) for row in sx.tab] == [width] * len(rows)
             assert len(sx.obj) == width
+            assert len(sx.nonbasic) == width - 1 and _holds_each_index_once(sx)
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def _batch_lp(rng: random.Random) -> LPProblem:
+    """An LP at the sizes of the benchmark's lp-batch: 4 to 10 variables,
+    up to 24 tableau rows (each equality counts twice), some equalities,
+    either sense; one draw in eight is the explicit dual of a smaller LP.
+    Most draws have few rows, which keeps the `Fraction` oracle fast."""
+    if rng.random() < 0.125:
+        n, m = rng.randint(2, 3), rng.randint(4, 10)
+        return _dual_problem(LPProblem(
+            tuple([_small_rat(rng) for _ in range(n)]), "max",
+            tuple([tuple([_small_rat(rng) for _ in range(n)]) for _ in range(m)]),
+            tuple([_small_rat(rng) + rng.randint(-1, 3) for _ in range(m)])))
+    n = rng.randint(4, 10)
+    m2 = rng.choice((0, 0, 1, 2, 3))
+    m1 = min([rng.randint(0, 24 - 2 * m2) for _ in range(3)])
+
+    def row():
+        return tuple([_small_rat(rng) if rng.random() < 0.5 else 0 for _ in range(n)])
+
+    A = tuple([row() for _ in range(m1)])
+    b = tuple([_small_rat(rng) + rng.randint(-1, 4) for _ in range(m1)])
+    E = tuple([row() for _ in range(m2)])
+    d = tuple([_small_rat(rng) for _ in range(m2)])
+    return LPProblem(row(), rng.choice(("max", "min")), A, b, E, d)
+
+
+def test_condensed_tableau_pivots_as_the_split_tableau_at_batch_sizes(monkeypatch):
+    # Records the three paths where the condensed tableau departs most
+    # from the split one: a (-) half entering, a free variable leaving the
+    # basis, and the phase-one exit pivot (the auxiliary leaving outside
+    # Bland's iterations).
+    paths = set()
+    pivot, bland = _Simplex._pivot, _Simplex._bland
+
+    def spy_pivot(sx, r, s):
+        enter, leave = sx.nonbasic[s], sx.basis[r]
+        if enter < 2 * sx.n and enter & 1:
+            paths.add("minus half enters")
+        if leave < 2 * sx.n:
+            paths.add("free variable leaves")
+        if leave == sx.total and not getattr(sx, "in_bland", False):
+            paths.add("phase-one exit")
+        pivot(sx, r, s)
+
+    def spy_bland(sx):
+        sx.in_bland = True
+        try:
+            return bland(sx)
+        finally:
+            sx.in_bland = False
+
+    monkeypatch.setattr(_Simplex, "_pivot", spy_pivot)
+    monkeypatch.setattr(_Simplex, "_bland", spy_bland)
+    rng = random.Random(1801)
+    seen = set()
+    for _ in range(2000):
+        p = _batch_lp(rng)
+        out = lp_solve(p)
+        assert repr(out) == repr(split_lp_solve(p)), p
+        seen.add((p.sense, bool(p.eq_lhs), type(out).__name__))
+    assert paths == {"minus half enters", "free variable leaves", "phase-one exit"}
+    assert {(s, t) for s, _, t in seen} == {
+        (s, t) for s in ("max", "min") for t in ("Optimal", "Infeasible", "Unbounded")}
+    assert {eq for _, eq, _ in seen} == {True, False}
