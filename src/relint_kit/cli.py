@@ -375,6 +375,7 @@ _PARSER = argparse.ArgumentParser(
     prog="relint-kit",
     description="exact relative-interior and separation certificates "
                 "for polyhedral convex sets",
+    allow_abbrev=False,
 )
 _PARSER.add_argument("command", choices=tuple(_HANDLERS))
 _PARSER.add_argument("files", nargs="*", help="instance documents")
@@ -389,7 +390,8 @@ _VALUE_OPTIONS = ("--point", "--level", "--matrix")
 
 def main(argv=None) -> int:
     # argparse takes a word with a leading minus for an option unless it
-    # is a plain number, so `--point -1,0` is read as `--point=-1,0`.
+    # is a plain number, so `--point -1,0` is read as `--point=-1,0`.  With
+    # prefixes off, these three are the only spellings that take a value.
     words = []
     for word in sys.argv[1:] if argv is None else argv:
         if words and words[-1] in _VALUE_OPTIONS and word[:1] == "-" and word[1:2].isdecimal():
@@ -402,9 +404,6 @@ def main(argv=None) -> int:
             raise InputError(f"{args.command} needs {needs} instance file(s)")
         docs = [_load(p) for p in args.files[:needs]]
         body, code, lines = handler(args, docs)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 1

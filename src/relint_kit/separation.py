@@ -8,13 +8,16 @@ an optimum <= 0 or Farkas multipliers, give x* = y1·A1 + z1·E1 =
 -(y2·A2 + z2·E2) with sup_P1 x* <= y1·b1 + z1·d1 <= -(y2·b2 + z2·d2) <=
 inf_P2 x*, proper because some y_i > 0 is on a non-implicit row when the
 middle bound is tight (Rockafellar 1970, Thm 11.3).  The certificate is
-read off the generators, and the multipliers re-check without the solver
-as proof of disjoint relative interiors."""
+read off the generators: its bounds over the points, and as witnesses the
+first strictly separated pair in a fixed order of candidates built from
+the extreme points and the rays.  The multipliers re-check without the
+solver as proof of disjoint relative interiors."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import EmptySetError, InputError, TheoremViolation
 from .linalg import in_span, project_onto_span
@@ -85,21 +88,6 @@ class RiDisjointnessReport:
         return self.separated == self.ri_disjoint
 
 
-def _evaluate_bounds(x_star: Vec, V: VPolyhedron) -> tuple[Rat | None, Rat | None]:
-    """(sup, inf) of the functional over conv(points) + cone(rays);
-    None encodes +inf / -inf respectively."""
-    vals = [dot(x_star, p) for p in V.points]
-    sup: Rat | None = max(vals)
-    inf: Rat | None = min(vals)
-    for r in V.rays:
-        s = dot(x_star, r)
-        if s > 0:
-            sup = None
-        elif s < 0:
-            inf = None
-    return sup, inf
-
-
 def _combination(coeffs: Vec, rows: Mat, n: int) -> Vec:
     """The sum of coeffs[i]·rows[i] in dimension n."""
     return tuple([dot(coeffs, [row[j] for row in rows]) for j in range(n)])
@@ -159,38 +147,25 @@ def _proves_ri_disjoint(P1: HPolyhedron, P2: HPolyhedron, y: Vec, z: Vec) -> boo
 
 
 def _build_certificate(x_star: Vec, V1: VPolyhedron, V2: VPolyhedron) -> SeparationCertificate:
+    """x* with its bounds over the points, and as witnesses the first pair
+    (w1, w2) with x*·w1 < x*·w2 among: (top1, bot2), each point of P1 with
+    bot2, top1 with each point of P2, top1 + r with bot2 for each ray r of
+    P1, and top1 with bot2 + r for each ray r of P2.  top1 and bot2 are the
+    first points of P1 and P2 at the bounds."""
     vals1 = [dot(x_star, p) for p in V1.points]
     vals2 = [dot(x_star, p) for p in V2.points]
-    sup1 = max(vals1)
-    inf2 = min(vals2)
+    sup1, inf2 = max(vals1), min(vals2)
     top1 = V1.points[vals1.index(sup1)]
     bot2 = V2.points[vals2.index(inf2)]
-    w1, w2 = None, None
-    if sup1 < inf2:
-        w1, w2 = top1, bot2
-    if w1 is None:
-        for p, v in zip(V1.points, vals1):
-            if v < inf2:
-                w1, w2 = p, bot2
-                break
-    if w1 is None:
-        for p, v in zip(V2.points, vals2):
-            if v > sup1:
-                w1, w2 = top1, p
-                break
-    if w1 is None:
-        for r in V1.rays:
-            if dot(x_star, r) < 0:
-                w1, w2 = vadd(top1, r), bot2
-                break
-    if w1 is None:
-        for r in V2.rays:
-            if dot(x_star, r) > 0:
-                w1, w2 = top1, vadd(bot2, r)
-                break
-    if w1 is None:
-        raise TheoremViolation("proper separator without a strict generator")
-    return SeparationCertificate(x_star, sup1, inf2, w1, w2)
+    candidates = chain([(top1, bot2)],
+                       ((p, bot2) for p in V1.points),
+                       ((top1, q) for q in V2.points),
+                       ((vadd(top1, r), bot2) for r in V1.rays),
+                       ((top1, vadd(bot2, r)) for r in V2.rays))
+    for w1, w2 in candidates:
+        if dot(x_star, w1) < dot(x_star, w2):
+            return SeparationCertificate(x_star, sup1, inf2, w1, w2)
+    raise TheoremViolation("proper separator without a strict generator")
 
 
 def verify_certificate(
@@ -214,10 +189,10 @@ def verify_certificate(
     V1, V2 = h_to_v(P1), h_to_v(P2)
     if V1.is_empty_set or V2.is_empty_set:
         return False
-    sup1, _ = _evaluate_bounds(x_star, V1)
-    _, inf2 = _evaluate_bounds(x_star, V2)
-    if sup1 is None or inf2 is None:
+    if any(dot(x_star, r) > 0 for r in V1.rays) or any(dot(x_star, r) < 0 for r in V2.rays):
         return False
+    sup1 = max(dot(x_star, p) for p in V1.points)
+    inf2 = min(dot(x_star, p) for p in V2.points)
     if cert.sup1 != sup1 or cert.inf2 != inf2 or sup1 > inf2:
         return False
     if not P1.contains(cert.strict_witness_1) or not P2.contains(cert.strict_witness_2):
@@ -258,9 +233,7 @@ def strict_separate_in_flat(L: AffineFlat, P: HPolyhedron, xbar: Vec) -> Vec:
     if not L.contains(xbar):
         raise InputError("the point must lie in the carrier subspace")
     V = h_to_v(P)
-    if not all(L.contains(p) for p in V.points) or not all(
-        in_span(L.directions, r) for r in V.rays
-    ):
+    if not all(in_span(L.directions, g) for g in V.points + V.rays):
         raise InputError("the set must be contained in the carrier subspace")
     if P.contains(xbar):
         raise InputError("strict separation requires a point outside the set")

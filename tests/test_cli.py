@@ -347,6 +347,19 @@ def test_cli_negative_value_as_a_separate_word(capsys, command, ident, before, o
     assert json.loads(joined[1].out[joined[1].out.index("{"):])["command"] == command
 
 
+@pytest.mark.parametrize("value", ["1,0", "-1,0"])
+def test_cli_option_prefix_is_unrecognized(capsys, value):
+    # Options are spelled in full: a prefix such as `--poi` is rejected
+    # whatever its value, not taken for `--point` when the value is positive.
+    with pytest.raises(SystemExit) as exc:
+        main(["ri-check", str(CORPUS / "cross-poly-2d.json"), "--poi", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"relint-kit: error: unrecognized arguments: --poi {value}")
+
+
 def test_cli_verify_wrong_length_strict_witness_fails_with_a_report(tmp_path, capsys):
     sets = (str(CORPUS / "segment-x01.json"), str(CORPUS / "square-unit.json"))
     out_file = tmp_path / "report.json"

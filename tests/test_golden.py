@@ -28,7 +28,18 @@ from relint_kit.polyhedra import (
     linear_image,
     minkowski_diff,
 )
-from relint_kit.rational import ZERO, matvec, primitive_int, unit, vadd, vneg, vscale, vsub, zeros
+from relint_kit.rational import (
+    ZERO,
+    dot,
+    matvec,
+    primitive_int,
+    unit,
+    vadd,
+    vneg,
+    vscale,
+    vsub,
+    zeros,
+)
 from relint_kit.relint import (
     characterization_suite,
     conic_hull_at,
@@ -233,6 +244,7 @@ def _random_lp(rng: random.Random) -> LPProblem:
 
 LP_OUTCOMES = "bf7e6a002294e39df60bd95f756e47b7da007357b4ffa0292e58f3221f05058d"
 SEPARATION = "9d7fcc506d138927492e66c0e32de9cfc56a081918ea10050c436feb7fc1225d"
+WITNESS_PAIRS = "fe7cf473281e5081de3096ab6468766f2e0d437682e36c1bda4c91b2eaef1560"
 STRICT_IN_FLAT = "0d73cba9abb681c95cfe6f711c05fc8b27880b3bef6b70ecd4134bf1c9c275a6"
 CONE_VERDICTS = "2e0af92bd6db93faa2cd3a29f551c2c146ad2519828d81072d14ed1ca612fe33"
 WIDE_LP_OUTCOMES = "cde4a8cd774afb07f93e57c86f57467140beb20b1b48775f79c5627c2e656e6b"
@@ -301,6 +313,83 @@ def test_separation_outcomes_are_pinned():
         outcomes.append(properly_separate(P1, P2))
     assert {type(o) for o in outcomes} == {Separated, NotSeparable}
     assert _digest(outcomes) == SEPARATION
+
+
+def _witness_group(P1: HPolyhedron, P2: HPolyhedron, cert) -> int | None:
+    """Which candidate group the strict witness pair comes from, read off
+    the generators: 1 the extreme points (top1, bot2), 2 a point of P1
+    with bot2, 3 top1 with a point of P2, 4 top1 moved along a ray of P1
+    with bot2, 5 top1 with bot2 moved along a ray of P2."""
+    V1, V2 = h_to_v(P1), h_to_v(P2)
+    vals1 = [dot(cert.functional, p) for p in V1.points]
+    vals2 = [dot(cert.functional, p) for p in V2.points]
+    top1 = V1.points[vals1.index(max(vals1))]
+    bot2 = V2.points[vals2.index(min(vals2))]
+    w1, w2 = cert.strict_witness_1, cert.strict_witness_2
+    if (w1, w2) == (top1, bot2):
+        return 1
+    if w2 == bot2 and w1 in V1.points:
+        return 2
+    if w1 == top1 and w2 in V2.points:
+        return 3
+    if w2 == bot2 and vsub(w1, top1) in V1.rays:
+        return 4
+    if w1 == top1 and vsub(w2, bot2) in V2.rays:
+        return 5
+    return None
+
+
+def _interval(lo, hi) -> HPolyhedron:
+    """[lo, hi] on the line; None leaves that end open to infinity."""
+    A, b = [], []
+    if hi is not None:
+        A.append([1])
+        b.append(hi)
+    if lo is not None:
+        A.append([-1])
+        b.append(-lo)
+    return HPolyhedron.make(A=A, b=b, dim=1)
+
+
+SQUARE = HPolyhedron.make(A=[[1, 0], [-1, 0], [0, 1], [0, -1]], b=[1, 0, 1, 0])
+Y_AXIS = HPolyhedron.make(E=[[1, 0]], d=[0])
+
+
+# One crafted pair per candidate group; pairs where groups i and i + 1 both
+# hold a strict pair and the earlier must win, so that any reordering of
+# the groups shows; pairs where two candidates of one group are strict and
+# the first must win; then seeded pairs.
+WITNESS_CASES = (
+    (_interval(0, 1), _interval(2, 3)),
+    (_interval(-1, 0), _interval(0, 0)),
+    (_interval(0, 0), _interval(0, 1)),
+    (_interval(None, 0), _interval(0, 0)),
+    (_interval(0, 0), _interval(0, None)),
+    (_interval(-1, 0), _interval(0, 1)),
+    (_interval(None, 0), _interval(0, 1)),
+    (_interval(None, 0), _interval(0, None)),
+    # The unit square against its right edge, and its left edge against it.
+    (SQUARE, HPolyhedron.make(A=[[0, 1], [0, -1]], b=[1, 0], E=[[1, 0]], d=[1])),
+    (HPolyhedron.make(A=[[0, 1], [0, -1]], b=[1, 0], E=[[1, 0]], d=[0]), SQUARE),
+    # The cones spanned by (-1, 0) and (-1, 1), and by (1, 0) and (1, 1).
+    (HPolyhedron.make(A=[[0, -1], [1, 1]], b=[0, 0]), Y_AXIS),
+    (Y_AXIS, HPolyhedron.make(A=[[0, -1], [-1, 1]], b=[0, 0])),
+)
+
+
+def test_witness_pair_choice_is_pinned():
+    rng = random.Random(4006)
+    pairs = list(WITNESS_CASES)
+    pairs += [random_pair(rng, rng.randint(1, 3), 5) for _ in range(60)]
+    certificates, groups = [], []
+    for P1, P2 in pairs:
+        outcome = properly_separate(P1, P2)
+        if isinstance(outcome, Separated):
+            certificates.append(outcome.certificate)
+            groups.append(_witness_group(P1, P2, outcome.certificate))
+    assert groups[:12] == [1, 2, 3, 4, 5, 2, 3, 4, 2, 3, 4, 5]
+    assert set(groups[12:]) == {1, 2, 4, 5}
+    assert _digest(certificates) == WITNESS_PAIRS
 
 
 def test_strict_separation_in_flat_is_pinned():

@@ -17,6 +17,7 @@ from relint_kit.relint import in_qri, ri_membership
 from relint_kit.sampling import sample_points
 from relint_kit.separation import (
     NotSeparable,
+    SeparationCertificate,
     Separated,
     _proves_ri_disjoint,
     _separate,
@@ -265,6 +266,52 @@ def test_verify_certificate_rejects_malformed_certificates(kind):
     cert = properly_separate(SEGMENT, UNIT_SQUARE).certificate
     assert verify_certificate(SEGMENT, UNIT_SQUARE, cert)
     assert verify_certificate(SEGMENT, UNIT_SQUARE, MALFORMED[kind](cert)) is False
+
+
+def _line(*rows) -> HPolyhedron:
+    """A set on the line from rows (a, b) of a·x <= b."""
+    return HPolyhedron.make(A=[[a] for a, _ in rows], b=[b for _, b in rows], dim=1)
+
+
+LOW, HIGH = _line((1, 1), (-1, 0)), _line((1, 3), (-1, -2))
+OVERLAP1, OVERLAP2 = _line((1, 2), (-1, 0)), _line((1, 3), (-1, -1))
+RIGHT_OF_0, LEFT_OF_2, FROM_1_TO_2 = _line((-1, 0)), _line((1, 2)), _line((1, 2), (-1, -1))
+
+
+def _cert(functional, sup1, inf2, w1, w2):
+    return SeparationCertificate(vec(functional), Fraction(sup1), Fraction(inf2),
+                                 vec(w1), vec(w2))
+
+
+# Each certificate breaks exactly one condition of the check, with every
+# other condition holding: [0, 1] against [2, 3] has sup1 = 1 and inf2 = 2.
+TAMPERED = {
+    "sup1 off by one": (LOW, HIGH, _cert([1], 0, 2, [0], [3])),
+    "inf2 off by one": (LOW, HIGH, _cert([1], 1, 3, [0], [3])),
+    # [0, 2] against [1, 3]: the bounds are exact but cross.
+    "crossing bounds": (OVERLAP1, OVERLAP2, _cert([1], 2, 1, [0], [3])),
+    "witness outside its set": (LOW, HIGH, _cert([1], 1, 2, [-5], [3])),
+    "pair not strict": (SEGMENT, UNIT_SQUARE, _cert([0, 1], 0, 0, [0, 0], [1, 0])),
+    # [0, inf) against [1, 2]: the points give sup1 = 0, the ray 1 does not.
+    "grows along a ray of P1": (RIGHT_OF_0, FROM_1_TO_2, _cert([1], 0, 1, [0], [1])),
+    # [0, 1] against (-inf, 2]: the point gives inf2 = 2, the ray -1 does not.
+    "falls along a ray of P2": (LOW, LEFT_OF_2, _cert([1], 1, 2, [0], [2])),
+}
+
+
+def test_untampered_certificates_verify():
+    assert verify_certificate(LOW, HIGH, _cert([1], 1, 2, [0], [3]))
+    assert verify_certificate(SEGMENT, UNIT_SQUARE, _cert([0, 1], 0, 0, [0, 0], [1, 1]))
+    # Rays that lower x* on P1 and raise it on P2 leave the bounds finite.
+    assert verify_certificate(_line((1, 0)), FROM_1_TO_2, _cert([1], 0, 1, [0], [1]))
+    assert verify_certificate(LOW, _line((-1, -2)), _cert([1], 1, 2, [0], [2]))
+
+
+@pytest.mark.parametrize("kind", sorted(TAMPERED))
+def test_verify_certificate_rejects_tampered_evidence(kind):
+    P1, P2, cert = TAMPERED[kind]
+    assert verify_certificate(P1, P2, cert) is False
+
 
 def test_not_separable_report_reuses_the_common_point():
     rng = random.Random(83)

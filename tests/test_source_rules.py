@@ -175,3 +175,29 @@ def test_one_report_encoder():
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and node.name in SERIALIZERS]
     assert defined == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_every_private_helper_has_a_caller():
+    """Every private function or method of the library is named somewhere
+    in the library outside its own definition: as a name, an attribute or
+    an import.  A helper left behind after its last caller went fails here."""
+    defined, used = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(node.name):
+                defined.append((node.name, path.stem, node.lineno, node.end_lineno))
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name is not None:
+                used.append((name, path.stem, node.lineno))
+    assert defined
+    uncalled = [(module, name) for name, module, first, last in defined
+                if not any(n == name and (m != module or not first <= line <= last)
+                           for n, m, line in used)]
+    assert uncalled == []
