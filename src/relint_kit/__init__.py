@@ -74,7 +74,6 @@ from .setmaps import (
     graph_ri_check,
     epi_polyhedron,
     epi_relint_report,
-    epi_quasireg_implies_dom,
     linear_image_ri_commutes,
     set_difference_ri_commutes,
 )

@@ -154,8 +154,8 @@ def parse_certificate(node, path: str = "certificate") -> SeparationCertificate:
     node = _object(node, path)
     return SeparationCertificate(
         _vec(node.get("functional"), f"{path}.functional"),
-        None if node.get("sup1") is None else _rat(node["sup1"], f"{path}.sup1"),
-        None if node.get("inf2") is None else _rat(node["inf2"], f"{path}.inf2"),
+        _rat(node.get("sup1"), f"{path}.sup1"),
+        _rat(node.get("inf2"), f"{path}.inf2"),
         _vec(node.get("strict_witness_1"), f"{path}.strict_witness_1"),
         _vec(node.get("strict_witness_2"), f"{path}.strict_witness_2"),
     )

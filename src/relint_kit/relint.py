@@ -7,8 +7,8 @@ prolongation of every chord, the conic hull being a subspace, its closure
 being a subspace, and the normal cone being a subspace) coincide; the
 suite computes each one independently so that agreement is evidence, not
 assumption.  The conic hull of a polyhedron at one of its points is
-already closed, so the closure predicate reuses the same subspace test
-and the report flags that equality as structural rather than evidential.
+already closed, so the closure predicate reuses the same subspace test;
+that equality is structural rather than evidential.
 
 For a nonempty polyhedron, indeed for every nonempty convex set in finite
 dimension, ri = iri = qri: the relative, intrinsic and quasi-relative
@@ -21,7 +21,6 @@ quasi-relative predicates point by point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 from .errors import EmptySetError, InputError, PointNotInSetError
 from .polyhedra import (
@@ -68,9 +67,6 @@ class MembershipReport:
     closed_cone_subspace: bool
     normal_cone_subspace: bool
     witness: RowWitness | None
-    # Polyhedral conic hulls are closed, so cone_subspace and
-    # closed_cone_subspace come from one subspace test.
-    closure_structural: ClassVar[bool] = True
 
     @property
     def predicates(self) -> tuple[bool, bool, bool, bool, bool]:

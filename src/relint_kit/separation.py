@@ -37,12 +37,11 @@ from .rational import Mat, Rat, Vec, dot, primitive_int, vadd, vec
 @dataclass(frozen=True)
 class SeparationCertificate:
     """A functional with sup over the first set never above the inf over
-    the second, plus a strictly separated witness pair.  None in a bound
-    slot is the infinite flag; produced certificates are always finite."""
+    the second, plus a strictly separated witness pair."""
 
     functional: Vec
-    sup1: Rat | None
-    inf2: Rat | None
+    sup1: Rat
+    inf2: Rat
     strict_witness_1: Vec
     strict_witness_2: Vec
 
@@ -183,7 +182,7 @@ def verify_certificate(
     # Exactly an int or a Fraction, as in `verify_farkas`: a float or a bool
     # would compare inexactly, and None or a string not at all.
     entries = [*x_star, *cert.strict_witness_1, *cert.strict_witness_2,
-               *(b for b in (cert.sup1, cert.inf2) if b is not None)]
+               cert.sup1, cert.inf2]
     if any(type(v) is not Rat and type(v) is not int for v in entries):
         return False
     V1, V2 = h_to_v(P1), h_to_v(P2)

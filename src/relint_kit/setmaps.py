@@ -9,16 +9,14 @@ evaluates both sides independently and reports every asserted equality
 and one-sided inclusion separately.
 
 The quasi-regularity side conditions of those rules always hold here:
-every nonempty convex set in finite dimension is quasi-regular.  The
-reports carry them as documented constants, so the conditional claims
-reduce to plain implications.
+every nonempty convex set in finite dimension is quasi-regular, so the
+conditional claims reduce to plain implications.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
 
 from .errors import EmptySetError, InputError
 from .polyhedra import (
@@ -56,8 +54,6 @@ class PolyhedralMap:
 
     @cached_property
     def _domain(self) -> HPolyhedron:
-        if is_empty(self.graph):
-            return HPolyhedron.empty(self.m)
         proj = tuple(unit(self.m + self.n, j) for j in range(self.m))
         return linear_image(proj, self.graph)
 
@@ -99,15 +95,13 @@ class PLConvexFunction:
 class GraphRIReport:
     """Both sides of the graph product rule at one pair, with every
     implication separately.  The graph and the domain are nonempty convex
-    sets in finite dimension, hence quasi-regular: the side conditions
-    are constants."""
+    sets in finite dimension, hence quasi-regular, so the rule needs no
+    side condition."""
 
     x: Vec
     y: Vec
     lhs: bool
     rhs: bool
-    quasi_reg_graph: ClassVar[bool] = True
-    quasi_reg_dom: ClassVar[bool] = True
 
     @property
     def product_rule_holds(self) -> bool:
@@ -163,19 +157,6 @@ class EpiRelintReport:
             and self.iri_formula_holds
             and self.qri_equality_under_regularity_ok
         )
-
-
-@dataclass(frozen=True)
-class EpiDomainRegularityReport:
-    """Epigraph and domain are nonempty polyhedra, so both are
-    quasi-regular and the implication between them holds."""
-
-    epi_quasi_regular: ClassVar[bool] = True
-    dom_quasi_regular: ClassVar[bool] = True
-
-    @property
-    def implication_holds(self) -> bool:
-        return not self.epi_quasi_regular or self.dom_quasi_regular
 
 
 @dataclass(frozen=True)
@@ -239,23 +220,13 @@ def epi_relint_report(f: PLConvexFunction, x: Vec, level: Rat) -> EpiRelintRepor
     lhs_ri = in_ri(epi, point)
     lhs_iri = in_iri(epi, point)
     lhs_qri = in_qri(epi, point)
-    in_dom = f.domain.contains(x)
-    strict = in_dom and level > f.value(x)
+    strict = f.domain.contains(x) and level > f.value(x)
     rhs_ri = strict and in_ri(f.domain, x)
     rhs_iri = strict and in_iri(f.domain, x)
     rhs_qri = strict and in_qri(f.domain, x)
     return EpiRelintReport(
         x, level, lhs_ri, rhs_ri, lhs_iri, rhs_iri, lhs_qri, rhs_qri,
         len(f.pieces) == 1)
-
-
-def epi_quasireg_implies_dom(f: PLConvexFunction) -> EpiDomainRegularityReport:
-    """Epigraph quasi-regularity forces domain quasi-regularity (one
-    direction only; the converse is not asserted).  Both hold for every
-    proper function here, so only properness is checked: an empty domain
-    raises EmptySetError."""
-    epi_polyhedron(f)
-    return EpiDomainRegularityReport()
 
 
 def _interior_samples(P: HPolyhedron) -> list[Vec]:

@@ -274,6 +274,21 @@ def test_cli_verify_non_object_certificate_is_input_error(tmp_path, capsys, text
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field,text", [
+    ("sup1", ONE_DIM_CERT.replace('"sup1": "0"', '"sup1": null')),
+    ("inf2", ONE_DIM_CERT.replace('"inf2": "0", ', "")),
+], ids=["null-sup1", "missing-inf2"])
+def test_cli_verify_without_a_bound_is_input_error(tmp_path, capsys, field, text):
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    code = main(["verify", str(cert), str(CORPUS / "halfline-neg.json"),
+                 str(CORPUS / "interval-01.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: certificate.{field}: rationals must be strings, got None\n"
+
+
 @pytest.mark.parametrize("kind,command", [
     ("vpoly", "ri-point"), ("map", "graph-ri"),
     ("plfunction", "epi-ri"), ("sequence", "seq-classify"),

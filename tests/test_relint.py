@@ -204,11 +204,6 @@ def test_suite_outside_point_all_false_with_witness():
     assert rep.witness is not None and rep.witness.kind == "ineq-violated"
 
 
-def test_suite_structural_flag():
-    rep = characterization_suite(UNIT_SQUARE, vec(["1/2", "1/2"]))
-    assert rep.closure_structural
-
-
 def test_suite_agreement_on_random_instances():
     rng = random.Random(41)
     for _ in range(60):

@@ -28,7 +28,6 @@ from relint_kit.setmaps import (
     PLConvexFunction,
     PolyhedralMap,
     epi_polyhedron,
-    epi_quasireg_implies_dom,
     epi_relint_report,
     graph_ri_check,
     image_at,
@@ -52,6 +51,16 @@ def test_map_domain_projection():
 def test_map_domain_point_graph():
     F = PolyhedralMap(HPolyhedron.singleton(vec([0, 0])), 1, 1)
     assert same_set(map_domain(F), HPolyhedron.singleton(vec([0])))
+
+
+@pytest.mark.parametrize("graph,m", [
+    (HPolyhedron.make(A=[[0, 0, 0]], b=[-1]), 2),
+    (HPolyhedron.make(A=[], b=[], E=[[1, 1], [1, 1]], d=[0, 1]), 1),
+    (HPolyhedron.make(A=[[0]], b=[-1]), 0),
+], ids=["infeasible-row", "inconsistent-equalities", "m-zero"])
+def test_map_domain_of_an_empty_graph(graph, m):
+    F = PolyhedralMap(graph, m, graph.dim - m)
+    assert map_domain(F) == HPolyhedron.empty(m)
 
 
 def test_map_domain_unbounded_graph():
@@ -175,15 +184,10 @@ def test_epi_report_random_instances():
 
 
 def test_epi_quasireg_implication():
-    f = PLConvexFunction(((vec([1]), Fraction(0)), (vec([-1]), Fraction(0))),
-                         HPolyhedron.whole_space(1))
-    assert epi_quasireg_implies_dom(f).implication_holds
     # Lower-dimensional domain: the epigraph has empty interior but a
     # nonempty relative interior.
     seg = HPolyhedron.make(A=[[1, 0], [-1, 0]], b=[1, 0], E=[[0, 1]], d=[0])
     g = PLConvexFunction(((vec([0, 0]), Fraction(0)),), seg)
-    rep = epi_quasireg_implies_dom(g)
-    assert rep.implication_holds and rep.epi_quasi_regular and rep.dom_quasi_regular
     from relint_kit.polyhedra import dim as poly_dim
 
     assert poly_dim(epi_polyhedron(g)) < epi_polyhedron(g).dim

@@ -177,6 +177,23 @@ def test_one_report_encoder():
     assert defined == []
 
 
+def test_report_objects_carry_no_constants():
+    """A report field is computed from its inputs: no module imports or
+    annotates `ClassVar`, the way a flag that is constant by construction
+    would ride on a report class.  Report format 1 prints its constant
+    flags from the CLI alone."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "ClassVar":
+                sites.append((path.stem, getattr(node, "lineno", None)))
+    assert sites == []
+
+
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
