@@ -8,10 +8,12 @@ outcomes are exact `Fraction`s, the optimal value read off the tableau.
 The tableau is condensed: a row holds one integer per nonbasic variable
 and the right-hand side, n + 1 in all, and a free variable's slot stands
 for either half of its (+, -) pair, so it pivots as the split tableau
-with its 2n + m columns would.  `lp_solve` is the one front end: it
-scales each row of an `LPProblem` to integers once and turns each equality
-into two opposite inequalities.  Outcomes carry checkable evidence: optimal
-points satisfy the constraints exactly, infeasibility comes with Farkas
+with its 2n + m columns would.  `_solve_ints` is the one front end: it
+takes integer rows and turns each equality into two opposite
+inequalities.  `lp_solve` scales an `LPProblem`'s rows for it once; the
+library's own LPs reach it as integers (`polyhedra._max_slack` and
+`_cone_contains`).  Outcomes carry checkable evidence: optimal points
+satisfy the constraints exactly, infeasibility comes with Farkas
 multipliers, and unboundedness a feasible point and an improving ray.
 """
 
@@ -342,15 +344,22 @@ def simplex_max(cost: tuple[int, list[int]], rows: list[tuple[int, list[int]]]):
 def lp_solve(p: LPProblem) -> LPOutcome:
     """Solve an LP exactly; deterministic for a fixed input.
 
-    Each row is scaled to integers once, and each equality becomes two
-    opposite inequalities, which puts the problem in `simplex_max`'s form."""
+    Each row is scaled to integers once, which puts the problem in
+    `_solve_ints`'s form."""
     c = [-a for a in p.objective] if p.sense == "min" else p.objective
-    m1 = len(p.ineq_lhs)
-    m2 = len(p.eq_lhs)
     rows = [scaled_ints([*row, beta]) for row, beta in zip(p.ineq_lhs, p.ineq_rhs)]
     eqs = [scaled_ints([*row, delta]) for row, delta in zip(p.eq_lhs, p.eq_rhs)]
-    rows += eqs + [(scale, [-k for k in t]) for scale, t in eqs]
-    status, data, pivots = simplex_max(scaled_ints(c), rows)
+    return _solve_ints(scaled_ints(c), rows, eqs, p.sense)
+
+
+def _solve_ints(cost: tuple[int, list[int]], rows: list, eqs: list, sense: str = "max"
+                ) -> LPOutcome:
+    """max c·x (min, with cost holding -c) over free x subject to
+    a_i·x <= beta_i and e_j·x = delta_j, each row as `simplex_max` takes
+    it, (L_i, L_i·(a_i, beta_i)): the outcome of that `LPProblem`."""
+    m1, m2 = len(rows), len(eqs)
+    status, data, pivots = simplex_max(
+        cost, [*rows, *eqs, *[(scale, [-k for k in t]) for scale, t in eqs]])
     if status == "infeasible":
         y = data
         mult_eq = tuple([y[m1 + j] - y[m1 + m2 + j] for j in range(m2)])
@@ -361,7 +370,7 @@ def lp_solve(p: LPProblem) -> LPOutcome:
         return Unbounded(ray, point, pivots)
     point, y, value = data
     dual_eq = tuple([y[m1 + j] - y[m1 + m2 + j] for j in range(m2)])
-    return Optimal(point, -value if p.sense == "min" else value, tuple(y[:m1]), dual_eq, pivots)
+    return Optimal(point, -value if sense == "min" else value, tuple(y[:m1]), dual_eq, pivots)
 
 
 def verify_farkas(p: LPProblem, cert: FarkasCertificate) -> bool:

@@ -15,9 +15,11 @@ Conventions fixed here and relied on everywhere else:
     homogenization cone, and `linear_image` and `minkowski_diff` map those
     integers straight into the next double description; `h_to_v` builds
     its sorted `Fraction` points from them only when asked;
-  * every slack LP (emptiness, implicit rows, separation, strict
-    preimages) is encoded and read in `_max_slack` alone, as (t, x, y, z);
-    no other module but the package root imports the LP layer;
+  * its rows are cached as integers with their scales (`_int_rows`); the
+    slack LP (emptiness, implicit rows, separation, strict preimages) is
+    encoded from them and read in `_max_slack` alone, as (t, x, y, z), and
+    the cone LP in `_cone_contains`; no other module but the package root
+    imports the LP layer;
   * a VPolyhedron with no points is the empty set regardless of rays;
   * lines are encoded as opposite ray pairs, never as a separate field.
 """
@@ -36,7 +38,7 @@ from .linalg import (
     rank,
     solve_linear_system,
 )
-from .lp import LPProblem, Optimal, lp_solve
+from .lp import Optimal, _solve_ints
 from .rational import (
     Mat,
     ONE,
@@ -53,10 +55,11 @@ from .rational import (
     zeros,
 )
 
-# Homogenized integer vectors: constraint rows a·x <= beta (or = beta) as
-# L·(a, -beta), or generators (x, t) standing for the point x / t (t > 0)
-# or the direction x (t = 0).
+# Homogenized integer vectors: generators (x, t) standing for the point
+# x / t (t > 0) or the direction x (t = 0).  Constraint rows a·x <= beta
+# (or = beta) carry their scale: (L, L·(a, -beta)).
 _IntRows = tuple[tuple[int, ...], ...]
+_ScaledRows = tuple[tuple[int, list[int]], ...]
 
 
 @dataclass(frozen=True)
@@ -74,13 +77,11 @@ class HPolyhedron:
         check_block(self.E, self.d, self.dim, "equalities")
 
     @cached_property
-    def _int_rows(self) -> tuple[_IntRows, _IntRows]:
-        """(ineq, eq): each row a·x <= beta or a·x = beta as the homogenized
-        integers L·(a, -beta), with L > 0 the lcm of its denominators."""
-        return (tuple([tuple(scaled_ints(row + (-beta,))[1])
-                       for row, beta in zip(self.A, self.b)]),
-                tuple([tuple(scaled_ints(row + (-delta,))[1])
-                       for row, delta in zip(self.E, self.d)]))
+    def _int_rows(self) -> tuple[_ScaledRows, _ScaledRows]:
+        """(ineq, eq): each row a·x <= beta or a·x = beta as (L, L·(a, -beta)),
+        the homogenized integers with L > 0 the lcm of its denominators."""
+        return (tuple([scaled_ints(row + (-beta,)) for row, beta in zip(self.A, self.b)]),
+                tuple([scaled_ints(row + (-delta,)) for row, delta in zip(self.E, self.d)]))
 
     @cached_property
     def _interior(self) -> tuple[frozenset[int], Vec] | None:
@@ -94,7 +95,7 @@ class HPolyhedron:
         some lie outside `tight`."""
         tight: frozenset[int] = frozenset()
         while True:
-            t, x, y, _ = _max_slack(self.A, self.b, self.E, self.d, self.dim, tight)
+            t, x, y, _ = _max_slack(*self._int_rows, self.dim, tight)
             if t is None or t < 0:
                 if tight:
                     raise TheoremViolation(
@@ -114,7 +115,8 @@ class HPolyhedron:
         description, split into points (t > 0, standing for x / t) and
         directions (t = 0), each lineality vector as a +/- pair."""
         ineq, eq = self._int_rows
-        rows = [*ineq, *eq, *[tuple([-k for k in row]) for row in eq], (0,) * self.dim + (-1,)]
+        rows = [*[row for _, row in ineq], *[row for _, row in eq],
+                *[tuple([-k for k in row]) for _, row in eq], (0,) * self.dim + (-1,)]
         lineality, rays = dd_cone(rows, self.dim + 1)
         points, directions = [], []
         for r in rays:
@@ -191,8 +193,8 @@ class HPolyhedron:
         q, p = scaled_ints(x)
         p.append(q)
         ineq, eq = self._int_rows
-        return (q, [-sum(map(mul, row, p)) for row in ineq],
-                [-sum(map(mul, row, p)) for row in eq])
+        return (q, [-sum(map(mul, row, p)) for _, row in ineq],
+                [-sum(map(mul, row, p)) for _, row in eq])
 
     def contains(self, x: Vec) -> bool:
         _, ineq, eq = self.residuals(x)
@@ -281,21 +283,21 @@ class PolyCone:
 # -- emptiness, implicit equalities and the affine hull ----------------------
 
 
-def _max_slack(A: Mat, b: Vec, E: Mat, d: Vec, n: int, tight: frozenset[int]
+def _max_slack(ineq, eq, n: int, tight: frozenset[int]
                ) -> tuple[Rat | None, Vec | None, Vec, Vec]:
     """max t <= 1 over (x, t) with a_i·x + t <= b_i on the rows outside
-    `tight`, a_i·x <= b_i on the rows in it, and E x = d, as (t, x, y, z).
+    `tight`, a_i·x <= b_i on the rows in it, and E x = d, as (t, x, y, z);
+    each row (L, L·(a, -beta)) as `HPolyhedron._int_rows` holds it.
 
     The one place the slack LP is encoded and read.  The cap bounds t, so
     the LP is optimal or infeasible: t is the optimum and x its first n
     coordinates, both None when infeasible; y and z are the multipliers on
     the rows of A and of E, duals at an optimum, Farkas multipliers
     otherwise."""
-    rows = tuple(row + (ZERO if i in tight else ONE,) for i, row in enumerate(A))
-    eqs = tuple(row + (ZERO,) for row in E)
-    out = lp_solve(LPProblem.maximize(
-        zeros(n) + (ONE,), (rows + (zeros(n) + (ONE,),), tuple(b) + (ONE,)),
-        (eqs, tuple(d))))
+    rows = [(L, [*h[:-1], 0 if i in tight else L, -h[-1]]) for i, (L, h) in enumerate(ineq)]
+    rows.append((1, [0] * n + [1, 1]))
+    eqs = [(L, [*h[:-1], 0, -h[-1]]) for L, h in eq]
+    out = _solve_ints((1, [0] * n + [1]), rows, eqs)
     if isinstance(out, Optimal):
         return out.value, out.point[:n], out.dual_ineq[:-1], out.dual_eq
     cert = out.certificate
@@ -453,5 +455,10 @@ def cone_contains(C: PolyCone, v: Vec) -> bool:
     if len(v) != C.dim:
         raise InputError("cone membership query of wrong dimension")
     check_exact("cone membership query", v)
-    k = len(C.generators)
-    return isinstance(lp_solve(LPProblem.maximize(v, (C.generators, zeros(k)))), Optimal)
+    return _cone_contains([scaled_ints(g) for g in C.generators], scaled_ints(v))
+
+
+def _cone_contains(gens, v: tuple[int, list[int]]) -> bool:
+    """`cone_contains` over the integers: each generator g as (L, L·g) and
+    v as (Lv, Lv·v), the one place the cone LP is encoded."""
+    return isinstance(_solve_ints(v, [(L, [*g, 0]) for L, g in gens], []), Optimal)

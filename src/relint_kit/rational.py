@@ -107,6 +107,13 @@ def common_ints(vectors) -> tuple[int, list[list[int]]]:
     return L, [[a.numerator * (L // a.denominator) for a in v] for v in vectors]
 
 
+def common_scaled(rows) -> tuple[int, list[list[int]]]:
+    """Rows (L_i, L_i·v_i) as `scaled_ints` gives them, over one common
+    denominator: (L, [L·v_i]) with L > 0 the lcm of the L_i; L = 1 if none."""
+    L = lcm(*[s for s, _ in rows])
+    return L, [[k * (L // s) for k in v] for s, v in rows]
+
+
 def primitive(ints) -> tuple[int, ...]:
     """Integers divided by their gcd, so coprime; the zero vector is left
     as it is.  Positive scaling only, so directions are preserved."""

@@ -26,13 +26,14 @@ from .errors import EmptySetError, InputError, PointNotInSetError
 from .polyhedra import (
     HPolyhedron,
     PolyCone,
+    _cone_contains,
     _nonempty_interior,
-    cone_contains,
+    cone_contains,  # re-exported: the package root imports it from here
     h_to_v,
     implicit_rows,
     is_empty,
 )
-from .rational import ONE, Rat, Vec, common_ints, vadd, vneg, vscale, vsub
+from .rational import ONE, Rat, Vec, common_scaled, primitive, scaled_ints, vadd, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -135,19 +136,64 @@ def ri_point(P: HPolyhedron) -> Vec:
     return _nonempty_interior(P)[1]
 
 
+def _distinct_sorted(gens: list) -> list:
+    """The distinct rows (L, L·g), L the lcm of the denominators of g, in the
+    order of the sorted g: keyed on the g over one common denominator."""
+    distinct = dict(zip(map(tuple, common_scaled(gens)[1]), gens))
+    return [distinct[k] for k in sorted(distinct)]
+
+
+def _hull_rows(P: HPolyhedron, x: Vec) -> list:
+    """cone(P - x), x = p/q in P, as `_distinct_sorted` rows: a generator
+    point (X, t) gives g = (qX - tp) / (tq) and its row from
+    primitive((qX - tp, tq)) = (L·g, L), unless g = 0; a direction D, (1, D)."""
+    if not P.contains(x):
+        raise PointNotInSetError("conic hull base point must belong to the set")
+    points, directions = P._int_generators
+    q, p = scaled_ints(x)
+    gens = []
+    for X in points:
+        t = X[-1]
+        G = [q * a - t * c for a, c in zip(X, p)]
+        if any(G):
+            *g, L = primitive([*G, t * q])
+            gens.append((L, g))
+    gens += [(1, D[:-1]) for D in directions]
+    return _distinct_sorted(gens)
+
+
+def _normal_rows(P: HPolyhedron, x: Vec) -> list:
+    """N(x; P) as `_distinct_sorted` rows: each nonzero active row (L, L·(a, -beta)),
+    both signs if implicit or an equality, gives primitive((L·a, L)) = (L_a·a, L_a)."""
+    _, ineq, eq = P.residuals(x)
+    if _find_violation(P, ineq, eq) is not None:
+        raise PointNotInSetError(
+            "normal cone at an outside point is empty, not the zero cone")
+    imp = implicit_rows(P)
+    int_ineq, int_eq = P._int_rows
+    rows = [(*row, (1, -1) if i in imp else (1,))
+            for i, (row, r) in enumerate(zip(int_ineq, ineq)) if r == 0]
+    gens = []
+    for L, h, signs in rows + [(L, h, (1, -1)) for L, h in int_eq]:
+        if any(h[:-1]):
+            *a, L = primitive([*h[:-1], L])
+            gens += [(L, [s * k for k in a]) for s in signs]
+    return _distinct_sorted(gens)
+
+
+def _cone(rows: list, n: int) -> PolyCone:
+    return PolyCone(tuple([tuple([Rat(k, L) for k in g]) for L, g in rows]), n)
+
+
 def conic_hull_at(P: HPolyhedron, x: Vec) -> PolyCone:
     """cone(P - x) for x in P, generated by the shifted generator points
     and the recession rays of P."""
-    if not P.contains(x):
-        raise PointNotInSetError("conic hull base point must belong to the set")
-    V = h_to_v(P)
-    gens = set()
-    for p in V.points:
-        g = vsub(p, x)
-        if any(c != 0 for c in g):
-            gens.add(g)
-    gens.update(V.rays)
-    return PolyCone(tuple(sorted(gens)), P.dim)
+    return _cone(_hull_rows(P, x), P.dim)
+
+
+def _is_subspace(rows: list) -> bool:
+    """`is_subspace` of the cone whose generators g are the rows (L, L·g)."""
+    return not rows or _cone_contains(rows, (1, [-sum(c) for c in zip(*common_scaled(rows)[1])]))
 
 
 def is_subspace(C: PolyCone) -> bool:
@@ -158,40 +204,19 @@ def is_subspace(C: PolyCone) -> bool:
     any positive multiple of it, such as L·(-Σg) over the generators'
     common denominator L.
     """
-    if not C.generators:
-        return True
-    _, rows = common_ints(C.generators)
-    return cone_contains(C, tuple([-sum(col) for col in zip(*rows)]))
+    return _is_subspace([scaled_ints(g) for g in C.generators])
 
 
 def normal_cone(P: HPolyhedron, x: Vec) -> PolyCone:
     """N(x; P): generated by the active inequality normals, both signs of
     the implicit inequality normals, and both signs of the equality rows."""
-    _, ineq, eq = P.residuals(x)
-    if _find_violation(P, ineq, eq) is not None:
-        raise PointNotInSetError(
-            "normal cone at an outside point is empty, not the zero cone")
-    imp = implicit_rows(P)
-    gens = set()
-    for i, (row, r) in enumerate(zip(P.A, ineq)):
-        if not any(row):
-            continue
-        if i in imp:
-            gens.add(row)
-            gens.add(vneg(row))
-        elif r == 0:
-            gens.add(row)
-    for row in P.E:
-        if any(c != 0 for c in row):
-            gens.add(row)
-            gens.add(vneg(row))
-    return PolyCone(tuple(sorted(gens)), P.dim)
+    return _cone(_normal_rows(P, x), P.dim)
 
 
 def in_iri(P: HPolyhedron, x: Vec) -> bool:
     """Intrinsic relative interior: cone(P - x) is a linear subspace."""
     try:
-        return not is_empty(P) and is_subspace(conic_hull_at(P, x))
+        return not is_empty(P) and _is_subspace(_hull_rows(P, x))
     except PointNotInSetError:
         return False
 
@@ -199,7 +224,7 @@ def in_iri(P: HPolyhedron, x: Vec) -> bool:
 def in_qri(P: HPolyhedron, x: Vec) -> bool:
     """Quasi-relative interior via the normal-cone subspace criterion."""
     try:
-        return not is_empty(P) and is_subspace(normal_cone(P, x))
+        return not is_empty(P) and _is_subspace(_normal_rows(P, x))
     except PointNotInSetError:
         return False
 
@@ -262,8 +287,8 @@ def characterization_suite(
     probes += [vadd(xbar, r) for r in V.rays]
     prolong = all(prolongation_test(P, xbar, x) is not None for x in probes)
     # The conic hull is closed, so one test decides both cone predicates.
-    cone_sub = is_subspace(conic_hull_at(P, xbar))
-    normal_sub = is_subspace(normal_cone(P, xbar))
+    cone_sub = _is_subspace(_hull_rows(P, xbar))
+    normal_sub = _is_subspace(_normal_rows(P, xbar))
     return MembershipReport(
         xbar,
         set_id,

@@ -96,8 +96,8 @@ def _joint_slack(P1: HPolyhedron, P2: HPolyhedron):
     """The slack LP over P1's rows then P2's, each set's implicit rows
     tight, as `_max_slack`'s (t, x, y, z)."""
     tight = implicit_rows(P1) | {len(P1.A) + i for i in implicit_rows(P2)}
-    return _max_slack(P1.A + P2.A, P1.b + P2.b, P1.E + P2.E, P1.d + P2.d,
-                      P1.dim, tight)
+    (ineq1, eq1), (ineq2, eq2) = P1._int_rows, P2._int_rows
+    return _max_slack(ineq1 + ineq2, eq1 + eq2, P1.dim, tight)
 
 
 def _functional(P1: HPolyhedron, y: Vec, z: Vec) -> Vec:

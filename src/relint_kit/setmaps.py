@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import EmptySetError, InputError
 from .polyhedra import (
@@ -35,7 +36,8 @@ from .relint import (
     ri_membership,
     ri_point,
 )
-from .rational import Mat, ONE, Rat, Vec, ZERO, dot, matvec, unit, vadd, vscale
+from .rational import Mat, ONE, Rat, Vec, ZERO, check_exact, common_ints, dot, matvec, unit
+from .rational import scaled_ints, vadd, vscale
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,10 @@ class PLConvexFunction:
     def __post_init__(self):
         if not self.pieces:
             raise InputError("a piecewise-linear function needs at least one piece")
-        for slope, _ in self.pieces:
+        for slope, intercept in self.pieces:
             if len(slope) != self.domain.dim:
                 raise InputError("piece slope of wrong dimension")
+            check_exact("piece", (*slope, intercept))
 
     @cached_property
     def _epigraph(self) -> HPolyhedron:
@@ -85,10 +88,18 @@ class PLConvexFunction:
         E = tuple(row + (ZERO,) for row in self.domain.E)
         return HPolyhedron(tuple(A), tuple(b), E, self.domain.d, self.domain.dim + 1)
 
+    def _max_piece(self, x: Vec) -> Rat:
+        """The largest piece at x, in integers over L q, with L the common
+        denominator of the pieces and q that of x: one `Fraction`, the max."""
+        L, pieces = common_ints([(*slope, intercept) for slope, intercept in self.pieces])
+        q, p = scaled_ints(x)
+        p.append(q)
+        return Rat(max([sum(map(mul, piece, p)) for piece in pieces]), L * q)
+
     def value(self, x: Vec) -> Rat:
         if not self.domain.contains(x):
             raise InputError("function evaluated outside its domain")
-        return max(dot(slope, x) + intercept for slope, intercept in self.pieces)
+        return self._max_piece(x)
 
 
 @dataclass(frozen=True)
@@ -220,7 +231,7 @@ def epi_relint_report(f: PLConvexFunction, x: Vec, level: Rat) -> EpiRelintRepor
     lhs_ri = in_ri(epi, point)
     lhs_iri = in_iri(epi, point)
     lhs_qri = in_qri(epi, point)
-    strict = f.domain.contains(x) and level > f.value(x)
+    strict = f.domain.contains(x) and level > f._max_piece(x)
     rhs_ri = strict and in_ri(f.domain, x)
     rhs_iri = strict and in_iri(f.domain, x)
     rhs_qri = strict and in_qri(f.domain, x)
@@ -255,8 +266,9 @@ def linear_image_ri_commutes(M: Mat, P: HPolyhedron) -> CommutationReport:
 
 def _strict_preimage(M: Mat, P: HPolyhedron, q: Vec) -> Vec | None:
     """x in P with Mx = q and positive slack on all non-implicit rows."""
-    t, x, _, _ = _max_slack(P.A, P.b, tuple(P.E) + tuple(M), tuple(P.d) + tuple(q),
-                            P.dim, implicit_rows(P))
+    ineq, eq = P._int_rows
+    eq = [*eq, *[scaled_ints([*row, -c]) for row, c in zip(M, q)]]
+    t, x, _, _ = _max_slack(ineq, eq, P.dim, implicit_rows(P))
     return x if t is not None and t > 0 else None
 
 

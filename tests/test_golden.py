@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_cone_rows, random_nonempty_hpoly, random_pair
+from relint_kit import lp
 from relint_kit.cli import main
 from relint_kit.dd import dd_cone
 from relint_kit.errors import RelintKitError
@@ -45,6 +46,7 @@ from relint_kit.relint import (
     conic_hull_at,
     in_iri,
     in_qri,
+    in_ri,
     normal_cone,
     prolongation_test,
     ri_membership,
@@ -55,8 +57,10 @@ from relint_kit.separation import (
     NotSeparable,
     Separated,
     properly_separate,
+    separation_iff_ri_disjoint,
     strict_separate_in_flat,
 )
+from relint_kit.setmaps import linear_image_ri_commutes, set_difference_ri_commutes
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "relint_kit" / "corpus"
 
@@ -557,6 +561,49 @@ def test_point_predicates_are_pinned():
             (False, False, "ineq-violated"), (False, False, "eq-violated"),
             (False, None, None)} <= kinds
     assert _digest(results) == POINT_PREDICATES
+
+
+# Every LP the decision procedures pose reaches `simplex_max` as integer
+# rows.  This pin hashes each call's arguments with its status and pivot
+# count, in call order, so a change to how any caller encodes its LP (row
+# order, scales, the cost) shows here even when every verdict stays put.
+LP_INPUTS = "137c1274f167c78116800e60dacd81524c2ebd2f512cbab04675650ce57df831"
+
+
+def test_lp_inputs_are_pinned(monkeypatch):
+    calls = []
+    real = lp.simplex_max
+
+    def spy(cost, rows):
+        status, data, pivots = real(cost, rows)
+        calls.append((cost, rows, status, pivots))
+        return status, data, pivots
+
+    monkeypatch.setattr(lp, "simplex_max", spy)
+    rng = random.Random(4011)
+    for _ in range(60):
+        P, anchor = _pinned_set(rng)
+        if P.dim < 3 and rng.random() < 0.3:
+            P = _free_coordinate(P, rng.randrange(P.dim + 1))
+            anchor = None
+        center = _outcome(ri_point, P)
+        center = None if isinstance(center[0], str) else center
+        if anchor is None:
+            anchor = center or zeros(P.dim)
+        for x in _pinned_points(rng, P, anchor, center):
+            _outcome(in_ri, P, x)
+            _outcome(in_iri, P, x)
+            _outcome(in_qri, P, x)
+            _outcome(characterization_suite, P, x)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        P1, P2 = random_pair(rng, n, 5)
+        properly_separate(P1, P2)
+        separation_iff_ri_disjoint(P1, P2)
+        linear_image_ri_commutes(_image_matrix(rng, n) or ((ZERO,) * n,), P1)
+        set_difference_ri_commutes(P1, P2)
+    assert {status for *_, status, _ in calls} == {"optimal", "infeasible", "unbounded"}
+    assert _digest(calls) == LP_INPUTS
 
 
 # -- structural operations -----------------------------------------------------

@@ -448,13 +448,13 @@ def _count_lp_solves(monkeypatch) -> list:
     """Record every LP that polyhedra solves.  Facts are cached on each
     set, so count on a set that no earlier query has seen."""
     calls = []
-    real = polyhedra.lp_solve
+    real = polyhedra._solve_ints
 
-    def counting(problem):
+    def counting(*problem):
         calls.append(problem)
-        return real(problem)
+        return real(*problem)
 
-    monkeypatch.setattr(polyhedra, "lp_solve", counting)
+    monkeypatch.setattr(polyhedra, "_solve_ints", counting)
     return calls
 
 
@@ -504,7 +504,7 @@ def test_max_slack_reads_its_lp_as_t_x_y_z():
                 b.append(rhs)
         P = HPolyhedron(tuple(A), tuple(b), tuple(E), tuple(d), n)
         tight = frozenset(i for i in range(len(A)) if rng.random() < 0.3)
-        t, x, y, z = polyhedra._max_slack(P.A, P.b, P.E, P.d, n, tight)
+        t, x, y, z = polyhedra._max_slack(*P._int_rows, n, tight)
         assert len(y) == len(A) and len(z) == len(E)
         if t is not None and t >= 0:
             assert len(x) == n and P.contains(x)

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_nonempty_hpoly
+from relint_kit import relint
 from relint_kit.errors import EmptySetError, InputError, PointNotInSetError
-from relint_kit.polyhedra import HPolyhedron, PolyCone, h_to_v
+from relint_kit.polyhedra import HPolyhedron, PolyCone, h_to_v, implicit_rows, is_empty
 from relint_kit.relint import (
     characterization_suite,
     cone_contains,
@@ -22,7 +23,7 @@ from relint_kit.relint import (
     ri_membership,
     ri_point,
 )
-from relint_kit.rational import vec
+from relint_kit.rational import common_ints, dot, scaled_ints, vec, vneg, vsub
 from relint_kit.sampling import sample_points
 
 UNIT_SQUARE = HPolyhedron.make(A=[[1, 0], [-1, 0], [0, 1], [0, -1]], b=[1, 0, 1, 0])
@@ -252,3 +253,120 @@ def test_inexact_points_rejected_by_the_predicates():
                   lambda: characterization_suite(UNIT_SQUARE, x)):
         with pytest.raises(InputError, match="^point: entry 0.5 "):
             check()
+
+
+# -- the integer rows of the hull and normal cones ------------------------------
+#
+# in_iri and in_qri pose their cone LPs from the sets' integer generators and
+# rows.  The oracle is the `Fraction` construction: the sorted set of p - x
+# and the rays, or of the active, implicit and equality normals, each row put
+# through `scaled_ints`, and the objective L·(-Σg) over the generators'
+# common denominator L.
+
+DENOMINATORS = (1, 2, 3, 7, 30, 41, 77, 89, 91, 97)
+
+
+def _wide(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+
+
+def _cone_case(rng: random.Random) -> HPolyhedron:
+    """Rows through an anchor with denominators up to 97: tight and slack
+    inequalities, equalities, zero rows, and sometimes a free coordinate,
+    whose line DD returns as a +/- pair of directions."""
+    n = rng.randint(1, 3)
+    anchor = [_wide(rng) for _ in range(n)]
+    A, b, E, d = [], [], [], []
+    for _ in range(rng.randint(1, n + 3)):
+        row = [_wide(rng) for _ in range(n)]
+        value = sum((a * x for a, x in zip(row, anchor)), Fraction(0))
+        u = rng.random()
+        if u < 0.15:
+            E.append(row)
+            d.append(value)
+        elif u < 0.25:
+            A.append([Fraction(0)] * n)
+            b.append(Fraction(rng.randint(0, 3), rng.choice(DENOMINATORS)))
+        else:
+            A.append(row)
+            b.append(value + rng.choice((0, Fraction(rng.randint(1, 9), rng.choice(DENOMINATORS)))))
+    if rng.random() < 0.3:
+        j = rng.randint(0, n)
+        A = [row[:j] + [Fraction(0)] + row[j:] for row in A]
+        E = [row[:j] + [Fraction(0)] + row[j:] for row in E]
+        n += 1
+    return HPolyhedron(tuple(map(tuple, A)), tuple(b), tuple(map(tuple, E)), tuple(d), n)
+
+
+def _oracle_hull(P: HPolyhedron, x) -> list:
+    V = h_to_v(P)
+    return sorted({vsub(p, x) for p in V.points if any(c != 0 for c in vsub(p, x))}
+                  | set(V.rays))
+
+
+def _oracle_normal(P: HPolyhedron, x) -> list:
+    imp = implicit_rows(P)
+    gens = set()
+    for i, (row, beta) in enumerate(zip(P.A, P.b)):
+        if not any(row):
+            continue
+        if i in imp:
+            gens |= {row, vneg(row)}
+        elif dot(row, x) == beta:
+            gens.add(row)
+    for row in P.E:
+        if any(row):
+            gens |= {row, vneg(row)}
+    return sorted(gens)
+
+
+def _oracle_lp(gens: list):
+    """The cone LP of `is_subspace`, or None when there are no generators."""
+    if not gens:
+        return None
+    _, ints = common_ints(gens)
+    return [scaled_ints(g) for g in gens], (1, [-sum(col) for col in zip(*ints)])
+
+
+def test_integer_cone_rows_match_the_fraction_construction(monkeypatch):
+    posed = []
+
+    def spy(rows, cost):
+        posed.append(([(L, list(g)) for L, g in rows], cost))
+        return real(rows, cost)
+
+    real = relint._cone_contains
+    monkeypatch.setattr(relint, "_cone_contains", spy)
+    rng = random.Random(2021)
+    seen = set()
+    for _ in range(150):
+        P = _cone_case(rng)
+        if is_empty(P):
+            continue
+        V = h_to_v(P)
+        center = ri_point(P)
+        points = [center, *V.points]
+        points += [tuple((c + p) / 2 for c, p in zip(center, q)) for q in V.points]
+        # A generator point minus a direction: for a line's direction it
+        # stays in the set, and shifts that point onto the direction.
+        points += [vsub(q, r) for q in V.points for r in V.rays]
+        for x in points:
+            if not P.contains(x):
+                continue
+            hull = _oracle_hull(P, x)
+            normal = _oracle_normal(P, x)
+            for predicate, gens in ((in_iri, hull), (in_qri, normal)):
+                posed.clear()
+                predicate(P, x)
+                assert posed == ([] if not gens else [_oracle_lp(gens)]), (P, x)
+            assert conic_hull_at(P, x) == PolyCone(tuple(hull), P.dim)
+            assert normal_cone(P, x) == PolyCone(tuple(normal), P.dim)
+            seen.add(("vertex", x in V.points))
+            seen.add(("point on a direction",
+                      any(vsub(p, x) in V.rays for p in V.points)))
+            seen.add(("line", any(vneg(r) in V.rays for r in V.rays)))
+            seen.add(("zero row", any(not any(row) for row in P.A)))
+            seen.add(("equality", bool(P.E)))
+            seen.add(("wide", any(c.denominator > 90 for g in hull + normal for c in g)))
+    kinds = ("vertex", "point on a direction", "line", "zero row", "equality", "wide")
+    assert {(kind, True) for kind in kinds} <= seen

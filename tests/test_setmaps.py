@@ -199,6 +199,13 @@ def test_function_value_outside_domain_rejected():
         f.value(vec([5]))
 
 
+def test_inexact_pieces_rejected():
+    """A float slope or intercept would make every value inexact."""
+    for piece in (((0.5,), Fraction(1)), ((Fraction(1, 2),), 1.0)):
+        with pytest.raises(InputError):
+            PLConvexFunction((piece,), INTERVAL)
+
+
 def test_image_commutes_projection_of_square():
     rep = linear_image_ri_commutes(mat([[1, 0]]), UNIT_SQUARE)
     assert rep.holds

@@ -35,13 +35,33 @@ def _calls_to(name: str) -> set[tuple[str, str]]:
 
 
 def test_one_lp_front_end():
-    """The tableau is built in one place, and only the general LP front
-    end encodes problems for it.  Above the front end, the slack LP and
-    the Farkas dual of cone membership are the only encodings of an LP
-    question."""
+    """The tableau is built in one place, and only the integer LP entry
+    hands problems to it.  Above that entry, `lp_solve` (which scales an
+    `LPProblem`), the slack LP and the Farkas dual of cone membership are
+    the only encodings of an LP question; the library itself poses its
+    LPs over the integers and never through `lp_solve`."""
     assert _calls_to("_Simplex") == {("lp", "simplex_max")}
-    assert _calls_to("simplex_max") == {("lp", "lp_solve")}
-    assert _calls_to("lp_solve") == {("polyhedra", "_max_slack"), ("polyhedra", "cone_contains")}
+    assert _calls_to("simplex_max") == {("lp", "_solve_ints")}
+    assert _calls_to("_solve_ints") == {("lp", "lp_solve"), ("polyhedra", "_max_slack"),
+                                        ("polyhedra", "_cone_contains")}
+    assert _calls_to("lp_solve") == set()
+
+
+def test_only_lp_builds_an_lp_problem():
+    """An `LPProblem` is built in the LP module alone: every other mention
+    of the name in the library is the package root's re-export."""
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "lp":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "LPProblem":
+                sites.add((path.stem, type(node).__name__))
+    assert sites == {("__init__", "alias")}
 
 
 def _takes_free(fn) -> bool:
