@@ -58,13 +58,13 @@ def _parse_rat(text: str, what: str):
 def _parse_point(text: str | None, what: str = "--point"):
     if text is None:
         raise InputError(f"this command requires {what}")
-    return tuple(_parse_rat(part, what) for part in text.split(","))
+    return tuple([_parse_rat(part, what) for part in text.split(",")])
 
 
 def _parse_matrix(text: str | None):
     if text is None:
         raise InputError("this command requires --matrix (rows split by ';')")
-    return tuple(_parse_point(row, "--matrix") for row in text.split(";"))
+    return tuple([_parse_point(row, "--matrix") for row in text.split(";")])
 
 
 def _load(path: str) -> docio.InstanceDocument:
@@ -268,7 +268,7 @@ def _check_hpoly(ident: str, P: HPolyhedron, seed: int, checks):
     )
     checks.append((ident, "qri-separation-consistency", lemma_ok))
     if P.dim >= 2:
-        proj = tuple(unit(P.dim, j) for j in range(P.dim - 1))
+        proj = tuple([unit(P.dim, j) for j in range(P.dim - 1)])
         checks.append((ident, "image-commutation",
                        linear_image_ri_commutes(proj, P).holds))
 

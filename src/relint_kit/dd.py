@@ -32,7 +32,7 @@ def _sign_canonical(v: IVec) -> IVec:
         if k > 0:
             return v
         if k < 0:
-            return tuple(-a for a in v)
+            return tuple([-a for a in v])
     return v
 
 
@@ -52,7 +52,7 @@ def dd_cone(rows: list[Sequence[int]], dim: int) -> tuple[list[IVec], list[IVec]
     """
     unit_rows = sorted({primitive(r) for r in rows} - {(0,) * dim})
     lineality: list[IVec] = [
-        tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)
+        tuple([1 if i == j else 0 for i in range(dim)]) for j in range(dim)
     ]
     rays: list[_Ray] = []
     for k, m in enumerate(unit_rows):
@@ -85,7 +85,7 @@ def dd_cone(rows: list[Sequence[int]], dim: int) -> tuple[list[IVec], list[IVec]
                     if s0 < 0:
                         shifted = [-a for a in shifted]
                     new_rays.append(_Ray(primitive(shifted), ray.mask | 1 << k))
-            r0_vec = l0 if s0 < 0 else tuple(-a for a in l0)
+            r0_vec = l0 if s0 < 0 else tuple([-a for a in l0])
             new_rays.append(_Ray(r0_vec, (1 << k) - 1))
             rays = new_rays
         else:

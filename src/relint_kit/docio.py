@@ -44,13 +44,13 @@ def _rat(node, path: str) -> Rat:
 def _vec(node, path: str) -> Vec:
     if not isinstance(node, list):
         raise InputError(f"{path}: expected a list")
-    return tuple(_rat(v, f"{path}[{i}]") for i, v in enumerate(node))
+    return tuple([_rat(v, f"{path}[{i}]") for i, v in enumerate(node)])
 
 
 def _matrix(node, path: str) -> Mat:
     if not isinstance(node, list):
         raise InputError(f"{path}: expected a list of rows")
-    return tuple(_vec(row, f"{path}[{i}]") for i, row in enumerate(node))
+    return tuple([_vec(row, f"{path}[{i}]") for i, row in enumerate(node)])
 
 
 def _int(node, path: str) -> int:

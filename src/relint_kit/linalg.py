@@ -103,15 +103,15 @@ def project_onto_span(directions: tuple[Vec, ...], v: Vec) -> Vec:
     if not directions:
         return zeros(len(v))
     k = len(directions)
-    gram = tuple(
-        tuple(dot(directions[i], directions[j]) for j in range(k)) for i in range(k)
-    )
-    rhs = tuple(dot(d, v) for d in directions)
+    gram = tuple([
+        tuple([dot(directions[i], directions[j]) for j in range(k)]) for i in range(k)
+    ])
+    rhs = tuple([dot(d, v) for d in directions])
     sol = solve_linear_system(gram, rhs, k)
     if sol is None or sol.nullspace_basis:
         raise InputError("projection requires linearly independent directions")
     out = zeros(len(v))
     for coeff, d in zip(sol.particular, directions):
-        out = tuple(a + coeff * b for a, b in zip(out, d))
+        out = tuple([a + coeff * b for a, b in zip(out, d)])
     return out
 

@@ -3,8 +3,9 @@
 A two-phase tableau simplex for max c·x subject to a_i·x <= beta_i over
 free x (`simplex_max`), using Bland's pivoting rule throughout, which
 guarantees termination and makes every outcome deterministic for a fixed
-input.  It takes the cost and rows as integers and pivots fraction-free;
-outcomes are exact `Fraction`s, the optimal value read off the tableau.
+input.  It takes the cost and rows as integers and pivots fraction-free,
+each row updated in place; outcomes are exact `Fraction`s, built only
+when read out, the optimal value off the tableau.
 The tableau is condensed: a row holds one integer per nonbasic variable
 and the right-hand side, n + 1 in all, and a free variable's slot stands
 for either half of its (+, -) pair, so it pivots as the split tableau
@@ -163,19 +164,30 @@ class _Simplex:
         self.pivots += 1
         if self.pivots > self.pivot_limit:
             raise TheoremViolation("simplex exceeded its combinatorial pivot bound")
-        d, row = self.denom, self.tab[r]
+        d, tab = self.denom, self.tab
+        row = tab[r]
         sign = 1 if row[s] > 0 else -1
         if sign < 0:
             # Negating the pivot row keeps the new common denominator positive.
-            row = [-a for a in row]
-        p, rows = row[s], [*self.tab, self.obj]
-        for i, other in enumerate(rows):
-            if i != r:
-                f = other[s]
-                rows[i] = other = _eliminate(other, row, f, p, d)
-                other[s] = -sign * f
-        row[s], rows[r] = sign * d, row
-        *self.tab, self.obj = rows
+            row = tab[r] = [-a for a in row]
+        p = row[s]
+        # Every other row, the objective last, over the new denominator p:
+        # each division by the old one, d, is exact, and skipped while d = 1.
+        tab.append(self.obj)
+        for i, other in enumerate(tab):
+            f = other[s]
+            if i == r or not f and p == d:
+                continue
+            if not f:
+                new = [a * p for a in other] if d == 1 else [a * p // d for a in other]
+            elif d == 1:
+                new = [a * p - f * b for a, b in zip(other, row)]
+            else:
+                new = [(a * p - f * b) // d for a, b in zip(other, row)]
+            new[s] = -sign * f
+            tab[i] = new
+        self.obj = tab.pop()
+        row[s] = sign * d
         self.denom = p
         self.basis[r], self.nonbasic[s] = self.nonbasic[s], self.basis[r]
 
@@ -311,17 +323,6 @@ class _Simplex:
             if 0 <= i < self.m:
                 y[i] = Rat(self.obj[s] * self.scales[i], self.denom * cost_scale)
         return tuple(y)
-
-
-def _eliminate(row: list[int], pivot_row: list[int], f: int, p: int, d: int) -> list[int]:
-    """`row` over the new common denominator p after a pivot on `pivot_row`
-    in a column where `row` holds f; d is the old one.  Every division is
-    exact."""
-    if f:
-        return [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
-    if p == d:
-        return row
-    return [a * p // d for a in row]
 
 
 def simplex_max(cost: tuple[int, list[int]], rows: list[tuple[int, list[int]]]):

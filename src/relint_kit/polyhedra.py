@@ -13,8 +13,9 @@ Conventions fixed here and relied on everywhere else:
     `cached_property`s of the set itself: computed once, freed with it;
   * its generators are cached as the primitive integer rays (x, t) of its
     homogenization cone, and `linear_image` and `minkowski_diff` map those
-    integers straight into the next double description; `h_to_v` builds
-    its sorted `Fraction` points from them only when asked;
+    integers straight into the next double description; sorted on integer
+    keys (`_sorted_generators`), the same tuples give the order of `h_to_v`,
+    which builds its `Fraction` points only when asked;
   * its rows are cached as integers with their scales (`_int_rows`); the
     slack LP (emptiness, implicit rows, separation, strict preimages) is
     encoded from them and read in `_max_slack` alone, as (t, x, y, z), and
@@ -47,6 +48,9 @@ from .rational import (
     ZERO,
     check_block,
     check_exact,
+    common_ints,
+    common_points,
+    frac_vec,
     mat,
     primitive,
     scaled_ints,
@@ -134,17 +138,22 @@ class HPolyhedron:
         return tuple(points), tuple(directions)
 
     @cached_property
-    def _generators(self) -> VPolyhedron:
-        """The generator representation: `_int_generators` as sorted
-        `Fraction` points and directions."""
+    def _sorted_generators(self) -> tuple[_IntRows, _IntRows]:
+        """`_int_generators` without repeats, sorted as `h_to_v` lists them:
+        the points (x, t) by x / t, keyed as integers over the lcm of the
+        t's, and the directions (x, 0) by x; none if the set is empty."""
         points, directions = self._int_generators
         if not points:
-            return VPolyhedron((), (), self.dim)
-        return VPolyhedron(
-            tuple(sorted({tuple([Rat(k, g[-1]) for k in g[:-1]]) for g in points})),
-            tuple(sorted({tuple([Rat(k) for k in g[:-1]]) for g in directions})),
-            self.dim,
-        )
+            return (), ()
+        keys = dict(zip(map(tuple, common_points(points)[1]), points))
+        return tuple([keys[k] for k in sorted(keys)]), tuple(sorted(set(directions)))
+
+    @cached_property
+    def _generators(self) -> VPolyhedron:
+        """The generator representation: `_sorted_generators` as `Fraction`s."""
+        points, directions = self._sorted_generators
+        return VPolyhedron(tuple([frac_vec(g[-1], g[:-1]) for g in points]),
+                           tuple([frac_vec(1, g[:-1]) for g in directions]), self.dim)
 
     @classmethod
     def make(cls, A=(), b=(), E=(), d=(), dim=None) -> "HPolyhedron":
@@ -174,7 +183,7 @@ class HPolyhedron:
         LP: no implicit rows, and the point itself."""
         p = vec(point)
         n = len(p)
-        eye = tuple(tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n))
+        eye = tuple([tuple([ONE if i == j else ZERO for i in range(n)]) for j in range(n)])
         P = cls((), (), eye, p, n)
         P.__dict__["_interior"] = (frozenset(), p)
         return P
@@ -187,14 +196,21 @@ class HPolyhedron:
         row i of A and row j of E to integers, so each residual has the
         sign of its row's slack at x, and ratios of residuals at two points
         are exact."""
+        q, _, ineq, eq = self._evaluate(x)
+        return q, ineq, eq
+
+    def _evaluate(self, x: Vec) -> tuple[int, list[int], list[int], list[int]]:
+        """x checked and evaluated once: (q, p, ineq, eq), x = p / q, as in `residuals`."""
         if len(x) != self.dim:
             raise InputError(f"point of length {len(x)} in dimension {self.dim}")
         check_exact("point", x)
         q, p = scaled_ints(x)
-        p.append(q)
-        ineq, eq = self._int_rows
-        return (q, [-sum(map(mul, row, p)) for _, row in ineq],
-                [-sum(map(mul, row, p)) for _, row in eq])
+        return (q, p, *self._residuals(q, p))
+
+    def _residuals(self, q: int, p: list[int]) -> tuple[list[int], list[int]]:
+        """The residuals of `residuals` at the point p / q, for any q > 0."""
+        h = [*p, q]
+        return tuple([[-sum(map(mul, row, h)) for _, row in rows] for rows in self._int_rows])
 
     def contains(self, x: Vec) -> bool:
         _, ineq, eq = self.residuals(x)
@@ -217,8 +233,8 @@ class VPolyhedron:
 
     @classmethod
     def make(cls, points=(), rays=(), dim=None) -> "VPolyhedron":
-        pts = tuple(vec(p) for p in points)
-        rs = tuple(vec(r) for r in rays)
+        pts = tuple([vec(p) for p in points])
+        rs = tuple([vec(r) for r in rays])
         if dim is None:
             if pts:
                 dim = len(pts[0])
@@ -370,7 +386,7 @@ def _dual_rows(gens: list[Sequence[int]], n: int) -> HPolyhedron:
             if c > 0:
                 raise TheoremViolation("trivial facet row unsatisfiable at t = 1")
             continue
-        A.append(tuple(Rat(x) for x in a))
+        A.append(tuple([Rat(x) for x in a]))
         b.append(Rat(-c))
     for l in sorted(lineality):
         a, c = l[:-1], l[-1]
@@ -378,7 +394,7 @@ def _dual_rows(gens: list[Sequence[int]], n: int) -> HPolyhedron:
             if c != 0:
                 raise TheoremViolation("a nonempty set misses the t = 1 slice")
             continue
-        E.append(tuple(Rat(x) for x in a))
+        E.append(tuple([Rat(x) for x in a]))
         d.append(Rat(-c))
     return HPolyhedron(tuple(A), tuple(b), tuple(E), tuple(d), n)
 
@@ -402,9 +418,7 @@ def linear_image(M: Mat, P: HPolyhedron) -> HPolyhedron:
     points, directions = P._int_generators
     if not points:
         return HPolyhedron.empty(target)
-    D, flat = scaled_ints([a for row in M for a in row])
-    n = P.dim
-    rows = [flat[i * n:(i + 1) * n] for i in range(target)]
+    D, rows = common_ints(M)
     gens = [[sum(map(mul, row, g)) for row in rows] + [D * g[-1]] for g in points]
     for g in directions:
         w = [sum(map(mul, row, g)) for row in rows]

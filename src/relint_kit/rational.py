@@ -5,6 +5,11 @@ form with positive denominator), re-exported as `Rat`.  Vectors are plain
 tuples of `Rat`, matrices are tuples of row vectors.  Everything here is
 immutable, so a geometric object built from these types can cache facts
 derived from it on itself (see `polyhedra`).
+
+This is the one place a rational vector is put over the integers: a point
+as (q, p), q > 0 its common denominator and p = q·x, a row as (L, L·v).
+The library computes in those and builds `Fraction`s only for what it
+returns, as `dot` and `matvec` build one per result.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction as Rat
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError
 
@@ -57,7 +63,7 @@ def vec(entries) -> Vec:
 
 
 def mat(rows) -> Mat:
-    return tuple(vec(r) for r in rows)
+    return tuple([vec(r) for r in rows])
 
 
 def zeros(n: int) -> Vec:
@@ -65,31 +71,36 @@ def zeros(n: int) -> Vec:
 
 
 def unit(n: int, j: int) -> Vec:
-    return tuple(ONE if i == j else ZERO for i in range(n))
+    return tuple([ONE if i == j else ZERO for i in range(n)])
 
 
 def dot(u: Vec, v: Vec) -> Rat:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    """u·v, each vector over its common denominator: one `Fraction`."""
+    Lu, iu = scaled_ints(u)
+    Lv, iv = scaled_ints(v)
+    return Rat(sum(map(mul, iu, iv)), Lu * Lv)
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple([a + b for a, b in zip(u, v)])
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple([a - b for a, b in zip(u, v)])
 
 
 def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
+    return tuple([-a for a in u])
 
 
 def vscale(t: Rat, u: Vec) -> Vec:
-    return tuple(t * a for a in u)
+    return tuple([t * a for a in u])
 
 
 def matvec(m: Mat, x: Vec) -> Vec:
-    return tuple(dot(row, x) for row in m)
+    """m·x, x over the integers once: one `Fraction` per entry."""
+    q, p = scaled_ints(x)
+    return tuple([Rat(sum(map(mul, r, p)), L * q) for L, r in map(scaled_ints, m)])
 
 
 def scaled_ints(v) -> tuple[int, list[int]]:
@@ -112,6 +123,25 @@ def common_scaled(rows) -> tuple[int, list[list[int]]]:
     denominator: (L, [L·v_i]) with L > 0 the lcm of the L_i; L = 1 if none."""
     L = lcm(*[s for s, _ in rows])
     return L, [[k * (L // s) for k in v] for s, v in rows]
+
+
+def combination(coeffs, rows, width: int) -> list[int]:
+    """Σ c_i·v_i times a positive integer, over rational c_i and rows
+    (L_i, L_i·v_i) of length `width`, each side over one denominator."""
+    _, c = scaled_ints(coeffs)
+    _, vs = common_scaled(rows)
+    return [sum(map(mul, c, col)) for col in zip(*vs)] if vs else [0] * width
+
+
+def frac_vec(q: int, p) -> Vec:
+    """The point p / q, q > 0, as `Fraction`s."""
+    return tuple([Rat(k, q) for k in p])
+
+
+def common_points(gens) -> tuple[int, list[list[int]]]:
+    """Points x / t given as integers (x, t), t > 0, over one common
+    denominator: (T, [T·x / t]), T the lcm of the t's."""
+    return common_scaled([(g[-1], g[:-1]) for g in gens])
 
 
 def primitive(ints) -> tuple[int, ...]:

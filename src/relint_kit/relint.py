@@ -8,7 +8,8 @@ being a subspace, and the normal cone being a subspace) coincide; the
 suite computes each one independently so that agreement is evidence, not
 assumption.  The conic hull of a polyhedron at one of its points is
 already closed, so the closure predicate reuses the same subspace test;
-that equality is structural rather than evidential.
+that equality is structural rather than evidential.  Each question
+evaluates its point against the rows once, as integers (q, p), x = p / q.
 
 For a nonempty polyhedron, indeed for every nonempty convex set in finite
 dimension, ri = iri = qri: the relative, intrinsic and quasi-relative
@@ -21,6 +22,7 @@ quasi-relative predicates point by point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import EmptySetError, InputError, PointNotInSetError
 from .polyhedra import (
@@ -29,11 +31,11 @@ from .polyhedra import (
     _cone_contains,
     _nonempty_interior,
     cone_contains,  # re-exported: the package root imports it from here
-    h_to_v,
     implicit_rows,
     is_empty,
 )
-from .rational import ONE, Rat, Vec, common_scaled, primitive, scaled_ints, vadd, vscale, vsub
+from .rational import (ONE, Rat, Vec, common_scaled, frac_vec, primitive, scaled_ints, vadd,
+                       vscale, vsub)
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,20 @@ def _find_violation(P: HPolyhedron, ineq: list[int], eq: list[int]) -> RowWitnes
     return None
 
 
+def _ri_witness(P: HPolyhedron, ineq: list[int], eq: list[int]) -> RowWitness | None:
+    """The row that keeps x out of ri P, nonempty, read from x's residuals:
+    a violated row, else an active row that is not implicit; None when x
+    is in ri P."""
+    violated = _find_violation(P, ineq, eq)
+    if violated is not None:
+        return violated
+    imp = implicit_rows(P)
+    for i, r in enumerate(ineq):
+        if r == 0 and i not in imp:
+            return RowWitness("ineq-active", i, P.A[i], P.b[i])
+    return None
+
+
 def ri_membership(P: HPolyhedron, x: Vec) -> RiResult:
     """Membership of x in the relative interior of nonempty P: x in P with
     every non-implicit inequality strict."""
@@ -112,15 +128,9 @@ def ri_membership(P: HPolyhedron, x: Vec) -> RiResult:
         raise InputError(f"point of length {len(x)} in dimension {P.dim}")
     if is_empty(P):
         raise EmptySetError("relative interior of the empty set is undefined")
-    _, ineq, eq = P.residuals(x)
-    violated = _find_violation(P, ineq, eq)
-    if violated is not None:
-        return RiResult(False, violated)
-    imp = implicit_rows(P)
-    for i, r in enumerate(ineq):
-        if r == 0 and i not in imp:
-            return RiResult(False, RowWitness("ineq-active", i, P.A[i], P.b[i]))
-    return RiResult(True)
+    _, _, ineq, eq = P._evaluate(x)
+    witness = _ri_witness(P, ineq, eq)
+    return RiResult(witness is None, witness)
 
 
 def in_ri(P: HPolyhedron, x: Vec) -> bool:
@@ -136,21 +146,20 @@ def ri_point(P: HPolyhedron) -> Vec:
     return _nonempty_interior(P)[1]
 
 
-def _distinct_sorted(gens: list) -> list:
+def _distinct_sorted(gens: list) -> tuple[list, list[int]]:
     """The distinct rows (L, L·g), L the lcm of the denominators of g, in the
-    order of the sorted g: keyed on the g over one common denominator."""
-    distinct = dict(zip(map(tuple, common_scaled(gens)[1]), gens))
-    return [distinct[k] for k in sorted(distinct)]
+    order of the sorted g, keyed on the g over one common denominator L';
+    with them L'·(-Σg) over the distinct g, `_is_subspace`'s objective."""
+    keys = dict(zip(map(tuple, common_scaled(gens)[1]), gens))
+    order = sorted(keys)
+    return [keys[k] for k in order], [-sum(c) for c in zip(*order)]
 
 
-def _hull_rows(P: HPolyhedron, x: Vec) -> list:
-    """cone(P - x), x = p/q in P, as `_distinct_sorted` rows: a generator
-    point (X, t) gives g = (qX - tp) / (tq) and its row from
+def _hull_rows(P: HPolyhedron, q: int, p: list[int]) -> tuple[list, list[int]]:
+    """cone(P - x), x = p/q in P (any q > 0), as `_distinct_sorted` gives it:
+    a generator point (X, t) gives g = (qX - tp) / (tq) and its row from
     primitive((qX - tp, tq)) = (L·g, L), unless g = 0; a direction D, (1, D)."""
-    if not P.contains(x):
-        raise PointNotInSetError("conic hull base point must belong to the set")
     points, directions = P._int_generators
-    q, p = scaled_ints(x)
     gens = []
     for X in points:
         t = X[-1]
@@ -162,13 +171,10 @@ def _hull_rows(P: HPolyhedron, x: Vec) -> list:
     return _distinct_sorted(gens)
 
 
-def _normal_rows(P: HPolyhedron, x: Vec) -> list:
-    """N(x; P) as `_distinct_sorted` rows: each nonzero active row (L, L·(a, -beta)),
-    both signs if implicit or an equality, gives primitive((L·a, L)) = (L_a·a, L_a)."""
-    _, ineq, eq = P.residuals(x)
-    if _find_violation(P, ineq, eq) is not None:
-        raise PointNotInSetError(
-            "normal cone at an outside point is empty, not the zero cone")
+def _normal_rows(P: HPolyhedron, ineq: list[int]) -> tuple[list, list[int]]:
+    """N(x; P), for x in P with inequality residuals ineq, as `_distinct_sorted`
+    gives it: each nonzero active row (L, L·(a, -beta)), both signs if
+    implicit or an equality, gives primitive((L·a, L)) = (L_a·a, L_a)."""
     imp = implicit_rows(P)
     int_ineq, int_eq = P._int_rows
     rows = [(*row, (1, -1) if i in imp else (1,))
@@ -181,19 +187,24 @@ def _normal_rows(P: HPolyhedron, x: Vec) -> list:
     return _distinct_sorted(gens)
 
 
-def _cone(rows: list, n: int) -> PolyCone:
-    return PolyCone(tuple([tuple([Rat(k, L) for k in g]) for L, g in rows]), n)
+def _cone(rows: tuple[list, list[int]], n: int) -> PolyCone:
+    return PolyCone(tuple([frac_vec(L, g) for L, g in rows[0]]), n)
+
+
+def _is_subspace(cone: tuple[list, list[int]]) -> bool:
+    """`is_subspace` of the cone whose generators g are the rows (L, L·g),
+    given with its objective L'·(-Σg)."""
+    rows, objective = cone
+    return not rows or _cone_contains(rows, (1, objective))
 
 
 def conic_hull_at(P: HPolyhedron, x: Vec) -> PolyCone:
     """cone(P - x) for x in P, generated by the shifted generator points
     and the recession rays of P."""
-    return _cone(_hull_rows(P, x), P.dim)
-
-
-def _is_subspace(rows: list) -> bool:
-    """`is_subspace` of the cone whose generators g are the rows (L, L·g)."""
-    return not rows or _cone_contains(rows, (1, [-sum(c) for c in zip(*common_scaled(rows)[1])]))
+    q, p, ineq, eq = P._evaluate(x)
+    if _find_violation(P, ineq, eq) is not None:
+        raise PointNotInSetError("conic hull base point must belong to the set")
+    return _cone(_hull_rows(P, q, p), P.dim)
 
 
 def is_subspace(C: PolyCone) -> bool:
@@ -204,29 +215,60 @@ def is_subspace(C: PolyCone) -> bool:
     any positive multiple of it, such as L·(-Σg) over the generators'
     common denominator L.
     """
-    return _is_subspace([scaled_ints(g) for g in C.generators])
+    rows = [scaled_ints(g) for g in C.generators]
+    return _is_subspace((rows, [-sum(c) for c in zip(*common_scaled(rows)[1])]))
 
 
 def normal_cone(P: HPolyhedron, x: Vec) -> PolyCone:
     """N(x; P): generated by the active inequality normals, both signs of
     the implicit inequality normals, and both signs of the equality rows."""
-    return _cone(_normal_rows(P, x), P.dim)
+    _, _, ineq, eq = P._evaluate(x)
+    if _find_violation(P, ineq, eq) is not None:
+        raise PointNotInSetError(
+            "normal cone at an outside point is empty, not the zero cone")
+    return _cone(_normal_rows(P, ineq), P.dim)
 
 
 def in_iri(P: HPolyhedron, x: Vec) -> bool:
     """Intrinsic relative interior: cone(P - x) is a linear subspace."""
-    try:
-        return not is_empty(P) and _is_subspace(_hull_rows(P, x))
-    except PointNotInSetError:
+    if is_empty(P):
         return False
+    q, p, ineq, eq = P._evaluate(x)
+    return _find_violation(P, ineq, eq) is None and _is_subspace(_hull_rows(P, q, p))
 
 
 def in_qri(P: HPolyhedron, x: Vec) -> bool:
     """Quasi-relative interior via the normal-cone subspace criterion."""
-    try:
-        return not is_empty(P) and _is_subspace(_normal_rows(P, x))
-    except PointNotInSetError:
+    if is_empty(P):
         return False
+    _, _, ineq, eq = P._evaluate(x)
+    return _find_violation(P, ineq, eq) is None and _is_subspace(_normal_rows(P, ineq))
+
+
+def _interiors(P: HPolyhedron, q: int, p: list[int], ineq: list[int], eq: list[int]
+               ) -> tuple[bool, bool, bool]:
+    """(`in_ri`, `in_iri`, `in_qri`) of x = p/q, read from its one
+    evaluation (ineq, eq) against P's rows, their LPs in that order."""
+    if is_empty(P) or _find_violation(P, ineq, eq) is not None:
+        return False, False, False
+    return (_ri_witness(P, ineq, eq) is None, _is_subspace(_hull_rows(P, q, p)),
+            _is_subspace(_normal_rows(P, ineq)))
+
+
+def _prolongation_bound(q: int, ineq: list[int], q1: int, ineq1: list[int]) -> tuple[int, int]:
+    """(num, den): the largest s <= +infinity with xbar + s(xbar - x) in P
+    is num / den (den = 0 for +infinity), from the inequality residuals of
+    xbar = p/q and of x = p1/q1, both in P.
+
+    With residuals r = L q (b - a·xbar) at xbar and r' = L q' (b - a·x)
+    at x, row a moves at speed a·(xbar - x) = (r' q - r q') / (L q q'),
+    so its bound (b - a·xbar) / speed is exactly r q' / (r' q - r q')."""
+    num, den = 1, 0
+    for r, r1 in zip(ineq, ineq1):
+        speed = r1 * q - r * q1
+        if speed > 0 and r * q1 * den < num * speed:
+            num, den = r * q1, speed
+    return num, den
 
 
 def prolongation_test(
@@ -235,32 +277,22 @@ def prolongation_test(
     """A point u in P with xbar strictly between x and u, when one exists.
 
     Solves the one-dimensional program max s with xbar + s(xbar - x) in P
-    in closed form by a ratio test over the inequality rows; returns
-    (u, t) with xbar = t x + (1 - t) u and t in (0, 1).
-
-    With residuals r = L q (b - a·xbar) at xbar and r' = L q' (b - a·x)
-    at x, row a moves at speed a·(xbar - x) = (r' q - r q') / (L q q'),
-    so its bound (b - a·xbar) / speed is exactly r q' / (r' q - r q')."""
-    q, ineq, eq = P.residuals(xbar)
+    in closed form by a ratio test over the inequality rows
+    (`_prolongation_bound`); returns (u, t) with xbar = t x + (1 - t) u and
+    t in (0, 1)."""
+    q, _, ineq, eq = P._evaluate(xbar)
     if _find_violation(P, ineq, eq) is not None:
         raise InputError("prolongation requires both points in the set")
-    q1, ineq1, eq1 = P.residuals(x)
+    q1, _, ineq1, eq1 = P._evaluate(x)
     if _find_violation(P, ineq1, eq1) is not None:
         raise InputError("prolongation requires both points in the set")
     if x == xbar:
         raise InputError("prolongation requires two distinct points")
-    num, den = 1, 0  # the bound s_max = num / den, +infinity until a row moves
-    for r, r1 in zip(ineq, ineq1):
-        speed = r1 * q - r * q1
-        if speed > 0 and r * q1 * den < num * speed:
-            num, den = r * q1, speed
+    num, den = _prolongation_bound(q, ineq, q1, ineq1)
     if num == 0:
         return None
     s = ONE if den == 0 else min(Rat(num, den), ONE)
-    w = vsub(xbar, x)
-    u = vadd(xbar, vscale(s, w))
-    t = s / (1 + s)
-    return u, t
+    return vadd(xbar, vscale(s, vsub(xbar, x))), s / (1 + s)
 
 
 def characterization_suite(
@@ -268,37 +300,33 @@ def characterization_suite(
 ) -> MembershipReport:
     """Evaluate all five interior characterizations of xbar independently.
 
-    A point outside P yields an all-false report with the violated row as
-    witness; disagreement among the predicates is surfaced by the report
-    and must be treated as a failure by callers, never accepted."""
+    xbar is evaluated against the rows once, and every predicate reads
+    that one evaluation.  A point outside P yields an all-false report with
+    the violated row as witness; disagreement among the predicates is
+    surfaced by the report and must be treated as a failure by callers,
+    never accepted."""
     if len(xbar) != P.dim:
         raise InputError(f"point of length {len(xbar)} in dimension {P.dim}")
     if is_empty(P):
         raise EmptySetError("characterizations require a nonempty set")
-    ri_res = ri_membership(P, xbar)
-    if ri_res.witness is not None and ri_res.witness.kind != "ineq-active":
-        return MembershipReport(
-            xbar, set_id, False, False, False, False, False, ri_res.witness)
-    V = h_to_v(P)
+    q, p, ineq, eq = P._evaluate(xbar)
+    witness = _ri_witness(P, ineq, eq)
+    if witness is not None and witness.kind != "ineq-active":
+        return MembershipReport(xbar, set_id, False, False, False, False, False, witness)
     # Generator points alone are blind to unbounded directions: at the apex
     # of a halfline every other generator point may coincide with the base
-    # point while ray-shifted points still lack a prolongation.
-    probes = [v for v in V.points if v != xbar]
-    probes += [vadd(xbar, r) for r in V.rays]
-    prolong = all(prolongation_test(P, xbar, x) is not None for x in probes)
+    # point while ray-shifted points still lack a prolongation.  Each probe
+    # is a point (q1, p1) of P other than xbar; a direction is (D, 0).
+    points, directions = P._sorted_generators
+    probes = chain([(t, X) for *X, t in points if [q * k for k in X] != [t * k for k in p]],
+                   [(q, [a + q * k for a, k in zip(p, D)]) for D in directions])
+    prolong = all(_prolongation_bound(q, ineq, q1, P._residuals(q1, p1)[0])[0]
+                  for q1, p1 in probes)
     # The conic hull is closed, so one test decides both cone predicates.
-    cone_sub = _is_subspace(_hull_rows(P, xbar))
-    normal_sub = _is_subspace(_normal_rows(P, xbar))
+    cone_sub = _is_subspace(_hull_rows(P, q, p))
+    normal_sub = _is_subspace(_normal_rows(P, ineq))
     return MembershipReport(
-        xbar,
-        set_id,
-        ri_res.member,
-        prolong,
-        cone_sub,
-        cone_sub,
-        normal_sub,
-        ri_res.witness,
-    )
+        xbar, set_id, witness is None, prolong, cone_sub, cone_sub, normal_sub, witness)
 
 
 def quasi_regularity_report(P: HPolyhedron) -> QuasiRegularityReport:
@@ -306,9 +334,11 @@ def quasi_regularity_report(P: HPolyhedron) -> QuasiRegularityReport:
     predicates agree on nonempty P."""
     if is_empty(P):
         raise EmptySetError("quasi-regularity of the empty set is undefined")
-    samples = list(h_to_v(P).points) + [ri_point(P)]
+    samples = [(t, X) for *X, t in P._sorted_generators[0]] + [scaled_ints(ri_point(P))]
     # The normal-cone subspace test decides membership in the
     # quasi-relative interior, so this compares the intrinsic predicate
     # against the closed-cone one point by point.
-    sampled_equal = all(in_iri(P, s) == in_qri(P, s) for s in samples)
+    sampled_equal = all(_is_subspace(_hull_rows(P, q, p))
+                        == _is_subspace(_normal_rows(P, P._residuals(q, p)[0]))
+                        for q, p in samples)
     return QuasiRegularityReport(sampled_equal)

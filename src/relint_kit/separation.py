@@ -8,30 +8,31 @@ an optimum <= 0 or Farkas multipliers, give x* = y1·A1 + z1·E1 =
 -(y2·A2 + z2·E2) with sup_P1 x* <= y1·b1 + z1·d1 <= -(y2·b2 + z2·d2) <=
 inf_P2 x*, proper because some y_i > 0 is on a non-implicit row when the
 middle bound is tight (Rockafellar 1970, Thm 11.3).  The certificate is
-read off the generators: its bounds over the points, and as witnesses the
-first strictly separated pair in a fixed order of candidates built from
-the extreme points and the rays.  The multipliers re-check without the
-solver as proof of disjoint relative interiors."""
+read off the integer generators: its bounds over the points, and as
+witnesses the first strictly separated pair in a fixed order of candidates
+built from the extreme points and the rays, each x*·x / t compared in
+integers.  The multipliers re-check without the solver as proof of
+disjoint relative interiors, combining the sets' integer rows."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
+from operator import mul
 
 from .errors import EmptySetError, InputError, TheoremViolation
 from .linalg import in_span, project_onto_span
 from .polyhedra import (
     AffineFlat,
     HPolyhedron,
-    VPolyhedron,
     _max_slack,
     h_to_v,
     implicit_rows,
     is_empty,
 )
 from .relint import in_qri, ri_membership, ri_point
-from .rational import Mat, Rat, Vec, dot, primitive_int, vadd, vec
+from .rational import Rat, Vec, combination, common_points, dot, frac_vec, primitive
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,6 @@ class RiDisjointnessReport:
         return self.separated == self.ri_disjoint
 
 
-def _combination(coeffs: Vec, rows: Mat, n: int) -> Vec:
-    """The sum of coeffs[i]·rows[i] in dimension n."""
-    return tuple([dot(coeffs, [row[j] for row in rows]) for j in range(n)])
-
-
 def _joint_slack(P1: HPolyhedron, P2: HPolyhedron):
     """The slack LP over P1's rows then P2's, each set's implicit rows
     tight, as `_max_slack`'s (t, x, y, z)."""
@@ -100,10 +96,11 @@ def _joint_slack(P1: HPolyhedron, P2: HPolyhedron):
     return _max_slack(ineq1 + ineq2, eq1 + eq2, P1.dim, tight)
 
 
-def _functional(P1: HPolyhedron, y: Vec, z: Vec) -> Vec:
+def _functional(P1: HPolyhedron, y: Vec, z: Vec) -> tuple[int, ...]:
     """x* = y1·A1 + z1·E1 from the joint multipliers, as coprime integers."""
-    m, k = len(P1.A), len(P1.E)
-    return vec(primitive_int(_combination(y[:m] + z[:k], P1.A + P1.E, P1.dim)))
+    ineq, eq = P1._int_rows
+    combo = combination(y[:len(ineq)] + z[:len(eq)], ineq + eq, P1.dim + 1)
+    return primitive(combo[:-1])
 
 
 def _separate(P1: HPolyhedron, P2: HPolyhedron):
@@ -116,7 +113,7 @@ def _separate(P1: HPolyhedron, P2: HPolyhedron):
     t, x, y, z = _joint_slack(P1, P2)
     if t is not None and t > 0:
         return NotSeparable(x), y, z
-    cert = _build_certificate(_functional(P1, y, z), h_to_v(P1), h_to_v(P2))
+    cert = _build_certificate(_functional(P1, y, z), P1, P2)
     return Separated(cert), y, z
 
 
@@ -133,37 +130,48 @@ def _proves_ri_disjoint(P1: HPolyhedron, P2: HPolyhedron, y: Vec, z: Vec) -> boo
     y_i > 0 on a row strict at its own set's `ri_point`.  At x in both
     relative interiors, y·b + z·d = sum of y_i (b_i - a_i·x), every term
     >= 0 and that one > 0.  False for malformed multipliers."""
-    rows = P1.A + P2.A + P1.E + P2.E
-    if len(y) != len(P1.A + P2.A) or len(y + z) != len(rows) or any(v < 0 for v in y):
+    (ineq1, eq1), (ineq2, eq2) = P1._int_rows, P2._int_rows
+    rows = ineq1 + ineq2 + eq1 + eq2
+    if len(y) != len(ineq1 + ineq2) or len(y + z) != len(rows) or any(v < 0 for v in y):
         return False
-    if any(_combination(y + z, rows, P1.dim)):
+    # The rows are (a, -beta), so the last entry is -(y·b + z·d), scaled.
+    *combo, const = combination(y + z, rows, P1.dim + 1)
+    if any(combo):
         return False
-    const = dot(y + z, P1.b + P2.b + P1.d + P2.d)
     if const != 0:
-        return const < 0
+        return const > 0
     slack = P1.residuals(ri_point(P1))[1] + P2.residuals(ri_point(P2))[1]
     return any(v > 0 and s > 0 for v, s in zip(y, slack))
 
 
-def _build_certificate(x_star: Vec, V1: VPolyhedron, V2: VPolyhedron) -> SeparationCertificate:
+def _build_certificate(x_star: tuple[int, ...], P1: HPolyhedron, P2: HPolyhedron
+                       ) -> SeparationCertificate:
     """x* with its bounds over the points, and as witnesses the first pair
     (w1, w2) with x*·w1 < x*·w2 among: (top1, bot2), each point of P1 with
     bot2, top1 with each point of P2, top1 + r with bot2 for each ray r of
-    P1, and top1 with bot2 + r for each ray r of P2.  top1 and bot2 are the
-    first points of P1 and P2 at the bounds."""
-    vals1 = [dot(x_star, p) for p in V1.points]
-    vals2 = [dot(x_star, p) for p in V2.points]
+    P1, and top1 with bot2 + r for each ray r of P2, points and rays in the
+    order of `h_to_v`.  top1 and bot2 are the first points of P1 and P2 at
+    the bounds.  Every value is an integer over S = T1·T2, the points of
+    P1 and P2 being integers over T1 and T2."""
+    (points1, rays1), (points2, rays2) = P1._sorted_generators, P2._sorted_generators
+    (T1, points1), (T2, points2) = common_points(points1), common_points(points2)
+    S = T1 * T2
+    vals1 = [T2 * sum(map(mul, x_star, p)) for p in points1]
+    vals2 = [T1 * sum(map(mul, x_star, p)) for p in points2]
     sup1, inf2 = max(vals1), min(vals2)
-    top1 = V1.points[vals1.index(sup1)]
-    bot2 = V2.points[vals2.index(inf2)]
-    candidates = chain([(top1, bot2)],
-                       ((p, bot2) for p in V1.points),
-                       ((top1, q) for q in V2.points),
-                       ((vadd(top1, r), bot2) for r in V1.rays),
-                       ((top1, vadd(bot2, r)) for r in V2.rays))
-    for w1, w2 in candidates:
-        if dot(x_star, w1) < dot(x_star, w2):
-            return SeparationCertificate(x_star, sup1, inf2, w1, w2)
+    top1 = points1[vals1.index(sup1)]
+    bot2 = points2[vals2.index(inf2)]
+    candidates = chain([(sup1, inf2, top1, bot2)],
+                       ((v, inf2, p, bot2) for v, p in zip(vals1, points1)),
+                       ((sup1, v, top1, p) for v, p in zip(vals2, points2)),
+                       ((sup1 + S * sum(map(mul, x_star, r)), inf2,
+                         [a + T1 * k for a, k in zip(top1, r)], bot2) for r in rays1),
+                       ((sup1, inf2 + S * sum(map(mul, x_star, r)), top1,
+                         [a + T2 * k for a, k in zip(bot2, r)]) for r in rays2))
+    for v1, v2, w1, w2 in candidates:
+        if v1 < v2:
+            return SeparationCertificate(frac_vec(1, x_star), Rat(sup1, S), Rat(inf2, S),
+                                         frac_vec(T1, w1), frac_vec(T2, w2))
     raise TheoremViolation("proper separator without a strict generator")
 
 
@@ -239,7 +247,7 @@ def strict_separate_in_flat(L: AffineFlat, P: HPolyhedron, xbar: Vec) -> Vec:
     t, _, y, z = _joint_slack(P, HPolyhedron.singleton(xbar))
     if t is not None and t >= 0:
         raise TheoremViolation("a closed polyhedron and an outside point separate strictly")
-    u = project_onto_span(L.directions, _functional(P, y, z))
+    u = project_onto_span(L.directions, frac_vec(1, _functional(P, y, z)))
     if all(c == 0 for c in u):
         raise TheoremViolation("projected separator vanished on its carrier")
     return u

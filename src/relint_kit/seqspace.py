@@ -69,13 +69,13 @@ class HybridSeq:
         return self.tail.c * self.tail.q ** (k - self.tail.start)
 
     def truncate(self, n: int) -> Vec:
-        return tuple(self.entry(k) for k in range(1, n + 1))
+        return tuple([self.entry(k) for k in range(1, n + 1)])
 
     def scale(self, t: Rat) -> "HybridSeq":
         tail = None
         if self.tail is not None:
             tail = GeomTail(t * self.tail.c, self.tail.q, self.tail.start)
-        return HybridSeq(tuple(t * p for p in self.prefix), tail)
+        return HybridSeq(tuple([t * p for p in self.prefix]), tail)
 
 
 @dataclass(frozen=True)

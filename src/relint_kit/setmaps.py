@@ -23,21 +23,19 @@ from .errors import EmptySetError, InputError
 from .polyhedra import (
     HPolyhedron,
     _max_slack,
-    h_to_v,
     implicit_rows,
     is_empty,
     linear_image,
     product,
 )
 from .relint import (
-    in_iri,
-    in_qri,
+    _interiors,
+    _ri_witness,
     in_ri,
     ri_membership,
     ri_point,
 )
-from .rational import Mat, ONE, Rat, Vec, ZERO, check_exact, common_ints, dot, matvec, unit
-from .rational import scaled_ints, vadd, vscale
+from .rational import Mat, ONE, Rat, Vec, ZERO, check_exact, common_ints, dot, scaled_ints, unit
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ class PolyhedralMap:
 
     @cached_property
     def _domain(self) -> HPolyhedron:
-        proj = tuple(unit(self.m + self.n, j) for j in range(self.m))
+        proj = tuple([unit(self.m + self.n, j) for j in range(self.m)])
         return linear_image(proj, self.graph)
 
 
@@ -85,21 +83,25 @@ class PLConvexFunction:
         for slope, intercept in self.pieces:
             A.append(slope + (Rat(-1),))
             b.append(-intercept)
-        E = tuple(row + (ZERO,) for row in self.domain.E)
+        E = tuple([row + (ZERO,) for row in self.domain.E])
         return HPolyhedron(tuple(A), tuple(b), E, self.domain.d, self.domain.dim + 1)
 
-    def _max_piece(self, x: Vec) -> Rat:
-        """The largest piece at x, in integers over L q, with L the common
-        denominator of the pieces and q that of x: one `Fraction`, the max."""
-        L, pieces = common_ints([(*slope, intercept) for slope, intercept in self.pieces])
-        q, p = scaled_ints(x)
-        p.append(q)
-        return Rat(max([sum(map(mul, piece, p)) for piece in pieces]), L * q)
+    @cached_property
+    def _int_pieces(self) -> tuple[int, list[list[int]]]:
+        """(L, [L·(slope, intercept)]): the pieces over one denominator L."""
+        return common_ints([(*slope, intercept) for slope, intercept in self.pieces])
+
+    def _max_piece(self, q: int, p: list[int]) -> Rat:
+        """The largest piece at x = p/q, in integers over L q: one `Fraction`."""
+        L, pieces = self._int_pieces
+        h = [*p, q]
+        return Rat(max([sum(map(mul, piece, h)) for piece in pieces]), L * q)
 
     def value(self, x: Vec) -> Rat:
-        if not self.domain.contains(x):
+        q, p, ineq, eq = self.domain._evaluate(x)
+        if any(r < 0 for r in ineq) or any(eq):
             raise InputError("function evaluated outside its domain")
-        return self._max_piece(x)
+        return self._max_piece(q, p)
 
 
 @dataclass(frozen=True)
@@ -197,10 +199,11 @@ def image_at(F: PolyhedralMap, x: Vec) -> HPolyhedron:
     if len(x) != F.m:
         raise InputError(f"slice point of length {len(x)}, expected {F.m}")
     g = F.graph
-    A = tuple(row[F.m:] for row in g.A)
-    b = tuple(beta - dot(row[: F.m], x) for row, beta in zip(g.A, g.b))
-    E = tuple(row[F.m:] for row in g.E)
-    d = tuple(delta - dot(row[: F.m], x) for row, delta in zip(g.E, g.d))
+    check_exact("slice point", x)
+    A = tuple([row[F.m:] for row in g.A])
+    b = tuple([beta - dot(row[: F.m], x) for row, beta in zip(g.A, g.b)])
+    E = tuple([row[F.m:] for row in g.E])
+    d = tuple([delta - dot(row[: F.m], x) for row, delta in zip(g.E, g.d)])
     return HPolyhedron(A, b, E, d, F.n)
 
 
@@ -223,31 +226,27 @@ def epi_polyhedron(f: PLConvexFunction) -> HPolyhedron:
 
 
 def epi_relint_report(f: PLConvexFunction, x: Vec, level: Rat) -> EpiRelintReport:
-    """Both sides of the epigraph interior description at (x, level)."""
+    """Both sides of the epigraph interior description at (x, level), each
+    point evaluated against its set's rows once for all three notions."""
     if len(x) != f.domain.dim:
         raise InputError("evaluation point of wrong dimension")
     epi = epi_polyhedron(f)
-    point = x + (level,)
-    lhs_ri = in_ri(epi, point)
-    lhs_iri = in_iri(epi, point)
-    lhs_qri = in_qri(epi, point)
-    strict = f.domain.contains(x) and level > f._max_piece(x)
-    rhs_ri = strict and in_ri(f.domain, x)
-    rhs_iri = strict and in_iri(f.domain, x)
-    rhs_qri = strict and in_qri(f.domain, x)
+    lhs_ri, lhs_iri, lhs_qri = _interiors(epi, *epi._evaluate(x + (level,)))
+    q, p, ineq, eq = f.domain._evaluate(x)
+    strict = not any(r < 0 for r in ineq) and not any(eq) and level > f._max_piece(q, p)
+    rhs_ri, rhs_iri, rhs_qri = (_interiors(f.domain, q, p, ineq, eq) if strict
+                                else (False, False, False))
     return EpiRelintReport(
         x, level, lhs_ri, rhs_ri, lhs_iri, rhs_iri, lhs_qri, rhs_qri,
         len(f.pieces) == 1)
 
 
-def _interior_samples(P: HPolyhedron) -> list[Vec]:
-    """ri_point plus its midpoints with the generator points; each sample
-    lies in the relative interior by the line-segment principle."""
-    center = ri_point(P)
-    samples = [center]
-    for p in h_to_v(P).points:
-        samples.append(vscale(Rat(1, 2), vadd(center, p)))
-    return samples
+def _interior_samples(P: HPolyhedron) -> list[tuple[int, list[int]]]:
+    """ri_point and its midpoints with the generator points as integers
+    (s, s·x), each in the relative interior by the line-segment principle."""
+    q, c = scaled_ints(ri_point(P))
+    return [(q, c)] + [(2 * t * q, [t * a + q * k for a, k in zip(c, X)])
+                       for *X, t in P._sorted_generators[0]]
 
 
 def linear_image_ri_commutes(M: Mat, P: HPolyhedron) -> CommutationReport:
@@ -256,8 +255,11 @@ def linear_image_ri_commutes(M: Mat, P: HPolyhedron) -> CommutationReport:
     if is_empty(P):
         raise EmptySetError("commutation check requires a nonempty set")
     Q = linear_image(M, P)
+    # Each sample x = p / s maps to D·M·p / (D·s), D·M the integer matrix.
     samples = _interior_samples(P)
-    forward_ok = all(in_ri(Q, matvec(M, p)) for p in samples)
+    D, rows = common_ints(M)
+    forward_ok = all(_ri_witness(Q, *Q._residuals(D * s, [sum(map(mul, row, p)) for row in rows]))
+                     is None for s, p in samples)
     q = ri_point(Q)
     lifted = _strict_preimage(M, P, q)
     backward_ok = lifted is not None and ri_membership(P, lifted).member
@@ -280,9 +282,9 @@ def set_difference_ri_commutes(P1: HPolyhedron, P2: HPolyhedron) -> CommutationR
     if is_empty(P1) or is_empty(P2):
         raise EmptySetError("commutation check requires nonempty sets")
     n = P1.dim
-    M = tuple(
-        tuple(ONE if k == j else ZERO for k in range(n))
-        + tuple(-ONE if k == j else ZERO for k in range(n))
+    M = tuple([
+        tuple([ONE if k == j else ZERO for k in range(n)])
+        + tuple([-ONE if k == j else ZERO for k in range(n)])
         for j in range(n)
-    )
+    ])
     return linear_image_ri_commutes(M, product(P1, P2))

@@ -238,3 +238,19 @@ def test_every_private_helper_has_a_caller():
                 if not any(n == name and (m != module or not first <= line <= last)
                            for n, m, line in used)]
     assert uncalled == []
+
+
+def test_tuples_are_built_from_lists():
+    """No `tuple(<generator expression>)` in the library: a tuple built
+    from a generator is over-allocated and then shrunk, and CPython parks
+    its block on a per-length free list when it dies (see the comment in
+    lp.py), so the library builds tuples from lists, which is also faster
+    for the short vectors it works with."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "tuple" and len(node.args) == 1
+                  and isinstance(node.args[0], ast.GeneratorExp)]
+    assert sites == []
