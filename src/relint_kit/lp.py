@@ -3,13 +3,15 @@
 A two-phase tableau simplex for max c·x subject to a_i·x <= beta_i over
 free x (`simplex_max`), using Bland's pivoting rule throughout, which
 guarantees termination and makes every outcome deterministic for a fixed
-input.  It takes the cost and rows as integers and pivots fraction-free,
-each row updated in place; outcomes are exact `Fraction`s, built only
-when read out, the optimal value off the tableau.
-The tableau is condensed: a row holds one integer per nonbasic variable
-and the right-hand side, n + 1 in all, and a free variable's slot stands
-for either half of its (+, -) pair, so it pivots as the split tableau
-with its 2n + m columns would.  `_solve_ints` is the one front end: it
+input.  It takes the cost and rows as integers and pivots fraction-free;
+outcomes are exact `Fraction`s, built only when read out, the optimal
+value off the tableau.
+The tableau is condensed: one integer per row for each nonbasic variable
+and for the right-hand side, n + 1 in all, and a free variable's slot
+stands for either half of its (+, -) pair, so it pivots as the split
+tableau with its 2n + m columns would.  It is stored by column, so a
+pivot builds one list per slot rather than one per row (see `_Simplex`).
+`_solve_ints` is the one front end: it
 takes integer rows and turns each equality into two opposite
 inequalities.  `lp_solve` scales an `LPProblem`'s rows for it once; the
 library's own LPs reach it as integers (`polyhedra._max_slack` and
@@ -23,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .errors import InputError, TheoremViolation
 from .rational import (
@@ -125,21 +128,29 @@ class _Simplex:
     rescales only slack i (to L_i times its value), which changes neither
     the sign of a reduced cost nor which ratio is least, so the pivots are
     those of the same tableau over `Fraction`.  Points, rays, multipliers
-    and the optimal value c·x (the objective row's last entry over D·Lc)
+    and the optimal value c·x (the objective's right-hand side over D·Lc)
     are exact `Fraction`s of the unscaled problem.
 
     Variable k is x+ - x- over a (+, -) pair of nonnegative variables at
     indices 2k and 2k + 1; the slacks and the phase-one auxiliary follow
-    from index 2n.  As in the integer dictionary of lrs (Avis 2000), a row
-    keeps the right-hand side and one slot per nonbasic variable, slot s
-    holding index `nonbasic[s]`; a pivot is a Jordan exchange that puts
-    the leaving variable in the entering one's slot.  While one half of a
-    free variable is basic, the other has a unit column and reduced cost
-    0, which no rule picks, so it needs no slot; while neither is, one
-    slot reads either half, the other as its negation (B^-1(-a) = -B^-1 a).
-    Every index (the basis, Bland's order, the pivot bound) is one of the
-    split tableau, which makes the pivots, their count and every outcome
-    those of the split tableau.
+    from index 2n.  As in the integer dictionary of lrs (Avis 2000), the
+    tableau keeps the right-hand side and one slot per nonbasic variable,
+    slot s holding index `nonbasic[s]`; a pivot is a Jordan exchange that
+    puts the leaving variable in the entering one's slot.  While one half
+    of a free variable is basic, the other has a unit column and reduced
+    cost 0, which no rule picks, so it needs no slot; while neither is,
+    one slot reads either half, the other as its negation
+    (B^-1(-a) = -B^-1 a).  Every index (the basis, Bland's order, the
+    pivot bound) is one of the split tableau, which makes the pivots,
+    their count and every outcome those of the split tableau.
+
+    The tableau is stored by column: `cols[s]` holds slot s's entry in
+    each of the m rows and then its objective entry, D times the reduced
+    cost; the last column is the right-hand side, ending in D times the
+    objective value.  A pivot updates every entry either way, but Python's
+    overhead is per list built, not per entry, and by column a pivot
+    builds one list per slot (about 9 on the benchmark's lp-batch) instead
+    of one per row (about 18), each reading its pivot-row entry once.
     """
 
     def __init__(self, cost: tuple[int, list[int]], rows: list[tuple[int, list[int]]]):
@@ -154,7 +165,9 @@ class _Simplex:
         # The cost of each index: c_k for 2k, -c_k for 2k + 1, 0 for slacks.
         self.cost = [x for a in c for x in (a, -a)] + [0] * self.m
         self.scales = [scale for scale, _ in rows]
-        self.tab = [t[:] for _, t in rows]
+        # One transpose; each column's objective entry is set before use.
+        self.cols = ([[*col, 0] for col in zip(*[t for _, t in rows])] if rows
+                     else [[0] for _ in range(n + 1)])
         self.denom = 1
         self.basis = [self.slack0 + i for i in range(self.m)]
         self.nonbasic = list(range(0, self.slack0, 2))
@@ -164,49 +177,49 @@ class _Simplex:
         self.pivots += 1
         if self.pivots > self.pivot_limit:
             raise TheoremViolation("simplex exceeded its combinatorial pivot bound")
-        d, tab = self.denom, self.tab
-        row = tab[r]
-        sign = 1 if row[s] > 0 else -1
+        d, cols = self.denom, self.cols
+        piv = cols[s]
+        sign = 1 if piv[r] > 0 else -1
         if sign < 0:
             # Negating the pivot row keeps the new common denominator positive.
-            row = tab[r] = [-a for a in row]
-        p = row[s]
-        # Every other row, the objective last, over the new denominator p:
-        # each division by the old one, d, is exact, and skipped while d = 1.
-        tab.append(self.obj)
-        for i, other in enumerate(tab):
-            f = other[s]
-            if i == r or not f and p == d:
+            for col in cols:
+                col[r] = -col[r]
+        p = piv[r]
+        # Every other column, objective entry included, over the new
+        # denominator p: each division by the old one, d, is exact, and
+        # skipped while d = 1.  The pivot row keeps its entry b.
+        for j, col in enumerate(cols):
+            b = col[r]
+            if j == s or not b and p == d:
                 continue
-            if not f:
-                new = [a * p for a in other] if d == 1 else [a * p // d for a in other]
+            if not b:
+                new = [a * p for a in col] if d == 1 else [a * p // d for a in col]
             elif d == 1:
-                new = [a * p - f * b for a, b in zip(other, row)]
+                new = [a * p - f * b for a, f in zip(col, piv)]
             else:
-                new = [(a * p - f * b) // d for a, b in zip(other, row)]
-            new[s] = -sign * f
-            tab[i] = new
-        self.obj = tab.pop()
-        row[s] = sign * d
+                new = [(a * p - f * b) // d for a, f in zip(col, piv)]
+            new[r] = b
+            cols[j] = new
+        new = [-sign * f for f in piv]
+        new[r] = sign * d
+        cols[s] = new
         self.denom = p
         self.basis[r], self.nonbasic[s] = self.nonbasic[s], self.basis[r]
 
     def _rebuild_objective(self, cost: list[int]) -> None:
-        # obj[s] = D·(reduced cost z_j - c_j) of the index j in slot s; the
-        # last entry carries D·value.
-        obj = [-cost[j] * self.denom for j in self.nonbasic] + [0]
-        for b, row in zip(self.basis, self.tab):
-            cb = cost[b]
-            if cb:
-                obj = [a + cb * t for a, t in zip(obj, row)]
-        self.obj = obj
+        # Slot s's objective entry is D·(reduced cost z_j - c_j) of the
+        # index j it holds; the right-hand side's is D·value.
+        cb = [cost[b] for b in self.basis]
+        mixed = any(cb)
+        for col, c in zip(self.cols, [*[-cost[j] * self.denom for j in self.nonbasic], 0]):
+            col[-1] = c + sum(map(mul, cb, col)) if mixed else c
 
     def _entering(self) -> tuple[int, int] | None:
         """Bland's entering index and its slot: the least index with a
         negative reduced cost, or None at optimality."""
         best = None
-        for s, j in enumerate(self.nonbasic):
-            v = self.obj[s]
+        for s, (j, col) in enumerate(zip(self.nonbasic, self.cols)):
+            v = col[-1]
             if v > 0 and j < self.slack0:
                 j ^= 1  # the other half of a free variable has reduced cost -v
             elif v >= 0:
@@ -225,28 +238,27 @@ class _Simplex:
             enter, s = choice
             if enter != self.nonbasic[s]:
                 # The other half of a free variable: negate its column.
-                for row in self.tab:
-                    row[s] = -row[s]
-                self.obj[s] = -self.obj[s]
+                self.cols[s] = [-a for a in self.cols[s]]
                 self.nonbasic[s] = enter
             leave = None
-            for i, row in enumerate(self.tab):
-                a = row[s]
+            # zip stops at the m rows, before the objective entries.
+            for i, (a, beta, j) in enumerate(zip(self.cols[s], self.cols[-1], self.basis)):
                 if a > 0:
                     if leave is None:
-                        leave, num, den = i, row[-1], a
+                        leave, num, den = i, beta, a
                         continue
-                    # row[-1] / a against num / den, both denominators > 0.
-                    lhs, rhs = row[-1] * den, num * a
-                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
-                        leave, num, den = i, row[-1], a
+                    # beta / a against num / den, both denominators > 0.
+                    lhs, rhs = beta * den, num * a
+                    if lhs < rhs or (lhs == rhs and j < self.basis[leave]):
+                        leave, num, den = i, beta, a
             if leave is None:
                 return s
             self._pivot(leave, s)
 
     def solve(self):
         """Returns (status, data); status in {"optimal", "infeasible", "unbounded"}."""
-        if any(row[-1] < 0 for row in self.tab):
+        # The right-hand side's objective entry is still 0 here.
+        if min(self.cols[-1]) < 0:
             status = self._phase_one()
             if status is not None:
                 return status
@@ -254,51 +266,49 @@ class _Simplex:
         s = self._bland()
         if s is not None:
             return "unbounded", (self._extract_ray(s), self._extract_point())
-        value = Rat(self.obj[-1], self.denom * self.cost_scale)
+        value = Rat(self.cols[-1][-1], self.denom * self.cost_scale)
         return "optimal", (self._extract_point(), self._duals(self.cost_scale), value)
 
     def _phase_one(self):
-        # The auxiliary (index total) takes one more slot; no pivot has
-        # been made yet, so D = 1.
+        # The auxiliary (index total) takes one more slot, -L_i in row i;
+        # no pivot has been made yet, so D = 1.
         aux = self.total
-        for row, scale in zip(self.tab, self.scales):
-            row.insert(self.n, -scale)
+        self.cols.insert(self.n, [*[-scale for scale in self.scales], 0])
         self.nonbasic.append(aux)
         # Drive it in at the most negative row of the unscaled problem, the
-        # least t[-1] / L_i, ties to the lower index.
+        # least beta_i / L_i, ties to the lower index.
+        rhs, scales = self.cols[-1], self.scales
         r0 = 0
         for i in range(1, self.m):
-            if self.tab[i][-1] * self.scales[r0] < self.tab[r0][-1] * self.scales[i]:
+            if rhs[i] * scales[r0] < rhs[r0] * scales[i]:
                 r0 = i
         self._rebuild_objective([0] * aux + [-1])
         self._pivot(r0, self.n)
         if self._bland() is not None:
             raise TheoremViolation("auxiliary objective is bounded by construction")
-        if self.obj[-1] < 0:
+        if self.cols[-1][-1] < 0:
             return "infeasible", self._duals(1)
         if aux in self.basis:
             r = self.basis.index(aux)
-            row = self.tab[r]
-            # With the auxiliary basic in row r, obj[s] = -row[s] in every
-            # slot.  A free variable's slot offers reduced costs v and -v,
-            # both >= 0 at the phase-one optimum, so its entry is 0: only a
-            # slack can take the auxiliary's place.
-            exits = [(j, s) for s, j in enumerate(self.nonbasic)
-                     if j >= self.slack0 and row[s] != 0]
+            # With the auxiliary basic in row r, each slot's objective entry
+            # is minus its entry in row r.  A free variable's slot offers
+            # reduced costs v and -v, both >= 0 at the phase-one optimum, so
+            # its entry is 0: only a slack can take the auxiliary's place.
+            exits = [(j, s) for s, (j, col) in enumerate(zip(self.nonbasic, self.cols))
+                     if j >= self.slack0 and col[r] != 0]
             if not exits:
                 raise TheoremViolation("auxiliary variable stuck in the basis")
             self._pivot(r, min(exits)[1])
         s = self.nonbasic.index(aux)
         del self.nonbasic[s]
-        for row in self.tab:
-            del row[s]
+        del self.cols[s]
         return None
 
     def _extract_point(self) -> Vec:
         vals = [ZERO] * self.n
-        for b, row in zip(self.basis, self.tab):
+        for b, beta in zip(self.basis, self.cols[-1]):
             if b < self.slack0:
-                vals[b >> 1] = Rat(-row[-1] if b & 1 else row[-1], self.denom)
+                vals[b >> 1] = Rat(-beta if b & 1 else beta, self.denom)
         return tuple(vals)
 
     def _extract_ray(self, s: int) -> Vec:
@@ -309,19 +319,19 @@ class _Simplex:
         else:
             # A unit step of slack j is L_j steps of its scaled column.
             scale = self.scales[j - self.slack0]
-        for b, row in zip(self.basis, self.tab):
+        for b, a in zip(self.basis, self.cols[s]):
             if b < self.slack0:
-                vals[b >> 1] = Rat(row[s] * scale if b & 1 else -row[s] * scale, self.denom)
+                vals[b >> 1] = Rat(a * scale if b & 1 else -a * scale, self.denom)
         return tuple(vals)
 
     def _duals(self, cost_scale: int) -> Vec:
-        """Multipliers of the unscaled rows: obj·L_i / (D·Lc) for a
-        nonbasic slack i, 0 for a basic one."""
+        """Multipliers of the unscaled rows: the objective entry times
+        L_i / (D·Lc) for a nonbasic slack i, 0 for a basic one."""
         y = [ZERO] * self.m
-        for s, j in enumerate(self.nonbasic):
+        for j, col in zip(self.nonbasic, self.cols):
             i = j - self.slack0
             if 0 <= i < self.m:
-                y[i] = Rat(self.obj[s] * self.scales[i], self.denom * cost_scale)
+                y[i] = Rat(col[-1] * self.scales[i], self.denom * cost_scale)
         return tuple(y)
 
 

@@ -9,7 +9,7 @@ derived from it on itself (see `polyhedra`).
 This is the one place a rational vector is put over the integers: a point
 as (q, p), q > 0 its common denominator and p = q·x, a row as (L, L·v).
 The library computes in those and builds `Fraction`s only for what it
-returns, as `dot` and `matvec` build one per result.
+returns, as `dot` builds one per result.
 """
 
 from __future__ import annotations
@@ -89,18 +89,8 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple([a - b for a, b in zip(u, v)])
 
 
-def vneg(u: Vec) -> Vec:
-    return tuple([-a for a in u])
-
-
 def vscale(t: Rat, u: Vec) -> Vec:
     return tuple([t * a for a in u])
-
-
-def matvec(m: Mat, x: Vec) -> Vec:
-    """m·x, x over the integers once: one `Fraction` per entry."""
-    q, p = scaled_ints(x)
-    return tuple([Rat(sum(map(mul, r, p)), L * q) for L, r in map(scaled_ints, m)])
 
 
 def scaled_ints(v) -> tuple[int, list[int]]:
@@ -151,12 +141,6 @@ def primitive(ints) -> tuple[int, ...]:
     if g > 1:
         return tuple([k // g for k in ints])
     return tuple(ints)
-
-
-def primitive_int(v: Vec) -> tuple[int, ...]:
-    """A rational vector scaled by a positive rational into coprime
-    integers."""
-    return primitive(scaled_ints(v)[1])
 
 
 def check_exact(what: str, entries) -> None:

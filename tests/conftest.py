@@ -26,8 +26,23 @@ from relint_kit.polyhedra import (
     h_to_v,
     v_to_h,
 )
-from relint_kit.rational import dot, matvec, vneg, vsub
+from relint_kit.rational import dot, primitive, scaled_ints, vsub
 from relint_kit.setmaps import PLConvexFunction, PolyhedralMap
+
+
+def matvec(m, x) -> tuple[Fraction, ...]:
+    """m·x as `Fraction` sums, one per row."""
+    return tuple([sum([a * b for a, b in zip(row, x)], Fraction(0)) for row in m])
+
+
+def vneg(u) -> tuple:
+    return tuple([-a for a in u])
+
+
+def primitive_int(v) -> tuple[int, ...]:
+    """A rational vector scaled by a positive rational into coprime
+    integers."""
+    return primitive(scaled_ints(v)[1])
 
 
 def random_nonempty_hpoly(

@@ -14,7 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_cone_rows, random_nonempty_hpoly, random_pair
+from conftest import (
+    matvec,
+    primitive_int,
+    random_cone_rows,
+    random_nonempty_hpoly,
+    random_pair,
+    vneg,
+)
 from relint_kit import lp
 from relint_kit.cli import main
 from relint_kit.dd import dd_cone
@@ -32,11 +39,8 @@ from relint_kit.polyhedra import (
 from relint_kit.rational import (
     ZERO,
     dot,
-    matvec,
-    primitive_int,
     unit,
     vadd,
-    vneg,
     vscale,
     vsub,
     zeros,

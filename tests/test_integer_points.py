@@ -13,10 +13,10 @@ import random
 from fractions import Fraction
 from itertools import chain
 
-from conftest import random_nonempty_hpoly, random_pair, random_plfunction
+from conftest import matvec, primitive_int, random_nonempty_hpoly, random_pair, random_plfunction
 
 from relint_kit.polyhedra import HPolyhedron, VPolyhedron, h_to_v, linear_image
-from relint_kit.rational import common_ints, dot, matvec, primitive_int
+from relint_kit.rational import common_ints, dot
 from relint_kit.relint import (
     MembershipReport,
     characterization_suite,
@@ -74,21 +74,15 @@ def _random_set(rng: random.Random) -> HPolyhedron:
     return _with_line(P, rng.randrange(n + 1)) if rng.random() < 0.3 else P
 
 
-def test_dot_and_matvec_match_fraction_sums():
+def test_dot_matches_fraction_sums():
     rng = random.Random(2301)
     assert dot((), ()) == 0 and type(dot((), ())) is Fraction
-    assert matvec((), (Fraction(1, 2),)) == ()
-    assert matvec(((),), ()) == (ZERO,) and type(matvec(((),), ())[0]) is Fraction
     for _ in range(400):
         n = rng.randint(0, 6)
         u = tuple(_entry(rng) for _ in range(n))
         v = tuple(_entry(rng) for _ in range(n))
         got = dot(u, v)
         assert got == _fdot(u, v) and type(got) is Fraction
-        m = tuple(tuple(_entry(rng) for _ in range(n)) for _ in range(rng.randint(0, 4)))
-        image = matvec(m, v)
-        assert image == tuple(_fdot(row, v) for row in m)
-        assert all(type(a) is Fraction for a in image)
 
 
 def test_h_to_v_lists_the_sorted_fraction_sets():

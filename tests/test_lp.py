@@ -376,8 +376,10 @@ def _holds_each_index_once(sx: _Simplex) -> bool:
 
 
 def test_free_tableau_stores_one_column_per_variable():
-    # Rows hold one slot per nonbasic variable and the right-hand side,
-    # n + 1 entries; the phase-one auxiliary's slot is gone after solving.
+    # The tableau is stored by column: one per nonbasic slot and one for
+    # the right-hand side, n + 1 in all, each holding an entry per row and
+    # the objective entry, m + 1.  The phase-one auxiliary's column is gone
+    # after solving.
     rng = random.Random(5)
     seen = set()
     for _ in range(50):
@@ -386,14 +388,14 @@ def test_free_tableau_stores_one_column_per_variable():
         rhs = list(p.ineq_rhs) + list(p.eq_rhs) + [-v for v in p.eq_rhs]
         sx = _Simplex(scaled_ints(p.objective),
                       [scaled_ints([*row, beta]) for row, beta in zip(rows, rhs)])
-        width = len(p.objective) + 1
-        assert [len(row) for row in sx.tab] == [width] * len(rows)
+        width, height = len(p.objective) + 1, len(rows) + 1
+        assert [len(col) for col in sx.cols] == [height] * width
         assert len(sx.nonbasic) == width - 1 and _holds_each_index_once(sx)
         status = sx.solve()[0]
         seen.add(status)
         if status != "infeasible":
-            assert [len(row) for row in sx.tab] == [width] * len(rows)
-            assert len(sx.obj) == width
+            assert [len(col) for col in sx.cols] == [height] * width
+            assert sx.total not in sx.nonbasic + sx.basis
             assert len(sx.nonbasic) == width - 1 and _holds_each_index_once(sx)
     assert seen == {"optimal", "infeasible", "unbounded"}
 

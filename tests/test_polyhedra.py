@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     fraction_linear_image,
     fraction_minkowski_diff,
+    matvec,
     primal_cone_contains,
+    primitive_int,
     random_cone_rows,
     random_matrix,
     random_nonempty_hpoly,
@@ -40,7 +42,7 @@ from relint_kit.polyhedra import (
     product,
     v_to_h,
 )
-from relint_kit.rational import dot, mat, matvec, primitive_int, unit, vec, zeros
+from relint_kit.rational import dot, mat, unit, vec, zeros
 from relint_kit.relint import ri_point
 
 TRIANGLE = HPolyhedron.make(A=[[-1, 0], [0, -1], [1, 1]], b=[0, 0, 1])

@@ -16,7 +16,6 @@ from relint_kit.rational import (
     mat,
     parse_rational,
     primitive,
-    primitive_int,
     scaled_ints,
     vec,
 )
@@ -75,12 +74,6 @@ def test_canonical_form(x):
     assert gcd(abs(x.numerator), x.denominator) == 1
 
 
-def test_primitive_int_scales_positively():
-    assert primitive_int(vec(["1/2", "-3/4", "0"])) == (2, -3, 0)
-    assert primitive_int(vec(["4", "6"])) == (2, 3)
-    assert primitive_int(vec(["0", "0"])) == (0, 0)
-
-
 def _seeded_vectors():
     """Empty, all-zero and all-negative vectors, then seeded ones with zero
     entries and denominators up to the prime 10**9 + 7."""
@@ -128,7 +121,6 @@ def test_scaled_ints_and_primitive_match_a_fraction_oracle():
             assert prim == tuple(ints)
         else:
             assert prim == tuple(Fraction(k, g) for k in ints)
-        assert primitive_int(v) == prim
 
 
 def test_common_ints_match_fraction_arithmetic():

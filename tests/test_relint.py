@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_nonempty_hpoly
+from conftest import random_nonempty_hpoly, vneg
 from relint_kit import relint
 from relint_kit.errors import EmptySetError, InputError, PointNotInSetError
 from relint_kit.polyhedra import HPolyhedron, PolyCone, h_to_v, implicit_rows, is_empty
@@ -23,7 +23,7 @@ from relint_kit.relint import (
     ri_membership,
     ri_point,
 )
-from relint_kit.rational import common_ints, dot, scaled_ints, vec, vneg, vsub
+from relint_kit.rational import common_ints, dot, scaled_ints, vec, vsub
 from relint_kit.sampling import sample_points
 
 UNIT_SQUARE = HPolyhedron.make(A=[[1, 0], [-1, 0], [0, 1], [0, -1]], b=[1, 0, 1, 0])

@@ -218,15 +218,29 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def _exported() -> set[str]:
+    """The names the package root imports, and so exports."""
+    tree = ast.parse((SRC / "__init__.py").read_text(), filename="__init__.py")
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def test_every_private_helper_has_a_caller():
-    """Every private function or method of the library is named somewhere
-    in the library outside its own definition: as a name, an attribute or
-    an import.  A helper left behind after its last caller went fails here."""
+    """Every private function or method of the library, and every
+    top-level function the package root does not export, is named
+    somewhere in the library outside its own definition: as a name, an
+    attribute or an import.  A helper left behind after its last caller
+    went fails here, public or not; tests do not count as callers.  The
+    CLI's `main` is exempt as the entry point."""
+    exported = _exported()
     defined, used = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        top_level = {id(node) for node in tree.body}
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(node.name):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    _is_private(node.name)
+                    or id(node) in top_level and node.name not in exported):
                 defined.append((node.name, path.stem, node.lineno, node.end_lineno))
             name = (node.id if isinstance(node, ast.Name) else
                     node.attr if isinstance(node, ast.Attribute) else
@@ -234,9 +248,11 @@ def test_every_private_helper_has_a_caller():
             if name is not None:
                 used.append((name, path.stem, node.lineno))
     assert defined
+    assert ("main", "cli") in {(name, module) for name, module, _, _ in defined}
     uncalled = [(module, name) for name, module, first, last in defined
-                if not any(n == name and (m != module or not first <= line <= last)
-                           for n, m, line in used)]
+                if (module, name) != ("cli", "main")
+                and not any(n == name and (m != module or not first <= line <= last)
+                            for n, m, line in used)]
     assert uncalled == []
 
 
