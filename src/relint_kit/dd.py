@@ -4,12 +4,25 @@ Computes generators (lineality basis plus extreme rays) of a cone given
 as {y : m·y <= 0 for integer rows m}, as `HPolyhedron` caches them or
 `rational.scaled_ints` makes them.  Rows are normalized to coprime
 integer vectors and inserted in lexicographic order.  Every ray carries
-its zero set over the rows inserted so far as a bitmask, and since the
-current rays are exactly the extreme rays modulo the lineality,
-adjacency is decided combinatorially on those masks (Motzkin, Raiffa,
-Thompson and Thrall 1953; Fukuda and Prodon 1996).  Working over
-integers keeps the inner products cheap; directions are rescaled by
-positive factors only, so ray orientations are never flipped.
+its zero set over the inserted rows as a bitmask, and since the current
+rays are exactly the extreme rays modulo the lineality, adjacency is
+decided on those masks (Motzkin, Raiffa, Thompson and Thrall 1953;
+Fukuda and Prodon 1996): a pair is adjacent when its shared zero set
+has at least target = dim − len(lineality) − 2 rows and no third ray is
+zero on all of them.
+
+A simple ray, zero on exactly target + 1 rows, needs no such scan.  An
+extreme ray's zero rows have rank target + 1, so these are independent.
+A ray of the other sign shares a proper subset of them (else it would
+lie on the simple ray's face and have its sign), so at least `target`
+shared rows means exactly `target` independent ones, which cut out a
+pointed 2-face modulo the lineality.  That face has just two
+extreme rays, so the pair is adjacent.
+
+Each new ray lies in the relative interior of its pair's 2-face, so no
+two pairs give the same ray and none equals a kept one: no duplicate
+check is needed.  Directions are rescaled by positive factors only, so
+ray orientations are never flipped.
 """
 
 from __future__ import annotations
@@ -22,26 +35,11 @@ from .rational import primitive
 IVec = tuple[int, ...]
 
 
-def _idot(u: IVec, v: IVec) -> int:
-    return sum(map(mul, u, v))
-
-
 def _sign_canonical(v: IVec) -> IVec:
-    """Flip so the first nonzero entry is positive (lineality only)."""
-    for k in v:
-        if k > 0:
-            return v
-        if k < 0:
-            return tuple([-a for a in v])
-    return v
-
-
-class _Ray:
-    __slots__ = ("vec", "mask")
-
-    def __init__(self, vec: IVec, mask: int):
-        self.vec = vec
-        self.mask = mask
+    """v or −v, whichever has a positive first nonzero entry (tuples
+    compare lexicographically).  Only lineality basis vectors come here,
+    and those are never zero."""
+    return max(v, tuple([-a for a in v]))
 
 
 def dd_cone(rows: list[Sequence[int]], dim: int) -> tuple[list[IVec], list[IVec]]:
@@ -54,73 +52,76 @@ def dd_cone(rows: list[Sequence[int]], dim: int) -> tuple[list[IVec], list[IVec]
     lineality: list[IVec] = [
         tuple([1 if i == j else 0 for i in range(dim)]) for j in range(dim)
     ]
-    rays: list[_Ray] = []
+    # The current extreme rays, and for each the bitmask of the inserted
+    # rows it is zero on.
+    vecs: list[IVec] = []
+    masks: list[int] = []
     for k, m in enumerate(unit_rows):
-        lin_dots = [_idot(m, l) for l in lineality]
-        hit = next((j for j, s in enumerate(lin_dots) if s != 0), None)
-        if hit is not None:
-            l0, s0 = lineality[hit], lin_dots[hit]
-            new_lin = []
-            for j, l in enumerate(lineality):
-                if j == hit:
-                    continue
-                s = lin_dots[j]
-                if s == 0:
-                    new_lin.append(l)
-                else:
-                    new_lin.append(_sign_canonical(primitive(
-                        [a * s0 - b * s for a, b in zip(l, l0)])))
-            lineality = new_lin
-            new_rays = []
-            for ray in rays:
-                s = _idot(m, ray.vec)
-                if s == 0:
-                    ray.mask |= 1 << k
-                    new_rays.append(ray)
-                else:
-                    # r - (s/s0) l0, rescaled positively to integers; l0
-                    # is orthogonal to every processed row, so the zero
-                    # set of r carries over.
-                    shifted = [a * s0 - b * s for a, b in zip(ray.vec, l0)]
-                    if s0 < 0:
-                        shifted = [-a for a in shifted]
-                    new_rays.append(_Ray(primitive(shifted), ray.mask | 1 << k))
-            r0_vec = l0 if s0 < 0 else tuple([-a for a in l0])
-            new_rays.append(_Ray(r0_vec, (1 << k) - 1))
-            rays = new_rays
-        else:
-            pos, zero, neg = [], [], []
-            for ray in rays:
-                s = _idot(m, ray.vec)
-                if s > 0:
-                    pos.append((ray, s))
-                elif s < 0:
-                    neg.append((ray, s))
-                else:
-                    ray.mask |= 1 << k
-                    zero.append(ray)
-            kept = zero + [ray for ray, _ in neg]
-            target = dim - len(lineality) - 2
-            if pos and neg and target >= 0:
-                # The pair is adjacent when its shared zero set has at least
-                # `target` rows and no other current ray's zero set
-                # contains it.  The new ray is zero exactly where both are:
-                # both are <= 0 on every processed row and both
-                # coefficients are positive.
-                seen = {ray.vec for ray in kept}
-                for rp, sp in pos:
-                    for rn, sn in neg:
-                        shared = rp.mask & rn.mask
-                        if shared.bit_count() < target or any(
-                                ray.mask & shared == shared
-                                and ray is not rp and ray is not rn
-                                for ray in rays):
+        bit = 1 << k
+        lin_dots = [sum(map(mul, m, l)) for l in lineality]
+        if any(lin_dots):
+            # Orient l0 so that m·l0 = s0 > 0; it leaves the lineality
+            # and −l0 becomes a ray.
+            hit = next(j for j, s in enumerate(lin_dots) if s)
+            l0, s0 = lineality.pop(hit), lin_dots.pop(hit)
+            if s0 < 0:
+                l0, s0 = tuple([-a for a in l0]), -s0
+            for j, s in enumerate(lin_dots):
+                if s:
+                    lineality[j] = _sign_canonical(primitive([
+                        a * s0 - b * s for a, b in zip(lineality[j], l0)]))
+            # r − (s/s0)·l0, rescaled by s0 > 0; l0 is orthogonal to
+            # every processed row, so the zero set of r carries over.
+            for i, v in enumerate(vecs):
+                s = sum(map(mul, m, v))
+                if s:
+                    vecs[i] = primitive([a * s0 - b * s for a, b in zip(v, l0)])
+                masks[i] |= bit
+            vecs.append(tuple([-a for a in l0]))
+            masks.append(bit - 1)
+            continue
+        dots = [sum(map(mul, m, v)) for v in vecs]
+        # Plain loops: most calls hold a handful of rays, where setting up
+        # a comprehension costs more than the loop it replaces.
+        pos, neg, kept_vecs, kept_masks = [], [], [], []
+        for i, s in enumerate(dots):
+            if s > 0:
+                pos.append(i)
+            elif s < 0:
+                neg.append(i)
+            else:
+                kept_vecs.append(vecs[i])
+                kept_masks.append(masks[i] | bit)
+        for j in neg:
+            kept_vecs.append(vecs[j])
+            kept_masks.append(masks[j])
+        target = dim - len(lineality) - 2
+        if pos and neg and target >= 0:
+            simple = target + 1
+            neg_simple = [masks[j].bit_count() == simple for j in neg]
+            for i in pos:
+                mp, vp, sp = masks[i], vecs[i], dots[i]
+                p_simple = mp.bit_count() == simple
+                for j, n_simple in zip(neg, neg_simple):
+                    shared = mp & masks[j]
+                    if shared.bit_count() < target:
+                        continue
+                    if not (p_simple or n_simple):
+                        # Both rays are zero on `shared`; a third one
+                        # makes the pair non-adjacent.
+                        holders = 0
+                        for mask in masks:
+                            if mask & shared == shared:
+                                holders += 1
+                                if holders == 3:
+                                    break
+                        if holders == 3:
                             continue
-                        vec = primitive([
-                            sp * bn - sn * bp
-                            for bp, bn in zip(rp.vec, rn.vec)])
-                        if vec not in seen:
-                            seen.add(vec)
-                            kept.append(_Ray(vec, shared | 1 << k))
-            rays = kept
-    return lineality, [ray.vec for ray in rays]
+                    # Zero exactly where both are: both are <= 0 on every
+                    # processed row and both coefficients are positive.
+                    sn = dots[j]
+                    kept_vecs.append(primitive([
+                        sp * bn - sn * bp for bp, bn in zip(vp, vecs[j])]))
+                    kept_masks.append(shared | bit)
+        vecs, masks = kept_vecs, kept_masks
+    return lineality, vecs

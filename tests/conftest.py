@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from relint_kit.lp import (
     FarkasCertificate,
@@ -260,6 +261,45 @@ def v_member(V: VPolyhedron, x) -> bool:
     one, zero = Fraction(1), Fraction(0)
     gens = tuple(p + (one,) for p in V.points) + tuple(r + (zero,) for r in V.rays)
     return primal_cone_contains(PolyCone(gens, V.dim + 1), tuple(x) + (one,))
+
+
+def _unique_solution(rows, rhs, n: int):
+    """The one solution x of rows·x = rhs by `Fraction` Gauss–Jordan, or
+    None when the system has none or more than one."""
+    m = [[Fraction(a) for a in row] + [Fraction(c)] for row, c in zip(rows, rhs)]
+    for col in range(n):
+        p = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if p is None:
+            return None
+        m[col], m[p] = m[p], m[col]
+        head = m[col][col]
+        pivot = m[col] = [a / head for a in m[col]]
+        for i, row in enumerate(m):
+            f = row[col]
+            if i != col and f:
+                m[i] = [a - f * b for a, b in zip(row, pivot)]
+    if any(row[n] for row in m[n:]):
+        return None
+    return tuple([m[i][n] for i in range(n)])
+
+
+def brute_force_vertices(P) -> set:
+    """Oracle: the vertices of P = {Ax <= b, Ex = d}, as the feasible
+    unique solutions of Ex = d together with a subset of the rows of A held
+    at equality.  Subsets of every size up to n are tried: with E
+    rank-deficient or rows dependent, a vertex may need more rows of A than
+    n − len(E).  Plain `Fraction` elimination, sharing no code with the
+    library's double description, LP or linear algebra."""
+    n = P.dim
+    vertices = set()
+    for size in range(n + 1):
+        for subset in combinations(range(len(P.A)), size):
+            x = _unique_solution([*P.E, *[P.A[i] for i in subset]],
+                                 [*P.d, *[P.b[i] for i in subset]], n)
+            if x is not None and all(sum([a * c for a, c in zip(row, x)]) <= beta
+                                     for row, beta in zip(P.A, P.b)):
+                vertices.add(x)
+    return vertices
 
 
 def fraction_linear_image(M, P: HPolyhedron) -> HPolyhedron:

@@ -1,14 +1,18 @@
 """Representation conversions and structural set operations."""
 
+import ast
 import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conftest
 from conftest import (
+    brute_force_vertices,
     fraction_linear_image,
     fraction_minkowski_diff,
     matvec,
@@ -22,7 +26,7 @@ from conftest import (
     v_member,
 )
 from relint_kit import polyhedra
-from relint_kit.dd import dd_cone
+from relint_kit.dd import _sign_canonical, dd_cone
 from relint_kit.errors import EmptySetError, InputError
 from relint_kit.linalg import in_span, rank, solve_linear_system
 from relint_kit.lp import FarkasCertificate, LPProblem, verify_farkas
@@ -209,6 +213,89 @@ def test_dd_cone_rays_are_extreme():
             assert not (rank([r1, r2]) == 1 and dot(r1, r2) > 0)
         rays_seen += len(rays)
     assert rays_seen >= 500
+
+
+def test_sign_canonical_gives_a_positive_leading_entry():
+    assert _sign_canonical((0, -2, 1)) == (0, 2, -1)
+    assert _sign_canonical((0, 3, -1)) == (0, 3, -1)
+    # Never a lineality vector, but still a vector and not None.
+    assert _sign_canonical((0, 0)) == (0, 0)
+
+
+def _degenerate_polytopes() -> list[HPolyhedron]:
+    """Bounded polytopes with vertices on more facets than their dimension:
+    a square pyramid's apex, pyramids over a cube and an octahedron, the
+    octahedron, duplicated and scaled rows, and slices by equality rows.
+    In the octahedron slices double description meets non-adjacent pairs
+    of which neither ray is simple."""
+    unit = [[1 if i == j else 0 for i in range(3)] for j in range(3)]
+    pyramid_A = [[0, 0, -1], [-1, 0, 1], [0, -1, 1], [1, 0, 1], [0, 1, 1]]
+    pyramid_b = [0, 0, 0, 2, 2]
+    octahedron_A = [[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    cube_pyramid_A = [[0, 0, 0, -1]] + [[-a for a in u] + [1] for u in unit] + [
+        u + [1] for u in unit]
+    octahedron_pyramid_A = [[0, 0, 0, -1]] + [row + [1] for row in octahedron_A]
+    return [
+        HPolyhedron.make(A=pyramid_A, b=pyramid_b),
+        # A duplicated row, a scaled copy and a looser parallel row.
+        HPolyhedron.make(A=pyramid_A + [pyramid_A[1], [-2, 0, 2], [1, 0, 1]],
+                         b=pyramid_b + [0, 0, 3]),
+        HPolyhedron.make(A=cube_pyramid_A, b=[0, 0, 0, 0, 2, 2, 2]),
+        HPolyhedron.make(A=octahedron_A, b=[1] * 8),
+        HPolyhedron.make(A=octahedron_pyramid_A, b=[0] + [1] * 8),
+        # Equality slices, one equality given twice, scaled.
+        HPolyhedron.make(A=octahedron_A, b=[1] * 8, E=[[1, -1, 0]], d=[0]),
+        HPolyhedron.make(A=unit + [[-a for a in u] for u in unit], b=[1] * 6,
+                         E=[[1, 1, 1], [2, 2, 2]], d=[0, 0]),
+        HPolyhedron.make(A=octahedron_pyramid_A, b=[0] + [1] * 8, E=[[1, 0, 0, -1]], d=[0]),
+        HPolyhedron.make(A=pyramid_A, b=pyramid_b, E=[[0, 0, 2]], d=[1]),
+    ]
+
+
+def test_h_to_v_points_are_the_brute_force_vertices():
+    # Completeness as well as extremality: `h_to_v` of a bounded polytope
+    # lists every vertex exactly once and nothing else, against an oracle
+    # that solves row subsets by `Fraction` elimination.
+    rng = random.Random(4011)
+    cases = _degenerate_polytopes()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        P = random_nonempty_hpoly(rng, n, 5)
+        # x >= -2 and Σx <= 2n bound P and keep its lattice anchor.
+        A = list(P.A) + [[-1 if i == j else 0 for i in range(n)] for j in range(n)] + [[1] * n]
+        b = list(P.b) + [2] * n + [2 * n]
+        if P.A and rng.random() < 0.3:
+            k = rng.randrange(len(P.A))
+            t = rng.choice((1, 2, Fraction(1, 3)))
+            A.append([t * a for a in P.A[k]])
+            b.append(t * P.b[k])
+        cases.append(HPolyhedron.make(A=A, b=b, E=P.E, d=P.d, dim=n))
+    counts = []
+    for P in cases:
+        V = h_to_v(P)
+        assert V.rays == (), P
+        assert len(set(V.points)) == len(V.points), P
+        assert set(V.points) == brute_force_vertices(P), P
+        counts.append(len(V.points))
+    assert counts[:9] == [5, 5, 9, 6, 7, 4, 6, 5, 4]
+    assert sum(counts) >= 900
+
+
+def test_vertex_oracle_imports_nothing_from_the_solver():
+    """`brute_force_vertices` and its elimination name nothing that
+    `conftest` imports from the package."""
+    tree = ast.parse(Path(conftest.__file__).read_text())
+    package_names = {alias.asname or alias.name for node in tree.body
+                     if isinstance(node, ast.ImportFrom)
+                     and (node.module or "").startswith("relint_kit")
+                     for alias in node.names}
+    used = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in ("brute_force_vertices",
+                                                                "_unique_solution"):
+            used |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    assert "_unique_solution" in used
+    assert used & package_names == set()
 
 
 def test_affine_hull_square_in_plane_slice():

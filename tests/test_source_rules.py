@@ -270,3 +270,34 @@ def test_tuples_are_built_from_lists():
                   and node.func.id == "tuple" and len(node.args) == 1
                   and isinstance(node.args[0], ast.GeneratorExp)]
     assert sites == []
+
+
+def _package_imports(tree) -> set[str]:
+    """The package modules one module imports, however written:
+    `from .m import x`, `from . import m`, `from relint_kit.m import x`,
+    `from relint_kit import m` and `import relint_kit.m`."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "relint_kit":
+                    continue
+                parts = parts[1:]
+            modules |= {parts[0]} if parts and parts[0] else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {a.name.partition(".")[2] or a.name for a in node.names
+                        if a.name.split(".")[0] == "relint_kit"}
+    return modules
+
+
+def test_double_description_is_a_leaf_over_integers():
+    """`dd.py` imports nothing from the package except `rational`: the
+    double description kernel works on plain integer rows, so no set type,
+    solver or linear algebra reaches into it, and each caller hands it the
+    integers it already holds."""
+    assert _package_imports(ast.parse((SRC / "dd.py").read_text())) == {"rational"}
+    assert _package_imports(ast.parse(
+        "from . import lp\nfrom relint_kit.linalg import rank\nimport relint_kit.polyhedra\n"
+        "from relint_kit import docio\nimport fractions\n")) == {
+            "lp", "linalg", "polyhedra", "docio"}
