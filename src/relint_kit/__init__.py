@@ -41,7 +41,6 @@ from .polyhedra import (
 )
 from .relint import (
     MembershipReport,
-    QuasiRegularityReport,
     ri_membership,
     ri_point,
     conic_hull_at,
@@ -50,7 +49,6 @@ from .relint import (
     normal_cone,
     prolongation_test,
     characterization_suite,
-    quasi_regularity_report,
     in_ri,
     in_iri,
     in_qri,

@@ -25,7 +25,6 @@ from .relint import (
     characterization_suite,
     conic_hull_at,
     normal_cone,
-    quasi_regularity_report,
     ri_membership,
     ri_point,
 )
@@ -58,6 +57,8 @@ def _parse_rat(text: str, what: str):
 def _parse_point(text: str | None, what: str = "--point"):
     if text is None:
         raise InputError(f"this command requires {what}")
+    if not text:
+        return ()  # the point of R^0
     return tuple([_parse_rat(part, what) for part in text.split(",")])
 
 
@@ -258,10 +259,12 @@ def _check_hpoly(ident: str, P: HPolyhedron, seed: int, checks):
         checks.append((ident, "emptiness-detected", True))
         return
     points = sample_points(P, seed=seed, midpoint_cap=6, random_combos=4)[:10]
-    agree = all(characterization_suite(P, x, set_id=ident).agree for x in points)
-    checks.append((ident, "characterization-equivalence", agree))
-    qrep = quasi_regularity_report(P)
-    checks.append((ident, "quasi-regularity", qrep.sampled_equality_check))
+    reports = [characterization_suite(P, x, set_id=ident) for x in points]
+    checks.append((ident, "characterization-equivalence", all(r.agree for r in reports)))
+    # ri = iri = qri in finite dimension: the intrinsic (cone) and the
+    # quasi-relative (normal cone) predicates, read from the same reports.
+    checks.append((ident, "quasi-regularity",
+                   all(r.cone_subspace == r.normal_cone_subspace for r in reports)))
     lemma_ok = all(
         qri_nonmembership_via_separation(P, x).lemma_agrees is not False
         for x in points[:4]

@@ -96,14 +96,16 @@ def _payload(kind: str, node, path: str) -> Payload:
         rows = node.get("pieces")
         if not isinstance(rows, list) or not rows:
             raise InputError(f"{path}.pieces: expected a nonempty list")
+        domain = _hpoly(node.get("domain"), f"{path}.domain")
         pieces = []
         for i, row in enumerate(rows):
             entries = _vec(row, f"{path}.pieces[{i}]")
-            if len(entries) < 2:
+            if len(entries) != domain.dim + 1:
                 raise InputError(
-                    f"{path}.pieces[{i}]: a piece needs a slope and an intercept")
+                    f"{path}.pieces[{i}]: a piece is a slope of length {domain.dim} and "
+                    f"an intercept, got a list of length {len(entries)}")
             pieces.append((entries[:-1], entries[-1]))
-        return PLConvexFunction(tuple(pieces), _hpoly(node.get("domain"), f"{path}.domain"))
+        return PLConvexFunction(tuple(pieces), domain)
     if kind == "sequence":
         prefix = _vec(node.get("prefix", []), f"{path}.prefix")
         tail_node = node.get("tail")

@@ -13,10 +13,11 @@ evaluates its point against the rows once, as integers (q, p), x = p / q.
 
 For a nonempty polyhedron, indeed for every nonempty convex set in finite
 dimension, ri = iri = qri: the relative, intrinsic and quasi-relative
-interiors coincide, and every such set is quasi-regular.  The
-quasi-regularity report therefore states no verdict; its evidential field
-is `sampled_equality_check`, which compares the intrinsic and
-quasi-relative predicates point by point.
+interiors coincide, and every such set is quasi-regular.  So the library
+has no quasi-regularity report: the suite's cone and normal-cone subspace
+predicates decide the intrinsic and quasi-relative interiors at its
+point, and `verify-corpus` reads its quasi-regularity line from those
+verdicts.
 """
 
 from __future__ import annotations
@@ -84,16 +85,6 @@ class MembershipReport:
     @property
     def agree(self) -> bool:
         return len(set(self.predicates)) == 1
-
-
-@dataclass(frozen=True)
-class QuasiRegularityReport:
-    """The sampled check of quasi-regularity.
-
-    Every nonempty convex set in finite dimension is quasi-regular, so no
-    field states it: `sampled_equality_check` is the evidence."""
-
-    sampled_equality_check: bool
 
 
 def _find_violation(P: HPolyhedron, ineq: list[int], eq: list[int]) -> RowWitness | None:
@@ -327,18 +318,3 @@ def characterization_suite(
     normal_sub = _is_subspace(_normal_rows(P, ineq))
     return MembershipReport(
         xbar, set_id, witness is None, prolong, cone_sub, cone_sub, normal_sub, witness)
-
-
-def quasi_regularity_report(P: HPolyhedron) -> QuasiRegularityReport:
-    """A sampled check that the intrinsic and quasi-relative interior
-    predicates agree on nonempty P."""
-    if is_empty(P):
-        raise EmptySetError("quasi-regularity of the empty set is undefined")
-    samples = [(t, X) for *X, t in P._sorted_generators[0]] + [scaled_ints(ri_point(P))]
-    # The normal-cone subspace test decides membership in the
-    # quasi-relative interior, so this compares the intrinsic predicate
-    # against the closed-cone one point by point.
-    sampled_equal = all(_is_subspace(_hull_rows(P, q, p))
-                        == _is_subspace(_normal_rows(P, P._residuals(q, p)[0]))
-                        for q, p in samples)
-    return QuasiRegularityReport(sampled_equal)

@@ -1,0 +1,91 @@
+"""Time `verify-corpus` at the scope edge, one fresh process per case.
+
+    python3 tests/scope_edge.py [--limit SECONDS] [--src DIR]
+
+The cases are polytopes in dimension 6 built from a fixed seed: rows p
+drawn by `random.Random(1)` as six integers in [-12, 12], kept when
+100 <= |p|^2 <= 144 and not a repeat, every right-hand side 1.  With 16,
+24 and 32 rows they have 209, 540 and 951 vertices.  For each case the
+script prints the SHA-256 of the instance document, then runs
+`relint-kit verify-corpus --seed 0` on it alone in a fresh interpreter
+that imports relint_kit from --src (default: this checkout's src/).  A
+run over --limit seconds is recorded as `timeout`, not as an error.  One
+line per case gives the wall seconds, the exit code and the SHA-256 of
+the report on stdout, so two checkouts compare byte for byte.
+
+Standard library only, and pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+CASES = {"dim6-rows16": 16, "dim6-rows24": 24, "dim6-rows32": 32}
+
+
+def random_facets(m: int, dim: int = 6) -> list[list[int]]:
+    """The first m distinct rows p with 100 <= |p|^2 <= 144, seed 1."""
+    rng = random.Random(1)
+    rows: list[list[int]] = []
+    while len(rows) < m:
+        p = [rng.randint(-12, 12) for _ in range(dim)]
+        if 100 <= sum(c * c for c in p) <= 144 and p not in rows:
+            rows.append(p)
+    return rows
+
+
+def document(name: str, m: int) -> bytes:
+    rows = random_facets(m)
+    node = {"id": name, "kind": "hpoly", "payload": {
+        "A": [[str(c) for c in p] for p in rows], "b": ["1"] * m,
+        "E": [], "d": [], "dim": len(rows[0])}}
+    return (json.dumps(node, indent=2, sort_keys=True) + "\n").encode()
+
+
+def run_case(name: str, text: bytes, src: Path, limit: float) -> tuple[str, str, str]:
+    """(seconds or `timeout`, exit code, SHA-256 of stdout) of one run; the
+    exit code comes with the last line of stderr, if any."""
+    with tempfile.TemporaryDirectory() as work:
+        (Path(work) / f"{name}.json").write_bytes(text)
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        command = [sys.executable, "-m", "relint_kit.cli", "verify-corpus", work, "--seed", "0"]
+        start = perf_counter()
+        try:
+            done = subprocess.run(command, env=env, capture_output=True, timeout=limit)
+        except subprocess.TimeoutExpired:
+            return "timeout", "-", "-"
+        seconds = perf_counter() - start
+    code = str(done.returncode)
+    if done.stderr.strip():
+        code += f" ({done.stderr.decode(errors='replace').strip().splitlines()[-1]})"
+    return f"{seconds:.2f}", code, hashlib.sha256(done.stdout).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--limit", type=float, default=300.0,
+                        help="seconds a case may take before it is a timeout")
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="directory that holds the relint_kit package")
+    args = parser.parse_args()
+    docs = {name: document(name, m) for name, m in CASES.items()}
+    for name, text in docs.items():
+        print(f"{name} rows={CASES[name]} document sha256={hashlib.sha256(text).hexdigest()}")
+    for name, text in docs.items():
+        seconds, code, digest = run_case(name, text, args.src, args.limit)
+        print(f"{name} verify-corpus seconds={seconds} exit={code} stdout sha256={digest}",
+              flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -14,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import same_set
 from relint_kit import cli, docio, separation
 from relint_kit.cli import main
-from relint_kit.errors import InputError
+from relint_kit.errors import InputError, TheoremViolation
 from relint_kit.polyhedra import HPolyhedron
 from relint_kit.rational import vec
 
-CORPUS = Path(__file__).resolve().parents[1] / "src" / "relint_kit" / "corpus"
+SRC = Path(__file__).resolve().parents[1] / "src"
+CORPUS = SRC / "relint_kit" / "corpus"
 
 
 def test_parse_hpoly_segment():
@@ -68,6 +72,20 @@ def test_parse_dimension_mismatch():
             '{"kind":"hpoly","id":"x","payload":'
             '{"A":[["1","2"]],"b":["1"],"E":[],"d":[],"dim":1}}'
         )
+
+
+def _plfunction_text(pieces, dim):
+    return json.dumps({"kind": "plfunction", "id": "f", "payload": {
+        "pieces": pieces, "domain": {"A": [], "b": [], "E": [], "d": [], "dim": dim}}})
+
+
+def test_parse_plfunction_pieces_against_the_domain_dimension():
+    f = docio.parse_instance(_plfunction_text([["2"], ["1/2"]], 0)).payload
+    assert f.pieces == (((), Fraction(2)), ((), Fraction(1, 2)))
+    with pytest.raises(InputError, match=r"pieces\[0\]: a piece is a slope of length 1 "):
+        docio.parse_instance(_plfunction_text([["2"]], 1))
+    with pytest.raises(InputError, match=r"pieces\[1\]: a piece is a slope of length 0 "):
+        docio.parse_instance(_plfunction_text([["2"], ["1", "2"]], 0))
 
 
 def test_certificate_round_trip():
@@ -413,6 +431,16 @@ def test_cli_diff_ri_of_zero_dimensional_sets(tmp_path, capsys):
     assert json.loads(out[out.index("{"):])["holds"] is True
 
 
+@pytest.mark.parametrize("command", ["ri-check", "suite"])
+def test_cli_empty_point_is_the_point_of_r0(tmp_path, capsys, command):
+    doc = tmp_path / "p0.json"
+    doc.write_text(json.dumps({"kind": "hpoly", "id": "p0", "payload": {
+        "A": [], "b": [], "E": [], "d": [], "dim": 0}}))
+    code, out = run_cli(capsys, command, str(doc), "--point=")
+    assert code == 0
+    assert json.loads(out[out.index("{"):])["exit_code"] == 0
+
+
 def test_cli_verify_corpus_unreadable_entry_is_input_error(tmp_path, capsys):
     (tmp_path / "segment-x01.json").write_bytes((CORPUS / "segment-x01.json").read_bytes())
     (tmp_path / "x.json").mkdir()
@@ -457,6 +485,30 @@ def test_cli_internal_error_is_one_line_with_exit_2(monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "internal error: ZeroDivisionError: division by zero second line\n"
+
+
+def test_cli_theorem_violation_is_one_line_with_exit_1(monkeypatch, capsys):
+    def broken(args, docs):
+        raise TheoremViolation("the five characterizations disagree")
+
+    monkeypatch.setitem(cli._HANDLERS, "ri-point", (broken, 1))
+    code = main(["ri-point", str(CORPUS / "square-unit.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "theorem violation: the five characterizations disagree\n"
+
+
+def test_cli_verify_corpus_stdout_is_independent_of_the_hash_seed():
+    outputs = []
+    for hash_seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-m", "relint_kit.cli", "verify-corpus", "--seed", "3"],
+            env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # -- seeded fuzz of the document grammar and the argument lists ---------------

@@ -19,7 +19,6 @@ from relint_kit.relint import (
     is_subspace,
     normal_cone,
     prolongation_test,
-    quasi_regularity_report,
     ri_membership,
     ri_point,
 )
@@ -224,26 +223,6 @@ def test_interior_chain_is_monotone():
             iri = in_iri(P, x)
             qri = in_qri(P, x)
             assert (not ri or iri) and (not iri or qri)
-
-
-def test_quasi_regularity_square():
-    rep = quasi_regularity_report(UNIT_SQUARE)
-    assert rep.sampled_equality_check
-
-
-def test_quasi_regularity_segment_lower_dimensional():
-    rep = quasi_regularity_report(SEGMENT)
-    assert rep.sampled_equality_check
-
-
-def test_quasi_regularity_singleton():
-    rep = quasi_regularity_report(HPolyhedron.singleton(vec([1, 2])))
-    assert rep.sampled_equality_check
-
-
-def test_quasi_regularity_empty_raises():
-    with pytest.raises(EmptySetError):
-        quasi_regularity_report(HPolyhedron.make(A=[[1], [-1]], b=[0, -1]))
 
 
 def test_inexact_points_rejected_by_the_predicates():
