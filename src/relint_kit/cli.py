@@ -393,6 +393,9 @@ _PARSER.add_argument("--point", help="comma-separated rational coordinates")
 _PARSER.add_argument("--level", help="epigraph level as a rational")
 _PARSER.add_argument("--matrix", help="matrix rows 'a,b;c,d' of rationals")
 _VALUE_OPTIONS = ("--point", "--level", "--matrix")
+# `parse_intermixed_args` formats the usage text on every call unless the
+# parser has one, and that took most of its time: format it once.
+_PARSER.usage = _PARSER.format_usage().removeprefix("usage: ")
 
 
 def main(argv=None) -> int:
@@ -404,7 +407,7 @@ def main(argv=None) -> int:
         if words and words[-1] in _VALUE_OPTIONS and word[:1] == "-" and word[1:2].isdecimal():
             word = words.pop() + "=" + word
         words.append(word)
-    args = _PARSER.parse_args(words)
+    args = _PARSER.parse_intermixed_args(words)
     handler, needs = _HANDLERS[args.command]
     try:
         if len(args.files) < needs:

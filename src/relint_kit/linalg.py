@@ -89,8 +89,6 @@ def in_span(vectors: tuple[Vec, ...], v: Vec) -> bool:
     """Whether v is a linear combination of the given vectors."""
     if all(a == 0 for a in v):
         return True
-    if not vectors:
-        return False
     return rank(vectors) == rank(vectors + (v,))
 
 
@@ -100,8 +98,6 @@ def project_onto_span(directions: tuple[Vec, ...], v: Vec) -> Vec:
     Solves the normal equations (B Bᵀ) z = B v for the row matrix B of
     directions; requires the directions to be linearly independent.
     """
-    if not directions:
-        return zeros(len(v))
     k = len(directions)
     gram = tuple([
         tuple([dot(directions[i], directions[j]) for j in range(k)]) for i in range(k)

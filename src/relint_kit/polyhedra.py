@@ -16,6 +16,10 @@ Conventions fixed here and relied on everywhere else:
     integers straight into the next double description; sorted on integer
     keys (`_sorted_generators`), the same tuples give the order of `h_to_v`,
     which builds its `Fraction` points only when asked;
+  * `minkowski_diff` hands double description only the pairs of generator
+    points that can give a vertex, found by comparing bitmasks of tight
+    rows, when the generators prove the difference line-free and
+    full-dimensional, and every pair otherwise;
   * its rows are cached as integers with their scales (`_int_rows`); the
     slack LP (emptiness, implicit rows, separation, strict preimages) is
     encoded from them and read in `_max_slack` alone, as (t, x, y, z), and
@@ -27,7 +31,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -390,10 +394,10 @@ def _dual_rows(gens: list[Sequence[int]], n: int) -> HPolyhedron:
         b.append(Rat(-c))
     for l in sorted(lineality):
         a, c = l[:-1], l[-1]
-        if all(x == 0 for x in a):
-            if c != 0:
-                raise TheoremViolation("a nonempty set misses the t = 1 slice")
-            continue
+        # (0, c) in the lineality forces c·t = 0 on every generator, and
+        # some generator has t > 0, so c = 0: a lineality vector is never zero.
+        if not any(a):
+            raise TheoremViolation("lineality vector of the dual cone with a zero normal")
         E.append(tuple([Rat(x) for x in a]))
         d.append(Rat(-c))
     return HPolyhedron(tuple(A), tuple(b), tuple(E), tuple(d), n)
@@ -430,21 +434,113 @@ def linear_image(M: Mat, P: HPolyhedron) -> HPolyhedron:
 def minkowski_diff(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:
     """{w1 - w2 : w1 in P1, w2 in P2} via generator arithmetic: points
     (t2 x1 - t1 x2, t1 t2) and directions r1 and -r2, each distinct
-    generator once."""
+    generator once.
+
+    A pair (v1, v2) of generator points is left out when some d != 0 lies
+    in both tangent cones T(v1; P1) and T(v2; P2): then v1 - v2 +/- εd lie
+    in P1 - P2, so v1 - v2 is no vertex.  The d tried at v1 are the edge
+    directions u - v1 and the directions of P1, each with the bitmask of
+    P2's rows it raises, so d lies in T(v2; P2) when that mask misses the
+    rows tight at v2; and the same at v2 against P1 (`_tangent_masks`).
+    No LP and no `Fraction`.  Dropping non-vertices keeps the set only if
+    it is line-free, the hull of its vertices plus its recession cone,
+    and keeps the rows only if it is full-dimensional, so that the dual
+    cone is pointed and its extreme rays unique.  The generators must
+    prove both (`_vertex_pairs`), or every pair is kept."""
     if P1.dim != P2.dim:
         raise InputError("set difference requires matching dimensions")
     points1, directions1 = P1._int_generators
     points2, directions2 = P2._int_generators
     if not points1 or not points2:
         return HPolyhedron.empty(P1.dim)
-    points = set()
-    for g1 in points1:
-        t1 = g1[-1]
-        for g2 in points2:
-            t2 = g2[-1]
-            points.add(primitive([t2 * a - t1 * c for a, c in zip(g1[:-1], g2)] + [t1 * t2]))
     directions = set(directions1) | {tuple([-k for k in g]) for g in directions2}
+    points = set()
+    for g1, g2 in _vertex_pairs(P1, P2, directions):
+        t1, t2 = g1[-1], g2[-1]
+        points.add(primitive([t2 * a - t1 * c for a, c in zip(g1[:-1], g2)] + [t1 * t2]))
     return _dual_rows([*points, *directions], P1.dim)
+
+
+def _vertex_pairs(P1: HPolyhedron, P2: HPolyhedron, directions
+                  ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs of generator points of nonempty P1 and P2 that
+    `minkowski_diff` keeps, P1 - P2 having these directions: those that
+    pass the tangent-cone test when P1 - P2 is provably line-free (the sum
+    s of the directions has s·r > 0 for each of them, so no nonnegative
+    combination of them vanishes) and full-dimensional (one operand is),
+    and every pair otherwise."""
+    points1, points2 = P1._int_generators[0], P2._int_generators[0]
+    s = [sum(column) for column in zip(*directions)]
+    if all(sum(map(mul, s, r)) > 0 for r in directions):
+        active1 = _zero_masks(P1._int_rows[0], points1)
+        active2 = _zero_masks(P2._int_rows[0], points2)
+        if _full_dimensional(P1, active1) or _full_dimensional(P2, active2):
+            candidates1 = _tangent_masks(P1, P2, active1)
+            candidates2 = _tangent_masks(P2, P1, active2)
+            return ((g1, g2)
+                    for g1, a1, c1 in zip(points1, active1, candidates1)
+                    for g2, a2, c2 in zip(points2, active2, candidates2)
+                    if all(map(a2.__and__, c1)) and all(map(a1.__and__, c2)))
+    return ((g1, g2) for g1 in points1 for g2 in points2)
+
+
+def _zero_masks(rows: _ScaledRows, gens) -> list[int]:
+    """For each homogenized generator, the bitmask of the rows it is zero
+    on: at a point the rows tight there, on a direction the rows whose
+    normal it is orthogonal to."""
+    return [sum([1 << i for i, (_, h) in enumerate(rows) if not sum(map(mul, h, g))])
+            for g in gens]
+
+
+def _full_dimensional(P: HPolyhedron, active: list[int]) -> bool:
+    """Whether nonempty P provably spans R^n: no equality row, and no
+    inequality row is tight at every generator point (masks `active`) and
+    zero on every direction."""
+    ineq, eq = P._int_rows
+    if eq:
+        return False
+    tight = (1 << len(ineq)) - 1
+    for mask in [*active, *_zero_masks(ineq, P._int_generators[1])]:
+        tight &= mask
+    return not tight
+
+
+def _tangent_masks(X: HPolyhedron, Y: HPolyhedron, active: list[int]) -> list[set[int]]:
+    """For each generator point v of X, with `active` the masks of X's
+    inequality rows tight at them: the bitmasks of Y's inequality rows
+    increased by each candidate direction d in T(v; X).  Then d lies in
+    T(w; Y) exactly when its mask misses the rows of Y tight at w.
+
+    The candidates are u - v for each other point u that shares at least
+    n - 1 tight rows with v (equalities counted), and X's directions; d
+    that leave Y's equalities are skipped.  Over a common denominator T
+    each point is (T·u, T), and a row h = L·(a, -beta) of Y has
+    h·(T·u, T) - h·(T·v, T) = L T a·(u - v): its values at the points
+    give the signs for every d, and d itself is never formed."""
+    ineq_y, eq_y = Y._int_rows
+    points, directions = X._int_generators
+    T, scaled = common_points(points)
+    homogenized = [[*x, T] for x in scaled]
+    values = [[sum(map(mul, h, g)) for _, h in ineq_y] for g in homogenized]
+    levels = [[sum(map(mul, h, g)) for _, h in eq_y] for g in homogenized]
+    along = {sum([1 << i for i, (_, h) in enumerate(ineq_y) if sum(map(mul, h, r)) > 0])
+             for r in directions if not any([sum(map(mul, h, r)) for _, h in eq_y])}
+    candidates = [set(along) for _ in points]
+    need = X.dim - 1 - len(X._int_rows[1])
+    for i, (av, hv, ev) in enumerate(zip(active, values, levels)):
+        for j in range(i + 1, len(points)):
+            if (av & active[j]).bit_count() < need or levels[j] != ev:
+                continue
+            up = down = 0
+            for k, (a, b) in enumerate(zip(values[j], hv)):
+                if a > b:
+                    up |= 1 << k
+                elif a < b:
+                    down |= 1 << k
+            # u - v raises the rows in `up` and v - u those in `down`.
+            candidates[i].add(up)
+            candidates[j].add(down)
+    return candidates
 
 
 def product(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:

@@ -1,17 +1,21 @@
-"""Time `verify-corpus` at the scope edge, one fresh process per case.
+"""Scope-edge timings of `verify-corpus` and `minkowski_diff`, a process each.
 
     python3 tests/scope_edge.py [--limit SECONDS] [--src DIR]
 
-The cases are polytopes in dimension 6 built from a fixed seed: rows p
-drawn by `random.Random(1)` as six integers in [-12, 12], kept when
-100 <= |p|^2 <= 144 and not a repeat, every right-hand side 1.  With 16,
-24 and 32 rows they have 209, 540 and 951 vertices.  For each case the
-script prints the SHA-256 of the instance document, then runs
-`relint-kit verify-corpus --seed 0` on it alone in a fresh interpreter
-that imports relint_kit from --src (default: this checkout's src/).  A
-run over --limit seconds is recorded as `timeout`, not as an error.  One
-line per case gives the wall seconds, the exit code and the SHA-256 of
-the report on stdout, so two checkouts compare byte for byte.
+The cases are polytopes built from a fixed seed: rows p drawn by
+`random.Random(1)` as integers in [-12, 12], kept when
+100 <= |p|^2 <= 144 and not a repeat, every right-hand side 1.  In
+dimension 6, with 16, 24 and 32 rows they have 209, 540 and 951
+vertices, and `relint-kit verify-corpus --seed 0` runs on each alone.
+`minkowski_diff(P, P)` runs on the dimension-4 sets with 12 and 20 rows
+(35 and 72 vertices) and on the dimension-6 set with 12 rows (79
+vertices), and writes the rows of the result, one per line.  For each
+case the script prints the SHA-256 of the instance document, then runs
+the case in a fresh interpreter that imports relint_kit from --src
+(default: this checkout's src/).  A run over --limit seconds is recorded
+as `timeout`, not as an error.  One line per case gives the wall seconds
+of the whole process, the exit code and the SHA-256 of its stdout, so
+two checkouts compare byte for byte.
 
 Standard library only, and pytest does not collect it.
 """
@@ -29,10 +33,33 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-CASES = {"dim6-rows16": 16, "dim6-rows24": 24, "dim6-rows32": 32}
+# name: (dimension, rows, command)
+CASES = {
+    "dim6-rows16": (6, 16, "verify-corpus"),
+    "dim6-rows24": (6, 24, "verify-corpus"),
+    "dim6-rows32": (6, 32, "verify-corpus"),
+    "dim4-rows12": (4, 12, "minkowski_diff"),
+    "dim4-rows20": (4, 20, "minkowski_diff"),
+    "dim6-rows12": (6, 12, "minkowski_diff"),
+}
+
+# P - P for the one document in the directory argv[1], its rows to stdout.
+DIFF = """
+import sys
+from pathlib import Path
+from relint_kit import docio
+from relint_kit.polyhedra import minkowski_diff
+(path,) = Path(sys.argv[1]).iterdir()
+P = docio.parse_instance(path.read_text()).payload
+D = minkowski_diff(P, P)
+for row, beta in zip(D.A, D.b):
+    print(",".join(map(str, row)), "<=", beta)
+for row, delta in zip(D.E, D.d):
+    print(",".join(map(str, row)), "=", delta)
+"""
 
 
-def random_facets(m: int, dim: int = 6) -> list[list[int]]:
+def random_facets(m: int, dim: int) -> list[list[int]]:
     """The first m distinct rows p with 100 <= |p|^2 <= 144, seed 1."""
     rng = random.Random(1)
     rows: list[list[int]] = []
@@ -43,24 +70,28 @@ def random_facets(m: int, dim: int = 6) -> list[list[int]]:
     return rows
 
 
-def document(name: str, m: int) -> bytes:
-    rows = random_facets(m)
+def document(name: str, dim: int, m: int) -> bytes:
+    rows = random_facets(m, dim)
     node = {"id": name, "kind": "hpoly", "payload": {
         "A": [[str(c) for c in p] for p in rows], "b": ["1"] * m,
         "E": [], "d": [], "dim": len(rows[0])}}
     return (json.dumps(node, indent=2, sort_keys=True) + "\n").encode()
 
 
-def run_case(name: str, text: bytes, src: Path, limit: float) -> tuple[str, str, str]:
+def run_case(name: str, text: bytes, command: str, src: Path, limit: float
+             ) -> tuple[str, str, str]:
     """(seconds or `timeout`, exit code, SHA-256 of stdout) of one run; the
     exit code comes with the last line of stderr, if any."""
     with tempfile.TemporaryDirectory() as work:
         (Path(work) / f"{name}.json").write_bytes(text)
         env = {**os.environ, "PYTHONPATH": str(src)}
-        command = [sys.executable, "-m", "relint_kit.cli", "verify-corpus", work, "--seed", "0"]
+        if command == "verify-corpus":
+            argv = [sys.executable, "-m", "relint_kit.cli", "verify-corpus", work, "--seed", "0"]
+        else:
+            argv = [sys.executable, "-c", DIFF, work]
         start = perf_counter()
         try:
-            done = subprocess.run(command, env=env, capture_output=True, timeout=limit)
+            done = subprocess.run(argv, env=env, capture_output=True, timeout=limit)
         except subprocess.TimeoutExpired:
             return "timeout", "-", "-"
         seconds = perf_counter() - start
@@ -77,12 +108,13 @@ def main() -> int:
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="directory that holds the relint_kit package")
     args = parser.parse_args()
-    docs = {name: document(name, m) for name, m in CASES.items()}
+    docs = {name: document(name, dim, m) for name, (dim, m, _) in CASES.items()}
     for name, text in docs.items():
-        print(f"{name} rows={CASES[name]} document sha256={hashlib.sha256(text).hexdigest()}")
+        print(f"{name} rows={CASES[name][1]} document sha256={hashlib.sha256(text).hexdigest()}")
     for name, text in docs.items():
-        seconds, code, digest = run_case(name, text, args.src, args.limit)
-        print(f"{name} verify-corpus seconds={seconds} exit={code} stdout sha256={digest}",
+        command = CASES[name][2]
+        seconds, code, digest = run_case(name, text, command, args.src, args.limit)
+        print(f"{name} {command} seconds={seconds} exit={code} stdout sha256={digest}",
               flush=True)
     return 0
 

@@ -393,6 +393,20 @@ def test_cli_option_prefix_is_unrecognized(capsys, value):
         f"relint-kit: error: unrecognized arguments: --poi {value}")
 
 
+@pytest.mark.parametrize("command, files, options", [
+    ("suite", [str(CORPUS / "segment-x01.json")], ["--point", "1/2,0"]),
+    ("verify-corpus", [str(CORPUS)], ["--seed", "0"]),
+], ids=["suite", "verify-corpus"])
+def test_cli_options_before_or_after_the_files(capsys, command, files, options):
+    # The usage line puts options before the files; both orders give the
+    # same exit code and the same report bytes.
+    before = main([command, *options, *files]), capsys.readouterr()
+    after = main([command, *files, *options]), capsys.readouterr()
+    assert before == after
+    assert before[0] == 0 and before[1].err == ""
+    assert json.loads(before[1].out[before[1].out.index("{"):])["command"] == command
+
+
 def test_cli_verify_wrong_length_strict_witness_fails_with_a_report(tmp_path, capsys):
     sets = (str(CORPUS / "segment-x01.json"), str(CORPUS / "square-unit.json"))
     out_file = tmp_path / "report.json"

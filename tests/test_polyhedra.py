@@ -24,6 +24,7 @@ from conftest import (
     recession_contains,
     same_set,
     v_member,
+    vneg,
 )
 from relint_kit import polyhedra
 from relint_kit.dd import _sign_canonical, dd_cone
@@ -46,7 +47,7 @@ from relint_kit.polyhedra import (
     product,
     v_to_h,
 )
-from relint_kit.rational import dot, mat, unit, vec, zeros
+from relint_kit.rational import dot, mat, unit, vec, vsub, zeros
 from relint_kit.relint import ri_point
 
 TRIANGLE = HPolyhedron.make(A=[[-1, 0], [0, -1], [1, 1]], b=[0, 0, 1])
@@ -463,6 +464,75 @@ def test_minkowski_diff_generator_soundness():
                     P1.E + shifted.E, P1.d + shifted.d, P1.dim,
                 )
             )
+
+
+def _difference_operand(rng: random.Random, n: int, kind: str) -> HPolyhedron:
+    """A random nonempty set in R^n of one kind: `bounded` (boxed in
+    [-2, 2]^n), `up` or `down` (bounded below or above in every coordinate,
+    so line-free with its recession cone in the nonnegative or nonpositive
+    orthant), and a bounded set in R^(n-1) lifted by a free last coordinate
+    (`line`) or by an equality row that fixes it (`flat`)."""
+    if kind in ("line", "flat"):
+        P = _difference_operand(rng, n - 1, "bounded")
+        A = tuple(row + (Fraction(0),) for row in P.A)
+        if kind == "line":
+            return HPolyhedron(A, P.b, (), (), n)
+        row = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n - 1)) + (Fraction(1),)
+        return HPolyhedron(A, P.b, (row,), (Fraction(0),), n)
+    P = random_nonempty_hpoly(rng, n, n + 2, eq_prob=0)
+    eye = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    box = eye if kind != "up" else []
+    box += [tuple(-a for a in row) for row in eye] if kind != "down" else []
+    return HPolyhedron(P.A + tuple(box), P.b + (Fraction(2),) * len(box), (), (), n)
+
+
+def test_minkowski_diff_keeps_the_pairs_that_can_be_vertices(monkeypatch):
+    # The tangent-cone filter against double description over every pair
+    # of generator points: the same rows, every pair kept when the guard
+    # cannot prove the result line-free and full-dimensional, and pairs
+    # dropped in some share of the other cases.
+    every_pair = polyhedra._dual_rows
+    handed = []
+
+    def spy(gens, n):
+        handed.append({tuple(g) for g in gens if g[-1]})
+        return every_pair(gens, n)
+
+    monkeypatch.setattr(polyhedra, "_dual_rows", spy)
+    rng = random.Random(2027)
+    kinds = [("bounded", "bounded"), ("same", "same"), ("up", "down"), ("bounded", "down"),
+             ("up", "bounded"), ("line", "bounded"), ("bounded", "line"), ("flat", "flat"),
+             ("flat", "bounded")]
+    dropped, vertex_checks = {}, 0
+    for n in (2, 3, 4):
+        for k1, k2 in kinds * 3:
+            P1 = _difference_operand(rng, n, "bounded" if k1 == "same" else k1)
+            P2 = P1 if k2 == "same" else _difference_operand(rng, n, k2)
+            if is_empty(P1) or is_empty(P2):
+                continue
+            handed.clear()
+            D = minkowski_diff(P1, P2)
+            (kept,) = handed
+            V1, V2 = h_to_v(P1), h_to_v(P2)
+            pairs = {primitive_int(vsub(p1, p2) + (Fraction(1),))
+                     for p1 in V1.points for p2 in V2.points}
+            directions = {primitive_int(r + (Fraction(0),)) for r in V1.rays}
+            directions |= {primitive_int(vneg(r) + (Fraction(0),)) for r in V2.rays}
+            assert D == every_pair([*pairs, *directions], n)
+            assert kept <= pairs
+            if "line" in (k1, k2) or (k1, k2) == ("flat", "flat"):
+                assert kept == pairs, (n, k1, k2)
+            dropped.setdefault((k1, k2), []).append(kept != pairs)
+            # The vertex oracle tries every subset of up to n rows; in
+            # dimension 4 the results have too many rows for it.
+            if not directions and n < 4:
+                vertex_checks += 1
+                points = {tuple(Fraction(a, g[-1]) for a in g[:-1]) for g in kept}
+                assert brute_force_vertices(D) <= points
+    assert vertex_checks > 20
+    for pair in kinds:
+        if "line" not in pair and pair != ("flat", "flat"):
+            assert any(dropped[pair]), pair
 
 
 def test_product_square():
