@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 
-from .errors import InputError
+from .errors import InputError, TheoremViolation
 from .polyhedra import HPolyhedron, VPolyhedron
 from .rational import Mat, Rat, Vec, format_rational, parse_rational
 from .separation import SeparationCertificate
@@ -119,7 +119,8 @@ def _payload(kind: str, node, path: str) -> Payload:
                 _int(tail_node.get("start"), f"{path}.tail.start"),
             )
         return HybridSeq.make(prefix, tail)
-    raise InputError(f"unknown instance kind {kind!r}")
+    # `parse_instance`, the only caller, rejects every kind outside KINDS.
+    raise TheoremViolation(f"unknown instance kind {kind!r}")
 
 
 @lru_cache

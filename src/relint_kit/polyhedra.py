@@ -15,7 +15,8 @@ Conventions fixed here and relied on everywhere else:
     homogenization cone, and `linear_image` and `minkowski_diff` map those
     integers straight into the next double description; sorted on integer
     keys (`_sorted_generators`), the same tuples give the order of `h_to_v`,
-    which builds its `Fraction` points only when asked;
+    which builds its `Fraction` points only when asked, each distinct
+    value once (`rational.frac_vecs`), as `_dual_rows` builds its rows;
   * `minkowski_diff` hands double description only the pairs of generator
     points that can give a vertex, found by comparing bitmasks of tight
     rows, when the generators prove the difference line-free and
@@ -54,7 +55,7 @@ from .rational import (
     check_exact,
     common_ints,
     common_points,
-    frac_vec,
+    frac_vecs,
     mat,
     primitive,
     scaled_ints,
@@ -154,10 +155,11 @@ class HPolyhedron:
 
     @cached_property
     def _generators(self) -> VPolyhedron:
-        """The generator representation: `_sorted_generators` as `Fraction`s."""
+        """The generator representation: `_sorted_generators` as `Fraction`s,
+        built by one `frac_vecs` call."""
         points, directions = self._sorted_generators
-        return VPolyhedron(tuple([frac_vec(g[-1], g[:-1]) for g in points]),
-                           tuple([frac_vec(1, g[:-1]) for g in directions]), self.dim)
+        vecs = frac_vecs([*[(g[-1], g[:-1]) for g in points], *[(1, g[:-1]) for g in directions]])
+        return VPolyhedron(tuple(vecs[:len(points)]), tuple(vecs[len(points):]), self.dim)
 
     @classmethod
     def make(cls, A=(), b=(), E=(), d=(), dim=None) -> "HPolyhedron":
@@ -383,24 +385,21 @@ def _dual_rows(gens: list[Sequence[int]], n: int) -> HPolyhedron:
     description of the dual cone {(a, c) : a·x + c t <= 0 on gens} gives
     the rows a·x <= -c, and its lineality the equalities."""
     lineality, rays = dd_cone(gens, n + 1)
-    A, b, E, d = [], [], [], []
+    rows = []
     for r in sorted(rays):
-        a, c = r[:-1], r[-1]
-        if all(x == 0 for x in a):
-            if c > 0:
-                raise TheoremViolation("trivial facet row unsatisfiable at t = 1")
-            continue
-        A.append(tuple([Rat(x) for x in a]))
-        b.append(Rat(-c))
+        if any(r[:-1]):
+            rows.append(r)
+        elif r[-1] > 0:
+            raise TheoremViolation("trivial facet row unsatisfiable at t = 1")
+    m = len(rows)
     for l in sorted(lineality):
-        a, c = l[:-1], l[-1]
         # (0, c) in the lineality forces c·t = 0 on every generator, and
         # some generator has t > 0, so c = 0: a lineality vector is never zero.
-        if not any(a):
+        if not any(l[:-1]):
             raise TheoremViolation("lineality vector of the dual cone with a zero normal")
-        E.append(tuple([Rat(x) for x in a]))
-        d.append(Rat(-c))
-    return HPolyhedron(tuple(A), tuple(b), tuple(E), tuple(d), n)
+        rows.append(l)
+    *normals, rhs = frac_vecs([*[(1, r[:-1]) for r in rows], (1, [-r[-1] for r in rows])])
+    return HPolyhedron(tuple(normals[:m]), rhs[:m], tuple(normals[m:]), rhs[m:], n)
 
 
 # -- structural operations ---------------------------------------------------

@@ -9,7 +9,8 @@ derived from it on itself (see `polyhedra`).
 This is the one place a rational vector is put over the integers: a point
 as (q, p), q > 0 its common denominator and p = q·x, a row as (L, L·v).
 The library computes in those and builds `Fraction`s only for what it
-returns, as `dot` builds one per result.
+returns, as `dot` builds one per result; a whole generator or row
+answer goes through `frac_vecs`, which builds one per distinct value.
 """
 
 from __future__ import annotations
@@ -126,6 +127,28 @@ def combination(coeffs, rows, width: int) -> list[int]:
 def frac_vec(q: int, p) -> Vec:
     """The point p / q, q > 0, as `Fraction`s."""
     return tuple([Rat(k, q) for k in p])
+
+
+def frac_vecs(vectors) -> list[Vec]:
+    """`frac_vec(q, p)` for each pair (q, p), q > 0, in order.  A table that
+    lives for this one call builds the `Fraction` k / q once per distinct
+    (k, q) and shares it among those entries, which is safe because a
+    `Fraction` is immutable; the answers of a conversion repeat a few
+    small values."""
+    tables: dict[int, dict[int, Rat]] = {}
+    out = []
+    for q, p in vectors:
+        table = tables.get(q)
+        if table is None:
+            table = tables[q] = {}
+        row = []
+        for k in p:
+            f = table.get(k)
+            if f is None:
+                f = table[k] = Rat(k, q)
+            row.append(f)
+        out.append(tuple(row))
+    return out
 
 
 def common_points(gens) -> tuple[int, list[list[int]]]:

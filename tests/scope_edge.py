@@ -1,4 +1,5 @@
-"""Scope-edge timings of `verify-corpus` and `minkowski_diff`, a process each.
+"""Scope-edge timings of `verify-corpus`, `h_to_v` and `minkowski_diff`, a
+process each.
 
     python3 tests/scope_edge.py [--limit SECONDS] [--src DIR]
 
@@ -6,16 +7,17 @@ The cases are polytopes built from a fixed seed: rows p drawn by
 `random.Random(1)` as integers in [-12, 12], kept when
 100 <= |p|^2 <= 144 and not a repeat, every right-hand side 1.  In
 dimension 6, with 16, 24 and 32 rows they have 209, 540 and 951
-vertices, and `relint-kit verify-corpus --seed 0` runs on each alone.
+vertices; `relint-kit verify-corpus --seed 0` runs on each alone, and
+`h_to_v` writes the points, one per line.
 `minkowski_diff(P, P)` runs on the dimension-4 sets with 12 and 20 rows
 (35 and 72 vertices) and on the dimension-6 set with 12 rows (79
 vertices), and writes the rows of the result, one per line.  For each
-case the script prints the SHA-256 of the instance document, then runs
-the case in a fresh interpreter that imports relint_kit from --src
-(default: this checkout's src/).  A run over --limit seconds is recorded
-as `timeout`, not as an error.  One line per case gives the wall seconds
-of the whole process, the exit code and the SHA-256 of its stdout, so
-two checkouts compare byte for byte.
+set the script prints the SHA-256 of the instance document, then runs
+each of its cases in a fresh interpreter that imports relint_kit from
+--src (default: this checkout's src/).  A run over --limit seconds is
+recorded as `timeout`, not as an error.  One line per case gives the
+wall seconds of the whole process, the exit code and the SHA-256 of its
+stdout, so two checkouts compare byte for byte.
 
 Standard library only, and pytest does not collect it.
 """
@@ -33,29 +35,34 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-# name: (dimension, rows, command)
+# name: (dimension, rows, commands)
 CASES = {
-    "dim6-rows16": (6, 16, "verify-corpus"),
-    "dim6-rows24": (6, 24, "verify-corpus"),
-    "dim6-rows32": (6, 32, "verify-corpus"),
-    "dim4-rows12": (4, 12, "minkowski_diff"),
-    "dim4-rows20": (4, 20, "minkowski_diff"),
-    "dim6-rows12": (6, 12, "minkowski_diff"),
+    "dim6-rows16": (6, 16, ("verify-corpus", "h_to_v")),
+    "dim6-rows24": (6, 24, ("verify-corpus", "h_to_v")),
+    "dim6-rows32": (6, 32, ("verify-corpus", "h_to_v")),
+    "dim4-rows12": (4, 12, ("minkowski_diff",)),
+    "dim4-rows20": (4, 20, ("minkowski_diff",)),
+    "dim6-rows12": (6, 12, ("minkowski_diff",)),
 }
 
-# P - P for the one document in the directory argv[1], its rows to stdout.
-DIFF = """
+# For the one document in the directory argv[1], argv[2] = h_to_v writes
+# the points of P and minkowski_diff the rows of P - P to stdout.
+LIBRARY = """
 import sys
 from pathlib import Path
 from relint_kit import docio
-from relint_kit.polyhedra import minkowski_diff
+from relint_kit.polyhedra import h_to_v, minkowski_diff
 (path,) = Path(sys.argv[1]).iterdir()
 P = docio.parse_instance(path.read_text()).payload
-D = minkowski_diff(P, P)
-for row, beta in zip(D.A, D.b):
-    print(",".join(map(str, row)), "<=", beta)
-for row, delta in zip(D.E, D.d):
-    print(",".join(map(str, row)), "=", delta)
+if sys.argv[2] == "h_to_v":
+    for x in h_to_v(P).points:
+        print(",".join(map(str, x)))
+else:
+    D = minkowski_diff(P, P)
+    for row, beta in zip(D.A, D.b):
+        print(",".join(map(str, row)), "<=", beta)
+    for row, delta in zip(D.E, D.d):
+        print(",".join(map(str, row)), "=", delta)
 """
 
 
@@ -88,7 +95,7 @@ def run_case(name: str, text: bytes, command: str, src: Path, limit: float
         if command == "verify-corpus":
             argv = [sys.executable, "-m", "relint_kit.cli", "verify-corpus", work, "--seed", "0"]
         else:
-            argv = [sys.executable, "-c", DIFF, work]
+            argv = [sys.executable, "-c", LIBRARY, work, command]
         start = perf_counter()
         try:
             done = subprocess.run(argv, env=env, capture_output=True, timeout=limit)
@@ -112,10 +119,10 @@ def main() -> int:
     for name, text in docs.items():
         print(f"{name} rows={CASES[name][1]} document sha256={hashlib.sha256(text).hexdigest()}")
     for name, text in docs.items():
-        command = CASES[name][2]
-        seconds, code, digest = run_case(name, text, command, args.src, args.limit)
-        print(f"{name} {command} seconds={seconds} exit={code} stdout sha256={digest}",
-              flush=True)
+        for command in CASES[name][2]:
+            seconds, code, digest = run_case(name, text, command, args.src, args.limit)
+            print(f"{name} {command} seconds={seconds} exit={code} stdout sha256={digest}",
+                  flush=True)
     return 0
 
 

@@ -343,6 +343,30 @@ def test_cli_negative_integer_field_is_located_input_error(
     assert captured.err == f"error: neg.json: {path}: expected a nonnegative integer\n"
 
 
+@pytest.mark.parametrize("command,text,located", [
+    ("ri-point", '{"kind": "hpoly", "id": "bad", "payload": {"A": [], "b": "1", "dim": 1}}',
+     "payload.b: expected a list"),
+    ("ri-point", '{"kind": "hpoly", "id": "bad", "payload": {"A": "1", "b": [], "dim": 1}}',
+     "payload.A: expected a list of rows"),
+    ("epi-ri", '{"kind": "plfunction", "id": "bad", "payload": {"pieces": [], "domain": {"dim": 1}}}',
+     "payload.pieces: expected a nonempty list"),
+    ("seq-classify", '{"kind": "sequence", "id": "bad", "payload": {"prefix": [], "tail": 3}}',
+     "payload.tail: expected an object or null"),
+    ("ri-point", '[{"kind": "hpoly", "id": "bad", "payload": {"dim": 0}}]',
+     "expected a top-level object"),
+    ("ri-point", '{"kind": "hpoly", "id": 7, "payload": {"dim": 0}}', "id must be a string"),
+    ("ri-point", '{"kind": "hpoly", "id": "bad"}', "missing payload"),
+])
+def test_cli_malformed_document_is_one_located_line(tmp_path, capsys, command, text, located):
+    doc = tmp_path / "bad.json"
+    doc.write_text(text)
+    code = main([command, str(doc), "--point", "0", "--level", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: bad.json: {located}\n"
+
+
 def test_cli_unwritable_out_is_input_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code = main(["ri-point", str(CORPUS / "square-unit.json"), "--out", str(target)])

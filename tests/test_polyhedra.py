@@ -535,6 +535,90 @@ def test_minkowski_diff_keeps_the_pairs_that_can_be_vertices(monkeypatch):
             assert any(dropped[pair]), pair
 
 
+def _conversion_case(rng: random.Random, n: int) -> HPolyhedron:
+    """A random nonempty set in R^n: the box [-l, u]^n with some bounds
+    dropped (directions, lines among them), cut rows with coefficients
+    +/-2 and odd right-hand sides (half-integral vertices), and now and
+    then an equality row."""
+    A, b = [], []
+    for j in range(n):
+        e = tuple(Fraction(int(i == j)) for i in range(n))
+        for sign, bound in ((1, rng.randint(1, 3)), (-1, rng.randint(0, 3))):
+            if rng.random() < 0.8:
+                A.append(tuple(sign * a for a in e))
+                b.append(Fraction(bound))
+    for _ in range(rng.randint(0, 3)):
+        row = tuple(Fraction(rng.choice((-2, 0, 0, 2))) for _ in range(n))
+        if any(row):
+            A.append(row)
+            b.append(Fraction(2 * rng.randint(0, 2) + 1))
+    E, d = (), ()
+    if n > 1 and rng.random() < 0.2:
+        E, d = ((Fraction(1),) * n,), (Fraction(rng.randint(-1, 1)),)
+    return HPolyhedron(tuple(A), tuple(b), E, d, n)
+
+
+def test_conversions_build_their_fractions_from_the_integers(monkeypatch):
+    # `h_to_v` is `_sorted_generators` divided by t, and the rows of
+    # `v_to_h`, `linear_image` and `minkowski_diff` are the sorted output
+    # of their last `dd_cone` call: every entry a `Fraction`, and within
+    # one answer equal entries from one (k, q) the same object.
+    calls = []
+
+    def spy(rows, n):
+        calls.append(dd_cone(rows, n))
+        return calls[-1]
+
+    monkeypatch.setattr(polyhedra, "dd_cone", spy)
+
+    def assert_shared(entries):
+        assert all(type(f) is Fraction for f in entries)
+        first = {}
+        for f in entries:
+            assert first.setdefault(f, f) is f
+
+    def assert_dual_rows(H):
+        lineality, rays = calls.pop()
+        ineq = [r for r in sorted(rays) if any(r[:-1])]
+        assert H.A == tuple(tuple(Fraction(k) for k in r[:-1]) for r in ineq)
+        assert H.b == tuple(Fraction(-r[-1]) for r in ineq)
+        assert H.E == tuple(tuple(Fraction(k) for k in r[:-1]) for r in sorted(lineality))
+        assert H.d == tuple(Fraction(-r[-1]) for r in sorted(lineality))
+        assert_shared([*[f for row in H.A + H.E for f in row], *H.b, *H.d])
+
+    rng = random.Random(2028)
+    seen = {"fractional": 0, "rays": 0, "equalities": 0}
+    for n in (1, 2, 3, 4):
+        for _ in range(12):
+            P = _conversion_case(rng, n)
+            if is_empty(P):
+                continue
+            V = h_to_v(P)
+            points, directions = P._sorted_generators
+            assert V.points == tuple(tuple(Fraction(k, g[-1]) for k in g[:-1]) for g in points)
+            assert V.rays == tuple(tuple(Fraction(k) for k in g[:-1]) for g in directions)
+            entries = [f for v in V.points + V.rays for f in v]
+            assert all(type(f) is Fraction for f in entries)
+            by_pair = {}
+            for g, v in zip(points + directions, V.points + V.rays):
+                t = g[-1] or 1
+                for k, f in zip(g, v):
+                    assert by_pair.setdefault((k, t), f) is f
+            seen["fractional"] += any(f.denominator > 1 for f in entries)
+            seen["rays"] += bool(V.rays)
+            H = v_to_h(V)
+            assert_dual_rows(H)
+            seen["equalities"] += bool(H.E)
+            k = rng.randint(1, n)
+            M = tuple(tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(n))
+                      for _ in range(k))
+            assert_dual_rows(linear_image(M, P))
+            Q = _conversion_case(rng, n)
+            if not is_empty(Q):
+                assert_dual_rows(minkowski_diff(P, Q))
+    assert min(seen.values()) >= 5, seen
+
+
 def test_product_square():
     prod = product(INTERVAL, INTERVAL)
     assert same_set(prod, UNIT_SQUARE)
