@@ -265,9 +265,11 @@ def _check_hpoly(ident: str, P: HPolyhedron, seed: int, checks):
     # quasi-relative (normal cone) predicates, read from the same reports.
     checks.append((ident, "quasi-regularity",
                    all(r.cone_subspace == r.normal_cone_subspace for r in reports)))
+    # {x} and P, x in P, separate properly iff x is not in qri P (Borwein-Lewis 1992).
     lemma_ok = all(
-        qri_nonmembership_via_separation(P, x).lemma_agrees is not False
-        for x in points[:4]
+        isinstance(properly_separate(HPolyhedron.singleton(x), P), Separated)
+        == (not r.normal_cone_subspace)
+        for x, r in zip(points[:4], reports)
     )
     checks.append((ident, "qri-separation-consistency", lemma_ok))
     if P.dim >= 2:

@@ -16,8 +16,8 @@ dimension, ri = iri = qri: the relative, intrinsic and quasi-relative
 interiors coincide, and every such set is quasi-regular.  So the library
 has no quasi-regularity report: the suite's cone and normal-cone subspace
 predicates decide the intrinsic and quasi-relative interiors at its
-point, and `verify-corpus` reads its quasi-regularity line from those
-verdicts.
+point, and `verify-corpus` reads both its quasi-regularity and its
+qri-separation lines from those verdicts.
 """
 
 from __future__ import annotations
@@ -115,11 +115,9 @@ def _ri_witness(P: HPolyhedron, ineq: list[int], eq: list[int]) -> RowWitness | 
 def ri_membership(P: HPolyhedron, x: Vec) -> RiResult:
     """Membership of x in the relative interior of nonempty P: x in P with
     every non-implicit inequality strict."""
-    if len(x) != P.dim:
-        raise InputError(f"point of length {len(x)} in dimension {P.dim}")
+    _, _, ineq, eq = P._evaluate(x)
     if is_empty(P):
         raise EmptySetError("relative interior of the empty set is undefined")
-    _, _, ineq, eq = P._evaluate(x)
     witness = _ri_witness(P, ineq, eq)
     return RiResult(witness is None, witness)
 
@@ -296,11 +294,9 @@ def characterization_suite(
     the violated row as witness; disagreement among the predicates is
     surfaced by the report and must be treated as a failure by callers,
     never accepted."""
-    if len(xbar) != P.dim:
-        raise InputError(f"point of length {len(xbar)} in dimension {P.dim}")
+    q, p, ineq, eq = P._evaluate(xbar)
     if is_empty(P):
         raise EmptySetError("characterizations require a nonempty set")
-    q, p, ineq, eq = P._evaluate(xbar)
     witness = _ri_witness(P, ineq, eq)
     if witness is not None and witness.kind != "ineq-active":
         return MembershipReport(xbar, set_id, False, False, False, False, False, witness)

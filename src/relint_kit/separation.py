@@ -213,8 +213,6 @@ def qri_nonmembership_via_separation(P: HPolyhedron, xbar: Vec) -> QriSeparation
     interior; both routes are computed and compared."""
     if len(xbar) != P.dim:
         raise InputError("point dimension does not match the set")
-    if is_empty(P):
-        raise EmptySetError("separation from an empty set is undefined")
     outcome = properly_separate(HPolyhedron.singleton(xbar), P)
     nonmember = isinstance(outcome, Separated)
     cert = outcome.certificate if nonmember else None
@@ -256,8 +254,6 @@ def strict_separate_in_flat(L: AffineFlat, P: HPolyhedron, xbar: Vec) -> Vec:
 def separation_iff_ri_disjoint(P1: HPolyhedron, P2: HPolyhedron) -> RiDisjointnessReport:
     """Decide proper separation with one joint slack LP, then re-check
     its two sides independently; the two verdicts must agree."""
-    if is_empty(P1) or is_empty(P2):
-        raise EmptySetError("the equivalence requires nonempty sets")
     outcome, y, z = _separate(P1, P2)
     cert = outcome.certificate if isinstance(outcome, Separated) else None
     common = outcome.common_point if cert is None else None

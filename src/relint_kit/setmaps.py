@@ -279,8 +279,6 @@ def set_difference_ri_commutes(P1: HPolyhedron, P2: HPolyhedron) -> CommutationR
     product under (x, y) -> x - y."""
     if P1.dim != P2.dim:
         raise InputError("set difference requires matching dimensions")
-    if is_empty(P1) or is_empty(P2):
-        raise EmptySetError("commutation check requires nonempty sets")
     n = P1.dim
     M = tuple([
         tuple([ONE if k == j else ZERO for k in range(n)])

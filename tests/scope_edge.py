@@ -16,8 +16,11 @@ set the script prints the SHA-256 of the instance document, then runs
 each of its cases in a fresh interpreter that imports relint_kit from
 --src (default: this checkout's src/).  A run over --limit seconds is
 recorded as `timeout`, not as an error.  One line per case gives the
-wall seconds of the whole process, the exit code and the SHA-256 of its
-stdout, so two checkouts compare byte for byte.
+wall seconds of the whole process, the exit code, the simplex calls and
+their pivots, the rows handed to `dd_cone` over all its calls, and the
+SHA-256 of its stdout, so two checkouts compare byte for byte.  The
+counts come from spies on `lp.simplex_max` and `dd.dd_cone` in the child
+process, written to a file so that stdout stays the command's own.
 
 Standard library only, and pytest does not collect it.
 """
@@ -45,16 +48,42 @@ CASES = {
     "dim6-rows12": (6, 12, ("minkowski_diff",)),
 }
 
-# For the one document in the directory argv[1], argv[2] = h_to_v writes
-# the points of P and minkowski_diff the rows of P - P to stdout.
-LIBRARY = """
-import sys
+# Run with argv = [counts file, directory, command].  The spies replace
+# `simplex_max` and `dd_cone` in every module that holds them; the counts
+# are written to the counts file however the command ends.  For the one
+# document in the directory, verify-corpus runs the CLI on the directory,
+# h_to_v writes the points of P and minkowski_diff the rows of P - P.
+CHILD = """
+import atexit, json, sys
 from pathlib import Path
-from relint_kit import docio
+import relint_kit.cli
+from relint_kit import dd, docio, lp
 from relint_kit.polyhedra import h_to_v, minkowski_diff
-(path,) = Path(sys.argv[1]).iterdir()
+counts = {"simplex": 0, "pivots": 0, "dd_rows": 0}
+real = {"simplex_max": lp.simplex_max, "dd_cone": dd.dd_cone}
+
+def count_simplex(*args):
+    result = real["simplex_max"](*args)
+    counts["simplex"] += 1
+    counts["pivots"] += result[2]
+    return result
+
+def count_dd(rows, dim):
+    counts["dd_rows"] += len(rows)
+    return real["dd_cone"](rows, dim)
+
+spies = {"simplex_max": count_simplex, "dd_cone": count_dd}
+for module in list(sys.modules.values()):
+    for name, original in real.items():
+        if getattr(module, name, None) is original:
+            setattr(module, name, spies[name])
+atexit.register(lambda: Path(sys.argv[1]).write_text(json.dumps(counts)))
+work, command = sys.argv[2:]
+if command == "verify-corpus":
+    sys.exit(relint_kit.cli.main(["verify-corpus", work, "--seed", "0"]))
+(path,) = Path(work).iterdir()
 P = docio.parse_instance(path.read_text()).payload
-if sys.argv[2] == "h_to_v":
+if command == "h_to_v":
     for x in h_to_v(P).points:
         print(",".join(map(str, x)))
 else:
@@ -86,26 +115,27 @@ def document(name: str, dim: int, m: int) -> bytes:
 
 
 def run_case(name: str, text: bytes, command: str, src: Path, limit: float
-             ) -> tuple[str, str, str]:
-    """(seconds or `timeout`, exit code, SHA-256 of stdout) of one run; the
-    exit code comes with the last line of stderr, if any."""
-    with tempfile.TemporaryDirectory() as work:
-        (Path(work) / f"{name}.json").write_bytes(text)
+             ) -> tuple[str, str, str, str]:
+    """(seconds or `timeout`, exit code, counts, SHA-256 of stdout) of one
+    run; the exit code comes with the last line of stderr, if any."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work, counts_file = Path(tmp) / "docs", Path(tmp) / "counts.json"
+        work.mkdir()
+        (work / f"{name}.json").write_bytes(text)
         env = {**os.environ, "PYTHONPATH": str(src)}
-        if command == "verify-corpus":
-            argv = [sys.executable, "-m", "relint_kit.cli", "verify-corpus", work, "--seed", "0"]
-        else:
-            argv = [sys.executable, "-c", LIBRARY, work, command]
+        argv = [sys.executable, "-c", CHILD, str(counts_file), str(work), command]
         start = perf_counter()
         try:
             done = subprocess.run(argv, env=env, capture_output=True, timeout=limit)
         except subprocess.TimeoutExpired:
-            return "timeout", "-", "-"
+            return "timeout", "-", "-", "-"
         seconds = perf_counter() - start
+        counts = json.loads(counts_file.read_text()) if counts_file.exists() else {}
     code = str(done.returncode)
     if done.stderr.strip():
         code += f" ({done.stderr.decode(errors='replace').strip().splitlines()[-1]})"
-    return f"{seconds:.2f}", code, hashlib.sha256(done.stdout).hexdigest()
+    counted = " ".join(f"{key}={counts.get(key, '-')}" for key in ("simplex", "pivots", "dd_rows"))
+    return f"{seconds:.2f}", code, counted, hashlib.sha256(done.stdout).hexdigest()
 
 
 def main() -> int:
@@ -120,9 +150,9 @@ def main() -> int:
         print(f"{name} rows={CASES[name][1]} document sha256={hashlib.sha256(text).hexdigest()}")
     for name, text in docs.items():
         for command in CASES[name][2]:
-            seconds, code, digest = run_case(name, text, command, args.src, args.limit)
-            print(f"{name} {command} seconds={seconds} exit={code} stdout sha256={digest}",
-                  flush=True)
+            seconds, code, counted, digest = run_case(name, text, command, args.src, args.limit)
+            print(f"{name} {command} seconds={seconds} exit={code} {counted} "
+                  f"stdout sha256={digest}", flush=True)
     return 0
 
 

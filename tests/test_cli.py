@@ -729,3 +729,18 @@ def test_cli_verify_corpus_reports_empty_maps_and_functions(tmp_path, capsys):
     for ident in ("fn-empty", "map-empty"):
         assert [line for line in lines if line.split()[1] == ident] == [
             f"ok {ident} emptiness-detected"]
+
+
+def test_cli_verify_corpus_reads_the_qri_verdict_from_the_suite(monkeypatch, capsys):
+    """The qri-separation line compares the separation LP with the suite's
+    normal-cone verdict and never asks `in_qri` again."""
+    assert main(["verify-corpus", "--seed", "0"]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("in_qri asked again")
+
+    monkeypatch.setattr(separation, "in_qri", refuse)
+    assert main(["verify-corpus", "--seed", "0"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")

@@ -142,6 +142,7 @@ def test_v_to_h_point_plus_ray():
 def test_v_to_h_empty():
     H = v_to_h(VPolyhedron.make(rays=[[1]], dim=1))
     assert is_empty(H)
+    assert VPolyhedron.make(rays=[[1, 0, 0]]).dim == 3  # dimension from the rays
 
 
 def test_round_trip_on_random_instances():

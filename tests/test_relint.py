@@ -39,7 +39,7 @@ def cones_equal(C1: PolyCone, C2: PolyCone) -> bool:
 def test_ri_membership_square():
     assert ri_membership(UNIT_SQUARE, vec(["1/2", "1/2"])).member
     res = ri_membership(UNIT_SQUARE, vec([0, "1/2"]))
-    assert not res.member
+    assert not res.member and bool(res) is False
     assert res.witness.kind == "ineq-active"
     assert res.witness.normal == vec([-1, 0])
 
@@ -56,8 +56,10 @@ def test_ri_membership_outside_point():
 
 
 def test_ri_membership_empty_set_raises():
+    empty = HPolyhedron.make(A=[[1], [-1]], b=[0, -1])
     with pytest.raises(EmptySetError):
-        ri_membership(HPolyhedron.make(A=[[1], [-1]], b=[0, -1]), vec([0]))
+        ri_membership(empty, vec([0]))
+    assert in_ri(empty, vec([0])) is False  # the wrapper reads no members
 
 
 def test_ri_point_examples():

@@ -83,6 +83,7 @@ def test_entries_and_truncation():
     assert x.entry(2) == Fraction(1, 4)
     assert x.entry(4) == Fraction(1, 16)
     assert x.truncate(3) == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 8))
+    assert seq(prefix=["1/4"]).entry(3) == 0  # past a prefix without a tail
 
 
 def test_boundary_finitely_supported_point_excluded_from_qri():

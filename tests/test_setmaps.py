@@ -254,3 +254,18 @@ def test_difference_commutes_random_instances():
     for _ in range(20):
         P1, P2 = random_pair(rng, rng.randint(1, 2), 4)
         assert set_difference_ri_commutes(P1, P2).holds
+
+
+def test_difference_check_asks_emptiness_of_the_product_alone():
+    """The operands' own slack LPs (the `_interior` each caches) are never
+    solved: the product's emptiness check in `linear_image_ri_commutes`
+    decides, and an empty operand still raises `EmptySetError` there."""
+    rng = random.Random(97)
+    for _ in range(10):
+        P1, P2 = random_pair(rng, rng.randint(1, 3), 4)
+        assert set_difference_ri_commutes(P1, P2).holds
+        assert "_interior" not in P1.__dict__ and "_interior" not in P2.__dict__
+    empty = HPolyhedron.make(A=[[1], [-1]], b=[0, -1])
+    for P1, P2 in ((empty, INTERVAL), (INTERVAL, empty)):
+        with pytest.raises(EmptySetError):
+            set_difference_ri_commutes(P1, P2)
