@@ -23,6 +23,12 @@ Each new ray lies in the relative interior of its pair's 2-face, so no
 two pairs give the same ray and none equals a kept one: no duplicate
 check is needed.  Directions are rescaled by positive factors only, so
 ray orientations are never flipped.
+
+A caller that asks gets the rays' zero sets back, the incidence
+`polyhedra` eliminates over.  The lineality update never reads a ray, so
+`dd_lineality` runs it alone: `polyhedra.linear_image` rebuilds with it
+the equalities double description would give an image, and the indices
+at which every ray vanishes.
 """
 
 from __future__ import annotations
@@ -42,34 +48,79 @@ def _sign_canonical(v: IVec) -> IVec:
     return max(v, tuple([-a for a in v]))
 
 
-def dd_cone(rows: list[Sequence[int]], dim: int) -> tuple[list[IVec], list[IVec]]:
+def _unit_rows(primitive_rows: list[IVec], dim: int) -> list[IVec]:
+    """The primitive rows as double description inserts them: without
+    repeats or the zero row, in lexicographic order."""
+    return sorted(set(primitive_rows) - {(0,) * dim})
+
+
+def _unit_basis(dim: int) -> list[IVec]:
+    """The unit vectors of R^dim: the lineality basis before any row."""
+    return [tuple([1 if i == j else 0 for i in range(dim)]) for j in range(dim)]
+
+
+def _lineality_step(lineality: list[IVec], m: IVec) -> tuple[int, IVec, int] | None:
+    """Insert the row m·y <= 0 into the lineality basis, in place.  None
+    when m is orthogonal to every basis vector.  Otherwise the first
+    basis vector with m·l0 != 0 leaves, oriented so that m·l0 = s0 > 0,
+    every other one is made orthogonal to m, and (its position, l0, s0)
+    is returned.  It never reads a ray, so the lineality depends on the
+    inserted rows alone."""
+    lin_dots = [sum(map(mul, m, l)) for l in lineality]
+    if not any(lin_dots):
+        return None
+    hit = next(j for j, s in enumerate(lin_dots) if s)
+    l0, s0 = lineality.pop(hit), lin_dots.pop(hit)
+    if s0 < 0:
+        l0, s0 = tuple([-a for a in l0]), -s0
+    for j, s in enumerate(lin_dots):
+        if s:
+            lineality[j] = _sign_canonical(primitive([
+                a * s0 - b * s for a, b in zip(lineality[j], l0)]))
+    return hit, l0, s0
+
+
+def dd_lineality(rows: list[Sequence[int]], dim: int) -> tuple[list[IVec], list[int]]:
+    """The lineality basis `dd_cone` returns for these rows, by the same
+    recurrence without rays, and for each basis vector the index of the
+    unit vector it started as.  Each basis vector is nonzero at its own
+    index and zero at the others' (a vector that leaves is zero at every
+    index still held, and the update adds it to the others), and every
+    ray of `dd_cone` is zero at all of them (each starts as a leaving
+    vector, and the update and the pairing combine such vectors)."""
+    lineality = _unit_basis(dim)
+    own = list(range(dim))
+    for m in _unit_rows([primitive(r) for r in rows], dim):
+        step = _lineality_step(lineality, m)
+        if step is not None:
+            del own[step[0]]
+    return lineality, own
+
+
+def dd_cone(rows: list[Sequence[int]], dim: int, incidence: dict | None = None
+            ) -> tuple[list[IVec], list[IVec]]:
     """Generators of {y in R^dim : m·y <= 0 for every row m}.
 
     Returns (lineality basis, extreme rays) as primitive integer vectors;
-    the represented cone is span(lineality) + cone(rays).
+    the represented cone is span(lineality) + cone(rays).  A dict passed as
+    `incidence` receives what the method read and kept: "rows", each of
+    `rows` made primitive; "inserted", the distinct nonzero ones in the
+    order of insertion; and "zero_sets", for each ray in order the bitmask
+    of the inserted rows it is zero on, bit k for the k-th.
     """
-    unit_rows = sorted({primitive(r) for r in rows} - {(0,) * dim})
-    lineality: list[IVec] = [
-        tuple([1 if i == j else 0 for i in range(dim)]) for j in range(dim)
-    ]
+    primitive_rows = [primitive(r) for r in rows]
+    unit_rows = _unit_rows(primitive_rows, dim)
+    lineality = _unit_basis(dim)
     # The current extreme rays, and for each the bitmask of the inserted
     # rows it is zero on.
     vecs: list[IVec] = []
     masks: list[int] = []
     for k, m in enumerate(unit_rows):
         bit = 1 << k
-        lin_dots = [sum(map(mul, m, l)) for l in lineality]
-        if any(lin_dots):
-            # Orient l0 so that m·l0 = s0 > 0; it leaves the lineality
-            # and −l0 becomes a ray.
-            hit = next(j for j, s in enumerate(lin_dots) if s)
-            l0, s0 = lineality.pop(hit), lin_dots.pop(hit)
-            if s0 < 0:
-                l0, s0 = tuple([-a for a in l0]), -s0
-            for j, s in enumerate(lin_dots):
-                if s:
-                    lineality[j] = _sign_canonical(primitive([
-                        a * s0 - b * s for a, b in zip(lineality[j], l0)]))
+        left = _lineality_step(lineality, m) if lineality else None
+        if left is not None:
+            # l0 leaves the lineality and −l0 becomes a ray.
+            _, l0, s0 = left
             # r − (s/s0)·l0, rescaled by s0 > 0; l0 is orthogonal to
             # every processed row, so the zero set of r carries over.
             for i, v in enumerate(vecs):
@@ -124,4 +175,6 @@ def dd_cone(rows: list[Sequence[int]], dim: int) -> tuple[list[IVec], list[IVec]
                         sp * bn - sn * bp for bp, bn in zip(vp, vecs[j])]))
                     kept_masks.append(shared | bit)
         vecs, masks = kept_vecs, kept_masks
+    if incidence is not None:
+        incidence.update(rows=primitive_rows, inserted=unit_rows, zero_sets=masks)
     return lineality, vecs

@@ -12,11 +12,15 @@ Conventions fixed here and relied on everywhere else:
     implicit rows and a relative-interior point, its generators) are
     `cached_property`s of the set itself: computed once, freed with it;
   * its generators are cached as the primitive integer rays (x, t) of its
-    homogenization cone, and `linear_image` and `minkowski_diff` map those
-    integers straight into the next double description; sorted on integer
-    keys (`_sorted_generators`), the same tuples give the order of `h_to_v`,
-    which builds its `Fraction` points only when asked, each distinct
-    value once (`rational.frac_vecs`), as `_dual_rows` builds its rows;
+    homogenization cone, and next to them, when first asked for, its
+    incidence: for each row the generators tight at it, read off the zero
+    sets double description hands back; `minkowski_diff` maps the
+    generators straight into the next double description, and
+    `linear_image` runs none: it eliminates over the rows and the
+    incidence; sorted on integer keys (`_sorted_generators`), the
+    generators give the order of `h_to_v`, which builds its `Fraction`
+    points only when asked, each distinct value once
+    (`rational.frac_vecs`), as `_dual_cone_rows` builds its rows;
   * `minkowski_diff` hands double description only the pairs of generator
     points that can give a vertex, found by comparing bitmasks of tight
     rows, when the generators prove the difference line-free and
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .dd import dd_cone
+from .dd import dd_cone, dd_lineality
 from .errors import EmptySetError, InputError, TheoremViolation
 from .linalg import (
     in_span,
@@ -118,15 +122,23 @@ class HPolyhedron:
             tight = grown
 
     @cached_property
-    def _int_generators(self) -> tuple[_IntRows, _IntRows]:
-        """(points, directions): the primitive integer rays (x, t) of the
-        homogenization cone {(x, t) : Ax <= bt, Ex = dt, t >= 0} from double
-        description, split into points (t > 0, standing for x / t) and
-        directions (t = 0), each lineality vector as a +/- pair."""
+    def _dd(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], dict]:
+        """Double description of the homogenization cone {(x, t) : Ax <= bt,
+        Ex = dt, t >= 0}, the rows A, E, -E, -t in that order: (lineality,
+        rays, incidence), as `dd_cone` hands them back."""
         ineq, eq = self._int_rows
         rows = [*[row for _, row in ineq], *[row for _, row in eq],
                 *[tuple([-k for k in row]) for _, row in eq], (0,) * self.dim + (-1,)]
-        lineality, rays = dd_cone(rows, self.dim + 1)
+        incidence: dict = {}
+        lineality, rays = dd_cone(rows, self.dim + 1, incidence)
+        return lineality, rays, incidence
+
+    @cached_property
+    def _int_generators(self) -> tuple[_IntRows, _IntRows]:
+        """(points, directions): the primitive integer rays (x, t) of the
+        homogenization cone (`_dd`), split into points (t > 0, standing for
+        x / t) and directions (t = 0), each lineality vector as a +/- pair."""
+        lineality, rays, _ = self._dd
         points, directions = [], []
         for r in rays:
             if r[-1] > 0:
@@ -141,6 +153,33 @@ class HPolyhedron:
             directions.append(l)
             directions.append(tuple([-k for k in l]))
         return tuple(points), tuple(directions)
+
+    @cached_property
+    def _incidence(self) -> tuple[int, ...]:
+        """For each inequality row, the bitmask of the generators it is tight
+        at: bit j for the j-th of `_int_generators`' points and then
+        directions.  Read off double description's zero sets, with no dot
+        product; the rows with one primitive form share one mask, and a
+        lineality vector is tight at every row.  A row tight at every
+        generator is implicit, and one whose mask lies strictly inside
+        another's defines no facet."""
+        lineality, rays, found = self._dd
+        zero_sets = found["zero_sets"]
+        order = [m for r, m in zip(rays, zero_sets) if r[-1]]
+        order += [m for r, m in zip(rays, zero_sets) if not r[-1]]
+        lines = ((1 << 2 * len(lineality)) - 1) << len(order)
+        columns = [lines] * len(found["inserted"])
+        for i, m in enumerate(order):
+            bit = 1 << i
+            while m:
+                low = m & -m
+                columns[low.bit_length() - 1] |= bit
+                m ^= low
+        column_of = dict(zip(found["inserted"], columns))
+        # A zero row is tight everywhere.
+        everywhere = (1 << len(order)) - 1 | lines
+        masks = [column_of.get(row, everywhere) for row in found["rows"][:len(self._int_rows[0])]]
+        return tuple(masks)
 
     @cached_property
     def _sorted_generators(self) -> tuple[_IntRows, _IntRows]:
@@ -384,7 +423,13 @@ def _dual_rows(gens: list[Sequence[int]], n: int) -> HPolyhedron:
     generators (x, t) are `gens`, at least one of them with t > 0: double
     description of the dual cone {(a, c) : a·x + c t <= 0 on gens} gives
     the rows a·x <= -c, and its lineality the equalities."""
-    lineality, rays = dd_cone(gens, n + 1)
+    return _dual_cone_rows(*dd_cone(gens, n + 1), n)
+
+
+def _dual_cone_rows(lineality, rays, n: int) -> HPolyhedron:
+    """The set whose dual cone has this lineality basis and these extreme
+    rays (a, c), as `dd_cone` gives them: the rows a·x <= -c in sorted
+    order, and the sorted lineality as equalities."""
     rows = []
     for r in sorted(rays):
         if any(r[:-1]):
@@ -405,29 +450,135 @@ def _dual_rows(gens: list[Sequence[int]], n: int) -> HPolyhedron:
 # -- structural operations ---------------------------------------------------
 
 
+def _combine(h: Sequence[int], q: Sequence[int], c: int) -> tuple[int, ...]:
+    """|q_c|·h − sign(q_c)·h_c·q, made primitive: h plus a multiple of q,
+    rescaled by a positive factor, with coordinate c zero.  The multiple
+    of q is positive when h_c and q_c have opposite signs."""
+    a, b = q[c], h[c]
+    if a < 0:
+        a, b = -a, -b
+    return primitive([a * u - b * v for u, v in zip(h, q)])
+
+
 def linear_image(M: Mat, P: HPolyhedron) -> HPolyhedron:
     """Exact H-representation of {Mx : x in P}; a matrix with no rows
     maps onto R^0.
 
-    With D > 0 the lcm of all the denominators of M, each generator
-    (x, t) of P maps to (D M x, D t); one common scale keeps the image, a
-    scale per row would not.  Directions with a zero image are dropped."""
+    Fourier–Motzkin elimination over P's own rows (Motzkin 1936; Chernikov
+    1965), with no second double description.  In homogenized coordinates
+    (x, y, t), with the equalities y = Mx:
+      * the rows tight at every generator (`HPolyhedron._incidence`) join
+        P's equalities; of the others one row per mask is kept, unless its
+        mask lies strictly inside another's, so each facet of the
+        homogenization cone, t >= 0 among them, has one row;
+      * Gauss–Jordan elimination of the equalities substitutes every x
+        coordinate it can; the rank of those left over, in y and t alone,
+        is the codimension of the image cone;
+      * `_eliminate` removes each other x coordinate.  Its ridge test is
+        the adjacency test of double description read on the rows' masks
+        (Fukuda and Prodon 1996; Jones, Kerrigan and Maciejowski 2008,
+        *J. Optim. Theory Appl.* 138(2)).
+    One row per facet of the image cone is left.  `v_to_h` of the mapped
+    generators (`_dual_rows`) gives the same facets, as the extreme rays of
+    the dual cone modulo its lineality, with that lineality as the
+    equalities.  For the same rows, `dd.dd_lineality` rebuilds that basis
+    from the sorted mapped generators, and each row is reduced by it to
+    vanish at the basis' own indices, where every ray of double description
+    vanishes: made primitive, the row is that ray."""
     for i, row in enumerate(M):
         if len(row) != P.dim:
             raise InputError(f"matrix row {i} has length {len(row)}, "
                              f"but the set has dimension {P.dim}")
         check_exact("matrix", row)
-    target = len(M)
+    k, n = len(M), P.dim
     points, directions = P._int_generators
     if not points:
-        return HPolyhedron.empty(target)
-    D, rows = common_ints(M)
-    gens = [[sum(map(mul, row, g)) for row in rows] + [D * g[-1]] for g in points]
-    for g in directions:
-        w = [sum(map(mul, row, g)) for row in rows]
-        if any(w):
-            gens.append(w + [0])
-    return _dual_rows(gens, target)
+        return HPolyhedron.empty(k)
+    D, rows_m = common_ints(M)
+    full = (1 << (len(points) + len(directions))) - 1
+    ineq, eq = P._int_rows
+    pad = [0] * k
+    eqs = [[*h[:-1], *pad, h[-1]] for _, h in eq]
+    eqs += [[*row, *[-D if j == i else 0 for j in range(k)], 0] for i, row in enumerate(rows_m)]
+    by_mask: dict[int, Sequence[int]] = {}
+    for mask, (_, h) in zip(P._incidence, ineq):
+        if mask == full:
+            eqs.append([*h[:-1], *pad, h[-1]])
+        else:
+            by_mask.setdefault(mask, h)
+    by_mask.setdefault(full ^ ((1 << len(points)) - 1), (0,) * n + (-1,))
+    rows = [(m, [*h[:-1], *pad, h[-1]]) for m, h in by_mask.items()
+            if sum([m & o == m for o in by_mask]) == 1]
+    free = set(range(n))
+    image_rank = 0
+    for i, q in enumerate(eqs):
+        c = next((c for c in range(n) if q[c]), None)
+        if c is not None:
+            free.discard(c)
+            rows = [(m, _combine(h, q, c)) if h[c] else (m, h) for m, h in rows]
+        elif any(q):
+            # An equality of the image, in y and t alone: counted, and
+            # reduced out of the equalities after it.
+            c = next(c for c, a in enumerate(q) if a)
+            image_rank += 1
+        else:
+            continue
+        eqs[i + 1:] = [_combine(p, q, c) if p[c] else p for p in eqs[i + 1:]]
+    d = k + 1 - image_rank + len(free)
+    for e in sorted(free):
+        rows = _eliminate(rows, e, d)
+        d -= 1
+    image = [primitive(h[n:]) for _, h in rows]
+    lineality: list[tuple[int, ...]] = []
+    if image_rank:
+        gens = [[sum(map(mul, row, g)) for row in rows_m] + [D * g[-1]] for g in points]
+        gens += [w + [0] for w in ([sum(map(mul, row, g)) for row in rows_m]
+                                   for g in directions) if any(w)]
+        lineality, own = dd_lineality(gens, k + 1)
+        if len(lineality) != image_rank:
+            raise TheoremViolation("image equalities disagree with the mapped generators")
+        for l, j in zip(lineality, own):
+            image = [_combine(h, l, j) if h[j] else h for h in image]
+    return _dual_cone_rows(lineality, image, k)
+
+
+def _eliminate(rows: list[tuple[int, Sequence[int]]], e: int, d: int
+               ) -> list[tuple[int, Sequence[int]]]:
+    """One Fourier–Motzkin step: coordinate e eliminated from the rows
+    (mask, h), h·z <= 0, that define each facet of a cone of dimension d
+    once, e in its span; the masks are the generators each row is tight
+    at.  The rows free of e stay.  A row with h_e > 0 and one with
+    h_e < 0 combine when their facets meet in a ridge: they share at least
+    d − 2 tight generators and no third row is tight at all of those, or
+    one of them is tight at exactly d − 1, a simplicial facet, whose faces
+    are the subsets of its generators (the dual of `dd_cone`'s simple
+    rays).  The new row is tight exactly where both are, so its mask is
+    the AND of theirs.  The projected cone has each facet once."""
+    pos = [(m, h) for m, h in rows if h[e] > 0]
+    neg = [(m, h) for m, h in rows if h[e] < 0]
+    kept = [(m, h) for m, h in rows if not h[e]]
+    masks = [m for m, _ in rows]
+    need, simple = d - 2, d - 1
+    neg_simple = [m.bit_count() == simple for m, _ in neg]
+    for mp, hp in pos:
+        p_simple = mp.bit_count() == simple
+        for (mn, hn), n_simple in zip(neg, neg_simple):
+            shared = mp & mn
+            if shared.bit_count() < need:
+                continue
+            if not (p_simple or n_simple):
+                # The two rows are tight on `shared`; a third one makes
+                # their facets meet below a ridge.
+                holders = 0
+                for mask in masks:
+                    if mask & shared == shared:
+                        holders += 1
+                        if holders == 3:
+                            break
+                if holders == 3:
+                    continue
+            kept.append((shared, _combine(hp, hn, e)))
+    return kept
 
 
 def minkowski_diff(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:
@@ -471,9 +622,8 @@ def _vertex_pairs(P1: HPolyhedron, P2: HPolyhedron, directions
     points1, points2 = P1._int_generators[0], P2._int_generators[0]
     s = [sum(column) for column in zip(*directions)]
     if all(sum(map(mul, s, r)) > 0 for r in directions):
-        active1 = _zero_masks(P1._int_rows[0], points1)
-        active2 = _zero_masks(P2._int_rows[0], points2)
-        if _full_dimensional(P1, active1) or _full_dimensional(P2, active2):
+        active1, active2 = _tight_rows(P1), _tight_rows(P2)
+        if _full_dimensional(P1) or _full_dimensional(P2):
             candidates1 = _tangent_masks(P1, P2, active1)
             candidates2 = _tangent_masks(P2, P1, active2)
             return ((g1, g2)
@@ -483,25 +633,19 @@ def _vertex_pairs(P1: HPolyhedron, P2: HPolyhedron, directions
     return ((g1, g2) for g1 in points1 for g2 in points2)
 
 
-def _zero_masks(rows: _ScaledRows, gens) -> list[int]:
-    """For each homogenized generator, the bitmask of the rows it is zero
-    on: at a point the rows tight there, on a direction the rows whose
-    normal it is orthogonal to."""
-    return [sum([1 << i for i, (_, h) in enumerate(rows) if not sum(map(mul, h, g))])
-            for g in gens]
+def _tight_rows(P: HPolyhedron) -> list[int]:
+    """For each generator point of nonempty P, the bitmask of the
+    inequality rows tight there: `HPolyhedron._incidence` read by column."""
+    incidence = P._incidence
+    return [sum([1 << i for i, m in enumerate(incidence) if m >> j & 1])
+            for j in range(len(P._int_generators[0]))]
 
 
-def _full_dimensional(P: HPolyhedron, active: list[int]) -> bool:
+def _full_dimensional(P: HPolyhedron) -> bool:
     """Whether nonempty P provably spans R^n: no equality row, and no
-    inequality row is tight at every generator point (masks `active`) and
-    zero on every direction."""
-    ineq, eq = P._int_rows
-    if eq:
-        return False
-    tight = (1 << len(ineq)) - 1
-    for mask in [*active, *_zero_masks(ineq, P._int_generators[1])]:
-        tight &= mask
-    return not tight
+    inequality row is tight at every generator."""
+    points, directions = P._int_generators
+    return not P._int_rows[1] and (1 << len(points) + len(directions)) - 1 not in P._incidence
 
 
 def _tangent_masks(X: HPolyhedron, Y: HPolyhedron, active: list[int]) -> list[set[int]]:

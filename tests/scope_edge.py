@@ -1,5 +1,5 @@
-"""Scope-edge timings of `verify-corpus`, `h_to_v` and `minkowski_diff`, a
-process each.
+"""Scope-edge timings of `verify-corpus`, `image-ri`, `h_to_v` and
+`minkowski_diff`, a process each.
 
     python3 tests/scope_edge.py [--limit SECONDS] [--src DIR]
 
@@ -8,7 +8,10 @@ The cases are polytopes built from a fixed seed: rows p drawn by
 100 <= |p|^2 <= 144 and not a repeat, every right-hand side 1.  In
 dimension 6, with 16, 24 and 32 rows they have 209, 540 and 951
 vertices; `relint-kit verify-corpus --seed 0` runs on each alone, and
-`h_to_v` writes the points, one per line.
+`h_to_v` writes the points, one per line.  On the 951-vertex set
+`relint-kit image-ri` runs twice: with the projection that drops the last
+coordinate (full row rank), and with that projection and a sixth row, the
+sum of the first five (rank 5, so that the image has an equality row).
 `minkowski_diff(P, P)` runs on the dimension-4 sets with 12 and 20 rows
 (35 and 72 vertices) and on the dimension-6 set with 12 rows (79
 vertices), and writes the rows of the result, one per line.  For each
@@ -42,17 +45,21 @@ from time import perf_counter
 CASES = {
     "dim6-rows16": (6, 16, ("verify-corpus", "h_to_v")),
     "dim6-rows24": (6, 24, ("verify-corpus", "h_to_v")),
-    "dim6-rows32": (6, 32, ("verify-corpus", "h_to_v")),
+    "dim6-rows32": (6, 32, ("verify-corpus", "image-ri", "image-ri-rank5", "h_to_v")),
     "dim4-rows12": (4, 12, ("minkowski_diff",)),
     "dim4-rows20": (4, 20, ("minkowski_diff",)),
     "dim6-rows12": (6, 12, ("minkowski_diff",)),
 }
 
-# Run with argv = [counts file, directory, command].  The spies replace
+PROJECTION = ";".join([",".join(["1" if i == j else "0" for j in range(6)]) for i in range(5)])
+MATRICES = {"image-ri": PROJECTION, "image-ri-rank5": PROJECTION + ";1,1,1,1,1,0"}
+
+# Run with argv = [counts file, directory, command, matrix].  The spies replace
 # `simplex_max` and `dd_cone` in every module that holds them; the counts
 # are written to the counts file however the command ends.  For the one
 # document in the directory, verify-corpus runs the CLI on the directory,
-# h_to_v writes the points of P and minkowski_diff the rows of P - P.
+# image-ri runs the CLI on the document with the matrix, h_to_v writes the
+# points of P and minkowski_diff the rows of P - P.
 CHILD = """
 import atexit, json, sys
 from pathlib import Path
@@ -68,9 +75,9 @@ def count_simplex(*args):
     counts["pivots"] += result[2]
     return result
 
-def count_dd(rows, dim):
+def count_dd(rows, dim, *incidence):
     counts["dd_rows"] += len(rows)
-    return real["dd_cone"](rows, dim)
+    return real["dd_cone"](rows, dim, *incidence)
 
 spies = {"simplex_max": count_simplex, "dd_cone": count_dd}
 for module in list(sys.modules.values()):
@@ -78,10 +85,12 @@ for module in list(sys.modules.values()):
         if getattr(module, name, None) is original:
             setattr(module, name, spies[name])
 atexit.register(lambda: Path(sys.argv[1]).write_text(json.dumps(counts)))
-work, command = sys.argv[2:]
+work, command, matrix = sys.argv[2:]
 if command == "verify-corpus":
     sys.exit(relint_kit.cli.main(["verify-corpus", work, "--seed", "0"]))
 (path,) = Path(work).iterdir()
+if command.startswith("image-ri"):
+    sys.exit(relint_kit.cli.main(["image-ri", str(path), "--matrix", matrix]))
 P = docio.parse_instance(path.read_text()).payload
 if command == "h_to_v":
     for x in h_to_v(P).points:
@@ -123,7 +132,8 @@ def run_case(name: str, text: bytes, command: str, src: Path, limit: float
         work.mkdir()
         (work / f"{name}.json").write_bytes(text)
         env = {**os.environ, "PYTHONPATH": str(src)}
-        argv = [sys.executable, "-c", CHILD, str(counts_file), str(work), command]
+        argv = [sys.executable, "-c", CHILD, str(counts_file), str(work), command,
+                MATRICES.get(command, "")]
         start = perf_counter()
         try:
             done = subprocess.run(argv, env=env, capture_output=True, timeout=limit)

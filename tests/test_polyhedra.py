@@ -27,7 +27,7 @@ from conftest import (
     vneg,
 )
 from relint_kit import polyhedra
-from relint_kit.dd import _sign_canonical, dd_cone
+from relint_kit.dd import _sign_canonical, dd_cone, dd_lineality
 from relint_kit.errors import EmptySetError, InputError
 from relint_kit.linalg import in_span, rank, solve_linear_system
 from relint_kit.lp import FarkasCertificate, LPProblem, verify_farkas
@@ -561,13 +561,15 @@ def _conversion_case(rng: random.Random, n: int) -> HPolyhedron:
 
 def test_conversions_build_their_fractions_from_the_integers(monkeypatch):
     # `h_to_v` is `_sorted_generators` divided by t, and the rows of
-    # `v_to_h`, `linear_image` and `minkowski_diff` are the sorted output
-    # of their last `dd_cone` call: every entry a `Fraction`, and within
-    # one answer equal entries from one (k, q) the same object.
+    # `v_to_h` and `minkowski_diff` are the sorted output of their last
+    # `dd_cone` call: every entry a `Fraction`, and within one answer equal
+    # entries from one (k, q) the same object.  `linear_image` makes no
+    # `dd_cone` call once P's generators are cached, and builds its rows
+    # the same way.
     calls = []
 
-    def spy(rows, n):
-        calls.append(dd_cone(rows, n))
+    def spy(rows, n, *incidence):
+        calls.append(dd_cone(rows, n, *incidence))
         return calls[-1]
 
     monkeypatch.setattr(polyhedra, "dd_cone", spy)
@@ -585,6 +587,9 @@ def test_conversions_build_their_fractions_from_the_integers(monkeypatch):
         assert H.b == tuple(Fraction(-r[-1]) for r in ineq)
         assert H.E == tuple(tuple(Fraction(k) for k in r[:-1]) for r in sorted(lineality))
         assert H.d == tuple(Fraction(-r[-1]) for r in sorted(lineality))
+        assert_rows_shared(H)
+
+    def assert_rows_shared(H):
         assert_shared([*[f for row in H.A + H.E for f in row], *H.b, *H.d])
 
     rng = random.Random(2028)
@@ -613,11 +618,185 @@ def test_conversions_build_their_fractions_from_the_integers(monkeypatch):
             k = rng.randint(1, n)
             M = tuple(tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(n))
                       for _ in range(k))
-            assert_dual_rows(linear_image(M, P))
+            made = len(calls)
+            assert_rows_shared(linear_image(M, P))
+            assert len(calls) == made
             Q = _conversion_case(rng, n)
             if not is_empty(Q):
                 assert_dual_rows(minkowski_diff(P, Q))
     assert min(seen.values()) >= 5, seen
+
+
+def _image_case(rng: random.Random, n: int, seen: dict) -> HPolyhedron:
+    """`_conversion_case` in R^n with rows that elimination must see
+    through: a free coordinate (a line), a row held at equality by a pair
+    (implicit), a duplicate scaled by a positive factor, a redundant
+    shifted copy, and the rows 0·x <= 0 and 0·x <= 1."""
+    P = _conversion_case(rng, n)
+    A, b = list(P.A), list(P.b)
+    if rng.random() < 0.3:
+        j = rng.randrange(n)
+        keep = [i for i, row in enumerate(A) if not row[j] or any(row[:j] + row[j + 1:])]
+        A, b = [A[i] for i in keep], [b[i] for i in keep]
+        A = [row[:j] + (Fraction(0),) + row[j + 1:] for row in A]
+    if rng.random() < 0.25:
+        row = tuple(Fraction(rng.randint(-1, 1)) for _ in range(n))
+        A += [row, vneg(row)]
+        b += [Fraction(0), Fraction(0)]
+    for kind in ("scaled", "shifted", "zero", "one"):
+        if rng.random() < 0.25 and A:
+            i = rng.randrange(len(A))
+            if kind == "scaled":
+                t = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+                A.append(tuple(t * a for a in A[i]))
+                b.append(t * b[i])
+            elif kind == "shifted":
+                A.append(A[i])
+                b.append(b[i] + 1)
+            else:
+                A.append((Fraction(0),) * n)
+                b.append(Fraction(kind == "one"))
+            seen[kind] += 1
+    return HPolyhedron(tuple(A), tuple(b), P.E, P.d, n)
+
+
+def _image_matrix(rng: random.Random, n: int, seen: dict):
+    """A k x n matrix, 0 <= k <= n + 1: rational entries, and at times a
+    zero column or a row that is a sum of two others or zero, so that the
+    rank falls short of k."""
+    k = rng.randint(0, n + 1)
+    M = [[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in range(n)]
+         for _ in range(k)]
+    if k and rng.random() < 0.3:
+        j = rng.randrange(n)
+        for row in M:
+            row[j] = Fraction(0)
+        seen["zero column"] += 1
+    if k > 1 and rng.random() < 0.3:
+        r1, r2 = rng.choice(M), rng.choice(M)
+        M[rng.randrange(k)] = [a + c for a, c in zip(r1, r2)]
+    elif k and rng.random() < 0.1:
+        M[rng.randrange(k)] = [Fraction(0)] * n
+    seen["no rows"] += not k
+    seen["rank-deficient"] += k > rank(M)
+    return tuple(tuple(row) for row in M)
+
+
+def test_linear_image_equals_the_fraction_route_in_dimensions_1_to_6():
+    # Exact equality with `v_to_h` of the `Fraction` images of `h_to_v`'s
+    # generators, rows and scaling included, on sets of every kind the
+    # elimination treats apart; the hypothesis test stops at n <= 3.
+    rng = random.Random(3131)
+    seen = {k: 0 for k in ("scaled", "shifted", "zero", "one", "zero column", "no rows",
+                           "rank-deficient", "unbounded", "line", "equality", "implicit",
+                           "image equality")}
+    for n, count in ((1, 30), (2, 60), (3, 60), (4, 50), (5, 30), (6, 20)):
+        for _ in range(count):
+            P = _image_case(rng, n, seen)
+            M = _image_matrix(rng, n, seen)
+            image = linear_image(M, P)
+            assert image == fraction_linear_image(M, P), (M, P)
+            V = h_to_v(P)
+            if V.is_empty_set:
+                continue
+            seen["unbounded"] += bool(V.rays)
+            seen["line"] += any(vneg(r) in V.rays for r in V.rays)
+            seen["equality"] += bool(P.E)
+            seen["implicit"] += bool(implicit_rows(P))
+            seen["image equality"] += bool(image.E)
+    assert min(seen.values()) >= 3, seen
+
+
+def test_dd_lineality_is_dd_cones_and_its_indices_hold_no_ray():
+    # What makes `linear_image`'s rows those of double description: the
+    # lineality recurrence run alone gives `dd_cone`'s basis, each basis
+    # vector is nonzero at its own index and zero at the others', and on
+    # non-pointed cones every ray is zero at all of those indices.  The
+    # cones are random ones and the dual cones of images, over their
+    # mapped generators as `_dual_rows` gets them, many of them of
+    # rank-deficient matrices.  The zero sets are checked too.
+    rng = random.Random(3132)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        cases.append(([primitive_int(r) for r in random_cone_rows(rng, n)], n))
+    seen = {k: 0 for k in ("zero column", "no rows", "rank-deficient", "scaled", "shifted",
+                           "zero", "one", "image equality", "non-pointed")}
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(15):
+            P = _image_case(rng, n, seen)
+            M = _image_matrix(rng, n, seen)
+            V = h_to_v(P)
+            if V.is_empty_set:
+                continue
+            gens = [primitive_int(matvec(M, p) + (Fraction(1),)) for p in V.points]
+            gens += [primitive_int(w + (Fraction(0),)) for w in (matvec(M, r) for r in V.rays)
+                     if any(w)]
+            cases.append((gens, len(M) + 1))
+            seen["image equality"] += len(M) + 1 > rank([vec(g) for g in gens])
+    for rows, n in cases:
+        found = {}
+        lineality, rays = dd_cone(rows, n, found)
+        basis, own = dd_lineality(rows, n)
+        assert basis == lineality
+        for l, j in zip(basis, own):
+            assert l[j] and not any(l[i] for i in own if i != j)
+        assert not any(r[j] for r in rays for j in own)
+        seen["non-pointed"] += bool(lineality and rays)
+        assert found["rows"] == [primitive_int(r) for r in rows]
+        assert found["inserted"] == sorted({primitive_int(r) for r in rows if any(r)})
+        assert found["zero_sets"] == [
+            sum(1 << k for k, m in enumerate(found["inserted"]) if not dot(m, r)) for r in rays]
+    assert min(seen.values()) >= 5, seen
+
+
+def test_incidence_is_the_rows_tight_at_each_generator():
+    # `_incidence` is read off double description's zero sets; here it is
+    # recomputed by integer dot products of the homogenized rows with the
+    # generators, on bounded, unbounded, lower-dimensional and
+    # line-holding sets, with duplicate rows and rows 0·x <= 1.
+    rng = random.Random(3133)
+    seen = {k: 0 for k in ("scaled", "shifted", "zero", "one", "zero column", "no rows",
+                           "rank-deficient", "bounded", "unbounded", "lower-dimensional",
+                           "line")}
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(20):
+            P = _image_case(rng, n, seen)
+            points, directions = P._int_generators
+            if not points:
+                continue
+            gens = points + directions
+            assert P._incidence == tuple(
+                sum(1 << j for j, g in enumerate(gens) if not sum(a * c for a, c in zip(h, g)))
+                for _, h in P._int_rows[0])
+            seen["bounded" if not directions else "unbounded"] += 1
+            seen["lower-dimensional"] += bool(P.E or implicit_rows(P))
+            seen["line"] += any(vneg(g) in directions for g in directions)
+    assert min(seen[k] for k in ("scaled", "shifted", "one", "bounded", "unbounded",
+                                 "lower-dimensional", "line")) >= 5, seen
+
+
+def test_linear_image_runs_no_double_description_on_cached_generators(monkeypatch):
+    # Once P's generators are cached, an image is an elimination over P's
+    # rows and incidence: no `dd_cone` call, also for rank-deficient
+    # matrices and images with equality rows.
+    rng = random.Random(3134)
+    seen = {k: 0 for k in ("scaled", "shifted", "zero", "one", "zero column", "no rows",
+                           "rank-deficient")}
+    cases = []
+    for n in (2, 3, 4):
+        for _ in range(10):
+            P = _image_case(rng, n, seen)
+            h_to_v(P)
+            cases.append((_image_matrix(rng, n, seen), P))
+
+    def no_call(*args):
+        raise AssertionError("dd_cone called")
+
+    monkeypatch.setattr(polyhedra, "dd_cone", no_call)
+    images = [linear_image(M, P) for M, P in cases]
+    assert sum(bool(Q.E) for Q in images) >= 3
+    assert seen["rank-deficient"] >= 3
 
 
 def test_product_square():
