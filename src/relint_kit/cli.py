@@ -1,6 +1,11 @@
 """Command-line front end.
 
-    relint-kit <command> [--seed N] [--out report.json] [options] <files...>
+    relint-kit <command> [files...] [--seed N] [--out F] [--point P] [--level L] [--matrix M]
+
+Options stand anywhere, as `--opt value` or `--opt=value`, spelled in
+full; a value may start with `-` or be empty, and the last repeat wins.
+A bad argument list prints the usage line and `relint-kit: error:
+<message>` to stderr and raises SystemExit(2).
 
 Commands operate on instance documents (see docio) and emit a JSON run
 report plus one human-readable line per check.  Exit codes: 0 when every
@@ -11,11 +16,12 @@ inputs produce byte-identical reports.
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import docio
 from .errors import InputError, RelintKitError, TheoremViolation
@@ -70,10 +76,11 @@ def _parse_matrix(text: str | None):
 
 def _load(path: str) -> docio.InstanceDocument:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    return docio.parse_instance(text, source=Path(path).name)
+    return docio.parse_instance(text, source=os.path.basename(path))
 
 
 def _want(doc: docio.InstanceDocument, kind: str):
@@ -221,7 +228,8 @@ def _cmd_verify(args, docs_unused):
     if len(args.files) != 3:
         raise InputError("verify needs: certificate.json set1.json set2.json")
     try:
-        node = json.loads(Path(args.files[0]).read_text(encoding="utf-8"))
+        with open(args.files[0], encoding="utf-8") as f:
+            node = json.loads(f.read())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read certificate: {exc}") from None
     if not isinstance(node, dict):
@@ -238,6 +246,8 @@ def _cmd_verify(args, docs_unused):
 
 
 def _corpus_paths(args) -> list[Path]:
+    if len(args.files) > 1:
+        raise InputError(f"verify-corpus takes at most one directory, got {len(args.files)}")
     if args.files:
         root = Path(args.files[0])
         if not root.is_dir():
@@ -363,6 +373,7 @@ def _cmd_verify_corpus(args, docs_unused):
     return report, 0 if all_ok else 1, lines
 
 
+# command: (handler, instance files it takes, or 0 if it reads its own arguments)
 _HANDLERS = {
     "ri-check": (_cmd_ri_check, 1),
     "ri-point": (_cmd_ri_point, 1),
@@ -379,40 +390,65 @@ _HANDLERS = {
     "verify-corpus": (_cmd_verify_corpus, 0),
 }
 
+_USAGE = ("usage: relint-kit <command> [files...] [--seed N] [--out F] [--point P]"
+          " [--level L] [--matrix M]\n")
+_HELP = f"""{_USAGE}
+exact relative-interior and separation certificates for polyhedral convex sets
 
-_PARSER = argparse.ArgumentParser(
-    prog="relint-kit",
-    description="exact relative-interior and separation certificates "
-                "for polyhedral convex sets",
-    allow_abbrev=False,
-)
-_PARSER.add_argument("command", choices=tuple(_HANDLERS))
-_PARSER.add_argument("files", nargs="*", help="instance documents")
-_PARSER.add_argument("--seed", type=int, default=0,
-                     help="seed for the deterministic sampling policy")
-_PARSER.add_argument("--out", help="write the JSON report to this file")
-_PARSER.add_argument("--point", help="comma-separated rational coordinates")
-_PARSER.add_argument("--level", help="epigraph level as a rational")
-_PARSER.add_argument("--matrix", help="matrix rows 'a,b;c,d' of rationals")
-_VALUE_OPTIONS = ("--point", "--level", "--matrix")
-# `parse_intermixed_args` formats the usage text on every call unless the
-# parser has one, and that took most of its time: format it once.
-_PARSER.usage = _PARSER.format_usage().removeprefix("usage: ")
+commands: {", ".join(_HANDLERS)}
+options, anywhere, as `--opt value` or `--opt=value`:
+  --seed N    seed for the deterministic sampling policy (default 0)
+  --out F     write the JSON report to this file
+  --point P   comma-separated rational coordinates
+  --level L   epigraph level as a rational
+  --matrix M  matrix rows 'a,b;c,d' of rationals
+  -h, --help  print this text and exit
+"""
+
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{_USAGE}relint-kit: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _parse_args(words) -> SimpleNamespace:
+    """The command, files and options of an argument list, read by the
+    grammar of the module docstring."""
+    values = dict.fromkeys(("--seed", "--out", "--point", "--level", "--matrix"))
+    positional = []
+    rest = iter(words)
+    for word in rest:
+        if word[:1] != "-":
+            positional.append(word)
+        elif word in ("-h", "--help"):
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        else:
+            name, eq, value = word.partition("=")
+            if name not in values:
+                _usage_error(" ".join(["unrecognized arguments:", word, *rest]))
+            values[name] = value if eq else next(rest, None)
+            if values[name] is None:
+                _usage_error(f"argument {name}: expected one argument")
+    if not positional:
+        _usage_error("the following arguments are required: command")
+    if positional[0] not in _HANDLERS:
+        _usage_error(f"argument command: invalid choice: {positional[0]!r} "
+                     f"(choose from {', '.join(map(repr, _HANDLERS))})")
+    seed = values["--seed"]
+    try:
+        values["--seed"] = 0 if seed is None else int(seed)
+    except ValueError:
+        _usage_error(f"argument --seed: invalid int value: {seed!r}")
+    return SimpleNamespace(command=positional[0], files=positional[1:],
+                           **{name[2:]: value for name, value in values.items()})
 
 
 def main(argv=None) -> int:
-    # argparse takes a word with a leading minus for an option unless it
-    # is a plain number, so `--point -1,0` is read as `--point=-1,0`.  With
-    # prefixes off, these three are the only spellings that take a value.
-    words = []
-    for word in sys.argv[1:] if argv is None else argv:
-        if words and words[-1] in _VALUE_OPTIONS and word[:1] == "-" and word[1:2].isdecimal():
-            word = words.pop() + "=" + word
-        words.append(word)
-    args = _PARSER.parse_intermixed_args(words)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     handler, needs = _HANDLERS[args.command]
     try:
-        if len(args.files) < needs:
+        if needs and len(args.files) != needs:
             raise InputError(f"{args.command} needs {needs} instance file(s)")
         docs = [_load(p) for p in args.files[:needs]]
         body, code, lines = handler(args, docs)
@@ -434,7 +470,8 @@ def main(argv=None) -> int:
     text = docio.dump_report(report)
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as f:
+                f.write(text)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2

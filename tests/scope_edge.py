@@ -1,5 +1,5 @@
-"""Scope-edge timings of `verify-corpus`, `image-ri`, `h_to_v` and
-`minkowski_diff`, a process each.
+"""Scope-edge timings of `verify-corpus`, `image-ri`, `diff-ri`, `h_to_v`
+and `minkowski_diff`, a process each.
 
     python3 tests/scope_edge.py [--limit SECONDS] [--src DIR]
 
@@ -14,8 +14,9 @@ coordinate (full row rank), and with that projection and a sixth row, the
 sum of the first five (rank 5, so that the image has an equality row).
 `minkowski_diff(P, P)` runs on the dimension-4 sets with 12 and 20 rows
 (35 and 72 vertices) and on the dimension-6 set with 12 rows (79
-vertices), and writes the rows of the result, one per line.  For each
-set the script prints the SHA-256 of the instance document, then runs
+vertices), and writes the rows of the result, one per line; on the same
+sets `relint-kit diff-ri` runs with the document given twice, for P - P.
+For each set the script prints the SHA-256 of the instance document, then runs
 each of its cases in a fresh interpreter that imports relint_kit from
 --src (default: this checkout's src/).  A run over --limit seconds is
 recorded as `timeout`, not as an error.  One line per case gives the
@@ -46,9 +47,9 @@ CASES = {
     "dim6-rows16": (6, 16, ("verify-corpus", "h_to_v")),
     "dim6-rows24": (6, 24, ("verify-corpus", "h_to_v")),
     "dim6-rows32": (6, 32, ("verify-corpus", "image-ri", "image-ri-rank5", "h_to_v")),
-    "dim4-rows12": (4, 12, ("minkowski_diff",)),
-    "dim4-rows20": (4, 20, ("minkowski_diff",)),
-    "dim6-rows12": (6, 12, ("minkowski_diff",)),
+    "dim4-rows12": (4, 12, ("minkowski_diff", "diff-ri")),
+    "dim4-rows20": (4, 20, ("minkowski_diff", "diff-ri")),
+    "dim6-rows12": (6, 12, ("minkowski_diff", "diff-ri")),
 }
 
 PROJECTION = ";".join([",".join(["1" if i == j else "0" for j in range(6)]) for i in range(5)])
@@ -58,8 +59,9 @@ MATRICES = {"image-ri": PROJECTION, "image-ri-rank5": PROJECTION + ";1,1,1,1,1,0
 # `simplex_max` and `dd_cone` in every module that holds them; the counts
 # are written to the counts file however the command ends.  For the one
 # document in the directory, verify-corpus runs the CLI on the directory,
-# image-ri runs the CLI on the document with the matrix, h_to_v writes the
-# points of P and minkowski_diff the rows of P - P.
+# image-ri runs the CLI on the document with the matrix, diff-ri runs the
+# CLI on the document twice, h_to_v writes the points of P and
+# minkowski_diff the rows of P - P.
 CHILD = """
 import atexit, json, sys
 from pathlib import Path
@@ -91,6 +93,8 @@ if command == "verify-corpus":
 (path,) = Path(work).iterdir()
 if command.startswith("image-ri"):
     sys.exit(relint_kit.cli.main(["image-ri", str(path), "--matrix", matrix]))
+if command == "diff-ri":
+    sys.exit(relint_kit.cli.main(["diff-ri", str(path), str(path)]))
 P = docio.parse_instance(path.read_text()).payload
 if command == "h_to_v":
     for x in h_to_v(P).points:

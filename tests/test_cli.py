@@ -394,7 +394,7 @@ def test_cli_malformed_level_is_located(capsys, level):
     ("image-ri", "square-unit", (), "--matrix", "-1,0;0,1"),
 ], ids=["point", "level", "matrix"])
 def test_cli_negative_value_as_a_separate_word(capsys, command, ident, before, option, value):
-    # argparse alone reads `--point -1,0` as two options; both spellings
+    # A value with a leading minus may be a separate word; both spellings
     # must give the same report and exit code.
     argv = [command, str(CORPUS / f"{ident}.json"), *before]
     joined = main([*argv, f"{option}={value}"]), capsys.readouterr()
@@ -415,6 +415,54 @@ def test_cli_option_prefix_is_unrecognized(capsys, value):
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == (
         f"relint-kit: error: unrecognized arguments: --poi {value}")
+
+
+_PARSED = {"command": "epi-ri", "files": ["f.json", "g.json"], "seed": -3, "out": "-r.json",
+           "point": "", "level": "-1/2", "matrix": "1,0;0,-1"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["epi-ri", "f.json", "g.json", "--seed", "-3", "--out", "-r.json", "--point", "",
+     "--level", "-1/2", "--matrix", "1,0;0,-1"],
+    ["--seed=-3", "--out=-r.json", "--point=", "--level=-1/2", "--matrix=1,0;0,-1",
+     "epi-ri", "f.json", "g.json"],
+    ["epi-ri", "--point", "1", "f.json", "--seed", "7", "--level=-1/2", "g.json",
+     "--matrix", "1,0;0,-1", "--out", "-r.json", "--point=", "--seed=-3"],
+], ids=["separate-words-after-files", "joined-before-command", "interleaved-last-repeat-wins"])
+def test_cli_reader_accepts_each_spelling(argv):
+    assert vars(cli._parse_args(argv)) == _PARSED
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus", "a.json"], "argument command: invalid choice: 'bogus' (choose from "
+     "'ri-check', 'ri-point', 'suite', 'normal-cone', 'separate', 'qri-sep', 'graph-ri', "
+     "'epi-ri', 'image-ri', 'diff-ri', 'seq-classify', 'verify', 'verify-corpus')"),
+    (["suite", "a.json", "--poin=1", "--seed", "2"], "unrecognized arguments: --poin=1 --seed 2"),
+    (["suite", "a.json", "--point"], "argument --point: expected one argument"),
+    (["suite", "a.json", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+], ids=["no-command", "unknown-command", "prefix-option", "value-missing", "seed-not-int"])
+def test_cli_reader_rejects_with_usage_and_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: relint-kit <command> [files...]")
+    assert error == f"relint-kit: error: {message}"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["suite", "a.json", "-h", "--nope"]])
+def test_cli_help_prints_every_command_and_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: relint-kit ")
+    for word in [*cli._HANDLERS, "--seed N", "--out F", "--point P", "--level L",
+                 "--matrix M", "-h, --help"]:
+        assert word in captured.out
 
 
 @pytest.mark.parametrize("command, files, options", [
@@ -698,7 +746,7 @@ def test_cli_fuzz_ends_in_a_report_or_one_line_error(invocation):
         with redirect_stdout(out), redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse rejects the argument list
+            except SystemExit as exc:  # the argument list is rejected
                 code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     for text in (out.getvalue(), err.getvalue()):

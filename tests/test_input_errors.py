@@ -7,6 +7,7 @@ expects exit 2, empty stdout and the one stderr line.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,7 @@ from relint_kit.setmaps import (
     set_difference_ri_commutes,
 )
 
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "relint_kit" / "corpus"
 INTERVAL = HPolyhedron.make(A=[[1], [-1]], b=[1, 0])
 EMPTY = HPolyhedron.make(A=[[1], [-1]], b=[0, -1])
 SQUARE = HPolyhedron.make(A=[[1, 0], [-1, 0], [0, 1], [0, -1]], b=[1, 0, 1, 0])
@@ -60,6 +62,13 @@ def _duplicate_ids(tmp_path):
 CASES = {
     "cli-not-a-directory": (_not_a_directory, None, "{tmp}/x.json is not a directory"),
     "cli-duplicate-id": (_duplicate_ids, None, "duplicate instance id same"),
+    "cli-extra-instance-file": (
+        lambda tmp: main(["ri-check", str(CORPUS / "square-unit.json"),
+                          str(CORPUS / "segment-x01.json"), "--point", "1/2,1/2"]),
+        None, "ri-check needs 1 instance file(s)"),
+    "cli-verify-corpus-extra-argument": (
+        lambda tmp: main(["verify-corpus", str(tmp), "/nonexistent"]), None,
+        "verify-corpus takes at most one directory, got 2"),
     "linalg-row-rhs-count": (
         lambda tmp: solve_linear_system(((1,),), (), 1), InputError,
         "equality system: row/rhs count mismatch"),
