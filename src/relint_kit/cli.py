@@ -252,11 +252,11 @@ def _corpus_paths(args) -> list[Path]:
         root = Path(args.files[0])
         if not root.is_dir():
             raise InputError(f"{root} is not a directory")
-        paths = sorted(root.glob("*.json"))
+        paths = sorted([p for p in root.glob("*.json") if p.is_file()])
     else:
         base = resources.files("relint_kit").joinpath("corpus")
         paths = sorted(
-            (Path(str(p)) for p in base.iterdir() if p.name.endswith(".json")),
+            (Path(str(p)) for p in base.iterdir() if p.name.endswith(".json") and p.is_file()),
             key=lambda p: p.name,
         )
     if not paths:

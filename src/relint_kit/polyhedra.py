@@ -14,17 +14,15 @@ Conventions fixed here and relied on everywhere else:
   * its generators are cached as the primitive integer rays (x, t) of its
     homogenization cone, and next to them, when first asked for, its
     incidence: for each row the generators tight at it, read off the zero
-    sets double description hands back; `minkowski_diff` maps the
-    generators straight into the next double description, and
-    `linear_image` runs none: it eliminates over the rows and the
-    incidence; sorted on integer keys (`_sorted_generators`), the
-    generators give the order of `h_to_v`, which builds its `Fraction`
-    points only when asked, each distinct value once
-    (`rational.frac_vecs`), as `_dual_cone_rows` builds its rows;
-  * `minkowski_diff` hands double description only the pairs of generator
-    points that can give a vertex, found by comparing bitmasks of tight
-    rows, when the generators prove the difference line-free and
-    full-dimensional, and every pair otherwise;
+    sets double description hands back; `linear_image` runs none: it
+    eliminates over the rows and the incidence; sorted on integer keys
+    (`_sorted_generators`), the generators give the order of `h_to_v`,
+    which builds its `Fraction` points only when asked, each distinct
+    value once (`rational.frac_vecs`), as `_dual_cone_rows` builds its
+    rows;
+  * a `product` presets its generators and incidence from its factors',
+    so no double description runs on it, and `minkowski_diff` is the
+    linear image of the product under (x, y) -> x - y;
   * its rows are cached as integers with their scales (`_int_rows`); the
     slack LP (emptiness, implicit rows, separation, strict preimages) is
     encoded from them and read in `_max_slack` alone, as (t, x, y, z), and
@@ -36,7 +34,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -410,20 +408,14 @@ def h_to_v(P: HPolyhedron) -> VPolyhedron:
 
 
 def v_to_h(V: VPolyhedron) -> HPolyhedron:
-    """Inequality/equality description of conv(points) + cone(rays),
-    found by dualizing the homogenization cone."""
+    """Inequality/equality description of conv(points) + cone(rays):
+    double description of the dual of the homogenization cone,
+    {(a, c) : a·x + c t <= 0 at every generator (x, t)}, gives the rows
+    a·x <= -c, and its lineality the equalities."""
     if not V.points:
         return HPolyhedron.empty(V.dim)
     gens = [p + (ONE,) for p in V.points] + [r + (ZERO,) for r in V.rays]
-    return _dual_rows([scaled_ints(g)[1] for g in gens], V.dim)
-
-
-def _dual_rows(gens: list[Sequence[int]], n: int) -> HPolyhedron:
-    """The H-representation of the set whose homogenized integer
-    generators (x, t) are `gens`, at least one of them with t > 0: double
-    description of the dual cone {(a, c) : a·x + c t <= 0 on gens} gives
-    the rows a·x <= -c, and its lineality the equalities."""
-    return _dual_cone_rows(*dd_cone(gens, n + 1), n)
+    return _dual_cone_rows(*dd_cone([scaled_ints(g)[1] for g in gens], V.dim + 1), V.dim)
 
 
 def _dual_cone_rows(lineality, rays, n: int) -> HPolyhedron:
@@ -479,7 +471,7 @@ def linear_image(M: Mat, P: HPolyhedron) -> HPolyhedron:
         (Fukuda and Prodon 1996; Jones, Kerrigan and Maciejowski 2008,
         *J. Optim. Theory Appl.* 138(2)).
     One row per facet of the image cone is left.  `v_to_h` of the mapped
-    generators (`_dual_rows`) gives the same facets, as the extreme rays of
+    generators gives the same facets, as the extreme rays of
     the dual cone modulo its lineality, with that lineality as the
     equalities.  For the same rows, `dd.dd_lineality` rebuilds that basis
     from the sorted mapped generators, and each row is reduced by it to
@@ -581,117 +573,54 @@ def _eliminate(rows: list[tuple[int, Sequence[int]]], e: int, d: int
     return kept
 
 
-def minkowski_diff(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:
-    """{w1 - w2 : w1 in P1, w2 in P2} via generator arithmetic: points
-    (t2 x1 - t1 x2, t1 t2) and directions r1 and -r2, each distinct
-    generator once.
+def _difference_matrix(n: int) -> Mat:
+    """[I | -I]: the map (x, y) -> x - y from R^n x R^n onto R^n."""
+    return tuple([tuple([ONE if k == j else ZERO for k in range(n)])
+                  + tuple([-ONE if k == j else ZERO for k in range(n)]) for j in range(n)])
 
-    A pair (v1, v2) of generator points is left out when some d != 0 lies
-    in both tangent cones T(v1; P1) and T(v2; P2): then v1 - v2 +/- εd lie
-    in P1 - P2, so v1 - v2 is no vertex.  The d tried at v1 are the edge
-    directions u - v1 and the directions of P1, each with the bitmask of
-    P2's rows it raises, so d lies in T(v2; P2) when that mask misses the
-    rows tight at v2; and the same at v2 against P1 (`_tangent_masks`).
-    No LP and no `Fraction`.  Dropping non-vertices keeps the set only if
-    it is line-free, the hull of its vertices plus its recession cone,
-    and keeps the rows only if it is full-dimensional, so that the dual
-    cone is pointed and its extreme rays unique.  The generators must
-    prove both (`_vertex_pairs`), or every pair is kept."""
+
+def minkowski_diff(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:
+    """{w1 - w2 : w1 in P1, w2 in P2}: the linear image of P1 x P2 under
+    (x, y) -> x - y, with the product's generators and incidence preset
+    (`product`), so that only the factors run double description."""
     if P1.dim != P2.dim:
         raise InputError("set difference requires matching dimensions")
-    points1, directions1 = P1._int_generators
-    points2, directions2 = P2._int_generators
-    if not points1 or not points2:
-        return HPolyhedron.empty(P1.dim)
-    directions = set(directions1) | {tuple([-k for k in g]) for g in directions2}
-    points = set()
-    for g1, g2 in _vertex_pairs(P1, P2, directions):
-        t1, t2 = g1[-1], g2[-1]
-        points.add(primitive([t2 * a - t1 * c for a, c in zip(g1[:-1], g2)] + [t1 * t2]))
-    return _dual_rows([*points, *directions], P1.dim)
-
-
-def _vertex_pairs(P1: HPolyhedron, P2: HPolyhedron, directions
-                  ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The pairs of generator points of nonempty P1 and P2 that
-    `minkowski_diff` keeps, P1 - P2 having these directions: those that
-    pass the tangent-cone test when P1 - P2 is provably line-free (the sum
-    s of the directions has s·r > 0 for each of them, so no nonnegative
-    combination of them vanishes) and full-dimensional (one operand is),
-    and every pair otherwise."""
-    points1, points2 = P1._int_generators[0], P2._int_generators[0]
-    s = [sum(column) for column in zip(*directions)]
-    if all(sum(map(mul, s, r)) > 0 for r in directions):
-        active1, active2 = _tight_rows(P1), _tight_rows(P2)
-        if _full_dimensional(P1) or _full_dimensional(P2):
-            candidates1 = _tangent_masks(P1, P2, active1)
-            candidates2 = _tangent_masks(P2, P1, active2)
-            return ((g1, g2)
-                    for g1, a1, c1 in zip(points1, active1, candidates1)
-                    for g2, a2, c2 in zip(points2, active2, candidates2)
-                    if all(map(a2.__and__, c1)) and all(map(a1.__and__, c2)))
-    return ((g1, g2) for g1 in points1 for g2 in points2)
-
-
-def _tight_rows(P: HPolyhedron) -> list[int]:
-    """For each generator point of nonempty P, the bitmask of the
-    inequality rows tight there: `HPolyhedron._incidence` read by column."""
-    incidence = P._incidence
-    return [sum([1 << i for i, m in enumerate(incidence) if m >> j & 1])
-            for j in range(len(P._int_generators[0]))]
-
-
-def _full_dimensional(P: HPolyhedron) -> bool:
-    """Whether nonempty P provably spans R^n: no equality row, and no
-    inequality row is tight at every generator."""
-    points, directions = P._int_generators
-    return not P._int_rows[1] and (1 << len(points) + len(directions)) - 1 not in P._incidence
-
-
-def _tangent_masks(X: HPolyhedron, Y: HPolyhedron, active: list[int]) -> list[set[int]]:
-    """For each generator point v of X, with `active` the masks of X's
-    inequality rows tight at them: the bitmasks of Y's inequality rows
-    increased by each candidate direction d in T(v; X).  Then d lies in
-    T(w; Y) exactly when its mask misses the rows of Y tight at w.
-
-    The candidates are u - v for each other point u that shares at least
-    n - 1 tight rows with v (equalities counted), and X's directions; d
-    that leave Y's equalities are skipped.  Over a common denominator T
-    each point is (T·u, T), and a row h = L·(a, -beta) of Y has
-    h·(T·u, T) - h·(T·v, T) = L T a·(u - v): its values at the points
-    give the signs for every d, and d itself is never formed."""
-    ineq_y, eq_y = Y._int_rows
-    points, directions = X._int_generators
-    T, scaled = common_points(points)
-    homogenized = [[*x, T] for x in scaled]
-    values = [[sum(map(mul, h, g)) for _, h in ineq_y] for g in homogenized]
-    levels = [[sum(map(mul, h, g)) for _, h in eq_y] for g in homogenized]
-    along = {sum([1 << i for i, (_, h) in enumerate(ineq_y) if sum(map(mul, h, r)) > 0])
-             for r in directions if not any([sum(map(mul, h, r)) for _, h in eq_y])}
-    candidates = [set(along) for _ in points]
-    need = X.dim - 1 - len(X._int_rows[1])
-    for i, (av, hv, ev) in enumerate(zip(active, values, levels)):
-        for j in range(i + 1, len(points)):
-            if (av & active[j]).bit_count() < need or levels[j] != ev:
-                continue
-            up = down = 0
-            for k, (a, b) in enumerate(zip(values[j], hv)):
-                if a > b:
-                    up |= 1 << k
-                elif a < b:
-                    down |= 1 << k
-            # u - v raises the rows in `up` and v - u those in `down`.
-            candidates[i].add(up)
-            candidates[j].add(down)
-    return candidates
+    return linear_image(_difference_matrix(P1.dim), product(P1, P2))
 
 
 def product(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:
-    """P1 x P2 by block-diagonal constraint stacking."""
+    """P1 x P2 by block-diagonal constraint stacking, its generators and
+    incidence preset from the factors', with no double description.
+
+    The points are the pairs (t2·x1, t1·x2, t1·t2), pair (i, j) at
+    i·|points2| + j, and the directions P1's and then P2's, padded with
+    zeros.  A row of P1 is tight at every pair of each P1 point it is
+    tight at, at its own directions and at all of P2's, which are zero in
+    P1's coordinates; a row of P2 likewise at every pair of each P2 point
+    it is tight at, at all of P1's directions and at its own."""
     n1, n2 = P1.dim, P2.dim
     A = [row + zeros(n2) for row in P1.A] + [zeros(n1) + row for row in P2.A]
     E = [row + zeros(n2) for row in P1.E] + [zeros(n1) + row for row in P2.E]
-    return HPolyhedron(tuple(A), P1.b + P2.b, tuple(E), P1.d + P2.d, n1 + n2)
+    P = HPolyhedron(tuple(A), P1.b + P2.b, tuple(E), P1.d + P2.d, n1 + n2)
+    points1, directions1 = P1._int_generators
+    points2, directions2 = P2._int_generators
+    points = []
+    for *x1, t1 in points1:
+        for *x2, t2 in points2:
+            points.append(primitive([*[t2 * a for a in x1], *[t1 * c for c in x2], t1 * t2]))
+    pad1, pad2 = (0,) * n1, (0,) * n2
+    directions = [g[:-1] + pad2 + (0,) for g in directions1] + [pad1 + g for g in directions2]
+    k1, k2, pairs, d1 = len(points1), len(points2), len(points), len(directions1)
+    # The pairs of the first P1 point, and the first pair of each block.
+    block, spread = (1 << k2) - 1, sum([1 << i * k2 for i in range(k1)])
+    every1 = ((1 << d1) - 1) << pairs
+    every2 = ((1 << len(directions2)) - 1) << pairs + d1
+    masks = [sum([block << i * k2 for i in range(k1) if m >> i & 1]) | (m >> k1) << pairs | every2
+             for m in P1._incidence]
+    masks += [(m & block) * spread | every1 | (m >> k2) << pairs + d1 for m in P2._incidence]
+    P.__dict__["_int_generators"] = (tuple(points), tuple(directions))
+    P.__dict__["_incidence"] = tuple(masks)
+    return P
 
 
 # -- cone membership ---------------------------------------------------------

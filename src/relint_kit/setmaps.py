@@ -22,6 +22,7 @@ from operator import mul
 from .errors import EmptySetError, InputError
 from .polyhedra import (
     HPolyhedron,
+    _difference_matrix,
     _max_slack,
     implicit_rows,
     is_empty,
@@ -35,7 +36,7 @@ from .relint import (
     ri_membership,
     ri_point,
 )
-from .rational import Mat, ONE, Rat, Vec, ZERO, check_exact, common_ints, dot, scaled_ints, unit
+from .rational import Mat, Rat, Vec, ZERO, check_exact, common_ints, dot, scaled_ints, unit
 
 
 @dataclass(frozen=True)
@@ -279,10 +280,4 @@ def set_difference_ri_commutes(P1: HPolyhedron, P2: HPolyhedron) -> CommutationR
     product under (x, y) -> x - y."""
     if P1.dim != P2.dim:
         raise InputError("set difference requires matching dimensions")
-    n = P1.dim
-    M = tuple([
-        tuple([ONE if k == j else ZERO for k in range(n)])
-        + tuple([-ONE if k == j else ZERO for k in range(n)])
-        for j in range(n)
-    ])
-    return linear_image_ri_commutes(M, product(P1, P2))
+    return linear_image_ri_commutes(_difference_matrix(P1.dim), product(P1, P2))

@@ -529,13 +529,24 @@ def test_cli_empty_point_is_the_point_of_r0(tmp_path, capsys, command):
 
 def test_cli_verify_corpus_unreadable_entry_is_input_error(tmp_path, capsys):
     (tmp_path / "segment-x01.json").write_bytes((CORPUS / "segment-x01.json").read_bytes())
-    (tmp_path / "x.json").mkdir()
+    (tmp_path / "x.json").write_bytes(b"\xff\xfe{")
     code = main(["verify-corpus", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read {tmp_path / 'x.json'}: ")
     assert captured.err.count("\n") == 1
+
+
+def test_cli_verify_corpus_skips_entries_that_are_not_files(tmp_path, capsys):
+    # A subdirectory named like a document is no corpus entry: the run
+    # reports on the documents alone, as in a directory without it.
+    (tmp_path / "square-unit.json").write_bytes((CORPUS / "square-unit.json").read_bytes())
+    assert main(["verify-corpus", str(tmp_path)]) == 0
+    alone = capsys.readouterr()
+    (tmp_path / "old.json").mkdir()
+    assert main(["verify-corpus", str(tmp_path)]) == 0
+    assert capsys.readouterr() == alone
 
 
 def test_cli_non_utf8_document_is_input_error(tmp_path, capsys):

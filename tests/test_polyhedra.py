@@ -487,53 +487,86 @@ def _difference_operand(rng: random.Random, n: int, kind: str) -> HPolyhedron:
     return HPolyhedron(P.A + tuple(box), P.b + (Fraction(2),) * len(box), (), (), n)
 
 
-def test_minkowski_diff_keeps_the_pairs_that_can_be_vertices(monkeypatch):
-    # The tangent-cone filter against double description over every pair
-    # of generator points: the same rows, every pair kept when the guard
-    # cannot prove the result line-free and full-dimensional, and pairs
-    # dropped in some share of the other cases.
-    every_pair = polyhedra._dual_rows
-    handed = []
-
-    def spy(gens, n):
-        handed.append({tuple(g) for g in gens if g[-1]})
-        return every_pair(gens, n)
-
-    monkeypatch.setattr(polyhedra, "_dual_rows", spy)
+def test_minkowski_diff_of_each_operand_kind_matches_the_fraction_route():
+    # The exact-equality check of `test_minkowski_diff_matches_the_fraction_route`
+    # on each kind of operand pair, and on the bounded ones in dimensions 2
+    # and 3 the vertex oracle: every vertex of the difference is a
+    # difference of vertices.
     rng = random.Random(2027)
     kinds = [("bounded", "bounded"), ("same", "same"), ("up", "down"), ("bounded", "down"),
              ("up", "bounded"), ("line", "bounded"), ("bounded", "line"), ("flat", "flat"),
              ("flat", "bounded")]
-    dropped, vertex_checks = {}, 0
+    checked, vertex_checks = set(), 0
     for n in (2, 3, 4):
         for k1, k2 in kinds * 3:
             P1 = _difference_operand(rng, n, "bounded" if k1 == "same" else k1)
             P2 = P1 if k2 == "same" else _difference_operand(rng, n, k2)
             if is_empty(P1) or is_empty(P2):
                 continue
-            handed.clear()
             D = minkowski_diff(P1, P2)
-            (kept,) = handed
+            assert D == fraction_minkowski_diff(P1, P2), (n, k1, k2)
+            checked.add((k1, k2))
             V1, V2 = h_to_v(P1), h_to_v(P2)
-            pairs = {primitive_int(vsub(p1, p2) + (Fraction(1),))
-                     for p1 in V1.points for p2 in V2.points}
-            directions = {primitive_int(r + (Fraction(0),)) for r in V1.rays}
-            directions |= {primitive_int(vneg(r) + (Fraction(0),)) for r in V2.rays}
-            assert D == every_pair([*pairs, *directions], n)
-            assert kept <= pairs
-            if "line" in (k1, k2) or (k1, k2) == ("flat", "flat"):
-                assert kept == pairs, (n, k1, k2)
-            dropped.setdefault((k1, k2), []).append(kept != pairs)
             # The vertex oracle tries every subset of up to n rows; in
             # dimension 4 the results have too many rows for it.
-            if not directions and n < 4:
+            if not V1.rays and not V2.rays and n < 4:
                 vertex_checks += 1
-                points = {tuple(Fraction(a, g[-1]) for a in g[:-1]) for g in kept}
+                points = {vsub(p1, p2) for p1 in V1.points for p2 in V2.points}
                 assert brute_force_vertices(D) <= points
     assert vertex_checks > 20
-    for pair in kinds:
-        if "line" not in pair and pair != ("flat", "flat"):
-            assert any(dropped[pair]), pair
+    assert checked == set(kinds)
+
+
+def _product_factor(rng: random.Random, n: int, kind: str) -> HPolyhedron:
+    """A set in R^n for `product`'s preset: `_image_case`'s sets (lines,
+    equality rows, redundant rows), an empty set, a singleton, or R^0 and
+    the empty set in R^0 when n = 0."""
+    if n == 0:
+        return HPolyhedron.whole_space(0) if kind != "empty" else HPolyhedron.empty(0)
+    if kind == "empty":
+        return HPolyhedron.empty(n)
+    if kind == "singleton":
+        return HPolyhedron.singleton(tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(n)))
+    return _image_case(rng, n, {k: 0 for k in ("scaled", "shifted", "zero", "one")})
+
+
+def test_product_presets_the_generators_and_incidence_of_its_rows():
+    # `product` sets its generators and incidence from its factors', with
+    # no double description.  The preset generators span the cone that
+    # double description finds for the same rows in a plain `HPolyhedron`:
+    # each satisfies the homogenized rows, each of the plain generators is
+    # a nonnegative combination of them (the `FractionSimplex` oracle), and
+    # they are as many.  Each mask is the generators its row is tight at,
+    # by integer dot products.
+    rng = random.Random(3135)
+    seen = {k: 0 for k in ("line", "equality", "empty", "singleton", "dimension 0")}
+    for _ in range(120):
+        n1, n2 = rng.randint(0, 3), rng.randint(0, 3)
+        P1, P2 = (_product_factor(rng, n, rng.choice(("set", "set", "set", "empty", "singleton")))
+                  for n in (n1, n2))
+        prod = product(P1, P2)
+        points, directions = prod.__dict__["_int_generators"]
+        masks = prod.__dict__["_incidence"]
+        plain = HPolyhedron(prod.A, prod.b, prod.E, prod.d, prod.dim)
+        plain_points, plain_directions = plain._int_generators
+        assert (len(points), len(directions)) == (len(plain_points), len(plain_directions))
+        gens = points + directions
+        ineq, eq = prod._int_rows
+        for g in gens:
+            assert all(sum(a * c for a, c in zip(h, g)) <= 0 for _, h in ineq)
+            assert not any(sum(a * c for a, c in zip(h, g)) for _, h in eq)
+            assert g[-1] >= 0
+        cone = PolyCone(tuple(vec(g) for g in gens), prod.dim + 1)
+        assert all(primal_cone_contains(cone, vec(g)) for g in plain_points + plain_directions)
+        assert masks == tuple(
+            sum(1 << j for j, g in enumerate(gens) if not sum(a * c for a, c in zip(h, g)))
+            for _, h in ineq)
+        seen["line"] += any(vneg(g) in directions for g in directions)
+        seen["equality"] += bool(prod.E)
+        seen["empty"] += not points
+        seen["singleton"] += any("_interior" in P.__dict__ for P in (P1, P2))
+        seen["dimension 0"] += 0 in (n1, n2)
+    assert min(seen.values()) >= 5, seen
 
 
 def _conversion_case(rng: random.Random, n: int) -> HPolyhedron:
@@ -561,11 +594,11 @@ def _conversion_case(rng: random.Random, n: int) -> HPolyhedron:
 
 def test_conversions_build_their_fractions_from_the_integers(monkeypatch):
     # `h_to_v` is `_sorted_generators` divided by t, and the rows of
-    # `v_to_h` and `minkowski_diff` are the sorted output of their last
-    # `dd_cone` call: every entry a `Fraction`, and within one answer equal
-    # entries from one (k, q) the same object.  `linear_image` makes no
-    # `dd_cone` call once P's generators are cached, and builds its rows
-    # the same way.
+    # `v_to_h` are the sorted output of its last `dd_cone` call: every
+    # entry a `Fraction`, and within one answer equal entries from one
+    # (k, q) the same object.  `linear_image` and `minkowski_diff` make no
+    # `dd_cone` call once their operands' generators are cached, and build
+    # their rows the same way.
     calls = []
 
     def spy(rows, n, *incidence):
@@ -623,7 +656,10 @@ def test_conversions_build_their_fractions_from_the_integers(monkeypatch):
             assert len(calls) == made
             Q = _conversion_case(rng, n)
             if not is_empty(Q):
-                assert_dual_rows(minkowski_diff(P, Q))
+                h_to_v(Q)
+                made = len(calls)
+                assert_rows_shared(minkowski_diff(P, Q))
+                assert len(calls) == made
     assert min(seen.values()) >= 5, seen
 
 
@@ -713,7 +749,7 @@ def test_dd_lineality_is_dd_cones_and_its_indices_hold_no_ray():
     # vector is nonzero at its own index and zero at the others', and on
     # non-pointed cones every ray is zero at all of those indices.  The
     # cones are random ones and the dual cones of images, over their
-    # mapped generators as `_dual_rows` gets them, many of them of
+    # mapped generators as `v_to_h` gets them, many of them of
     # rank-deficient matrices.  The zero sets are checked too.
     rng = random.Random(3132)
     cases = []
