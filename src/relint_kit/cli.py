@@ -37,6 +37,7 @@ from .relint import (
 from .sampling import sample_points
 from .separation import (
     Separated,
+    properly_separable,
     properly_separate,
     qri_nonmembership_via_separation,
     separation_iff_ri_disjoint,
@@ -276,9 +277,10 @@ def _check_hpoly(ident: str, P: HPolyhedron, seed: int, checks):
     checks.append((ident, "quasi-regularity",
                    all(r.cone_subspace == r.normal_cone_subspace for r in reports)))
     # {x} and P, x in P, separate properly iff x is not in qri P (Borwein-Lewis 1992).
+    # The line prints only the verdict, so no certificate is built: the
+    # verdict is read from the LP that `properly_separate` decides with.
     lemma_ok = all(
-        isinstance(properly_separate(HPolyhedron.singleton(x), P), Separated)
-        == (not r.normal_cone_subspace)
+        properly_separable(HPolyhedron.singleton(x), P) == (not r.normal_cone_subspace)
         for x, r in zip(points[:4], reports)
     )
     checks.append((ident, "qri-separation-consistency", lemma_ok))
@@ -452,6 +454,8 @@ def main(argv=None) -> int:
             raise InputError(f"{args.command} needs {needs} instance file(s)")
         docs = [_load(p) for p in args.files[:needs]]
         body, code, lines = handler(args, docs)
+        text = docio.dump_report({"command": args.command, "seed": args.seed, **body,
+                                  "exit_code": code})
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 1
@@ -464,10 +468,6 @@ def main(argv=None) -> int:
         msg = " ".join(str(exc).splitlines())
         print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return 2
-    report = {"command": args.command, "seed": args.seed}
-    report.update(body)
-    report["exit_code"] = code
-    text = docio.dump_report(report)
     if args.out:
         try:
             with open(args.out, "w") as f:

@@ -2,9 +2,13 @@
 
 Rationals travel as strings "p" or "p/q"; no floating-point literal is
 ever accepted or emitted, so serialized reports are bit-identical across
-platforms.  Parse errors carry the offending field path.  Every report
-value reaches JSON through one encoder, `to_json`; a command names the
-fields of a result object that it prints with `report_fields`.
+platforms.  Parse errors carry the offending field path.  A report is
+written by one encoder, `dump_report`, in one recursive pass that prints
+the text `json.dumps(..., indent=2, sort_keys=True)` would print for its
+JSON form: a rational as its "p" or "p/q" string, a tuple or list as a
+list, a dict or dataclass as an object of its entries or fields.  A
+command names the fields of a result object that it prints with
+`report_fields`.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .errors import InputError, TheoremViolation
 from .polyhedra import HPolyhedron, VPolyhedron
@@ -169,30 +174,44 @@ def report_fields(obj, *names: str) -> dict:
     return {name: getattr(obj, name) for name in names}
 
 
-def to_json(value):
-    """The JSON form of a report value: a Fraction becomes its "p" or "p/q"
-    string, a tuple or list a list, a dict or dataclass an object of its
-    entries or fields; an int, bool, str or None stays as it is."""
-    return _encode(value)
+def dump_report(report) -> str:
+    """The report's JSON text, as `json.dumps(..., indent=2, sort_keys=True)`
+    would print the report's JSON form, with a final newline."""
+    return _text(report, "\n") + "\n"
 
 
-def _encode(value):
+def _text(value, newline: str) -> str:
     # Exact type first, most frequent first: rationals and vectors fill a
-    # report, so `is_dataclass` runs only for the few remaining values.  The
-    # recursion stays private, so a tracer of public calls sees one per report.
+    # report, so `is_dataclass` runs only for the few remaining values.  A
+    # rational's string holds only digits, "-" and "/", which need no
+    # escape.  `newline` carries the indent of the value's own line.  The
+    # recursion stays private, so a tracer of public calls sees one call
+    # per report.
     kind = type(value)
     if kind is Rat:
-        return format_rational(value)
+        return f'"{format_rational(value)}"'
     if kind is tuple or kind is list:
-        return [_encode(v) for v in value]
-    if kind is bool or value is None or kind is str or kind is int:
-        return value
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_text(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is int:
+        return repr(value)
     if kind is dict:
-        return {k: _encode(v) for k, v in value.items()}
-    if is_dataclass(value):
-        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
-    raise TypeError(f"no JSON form for {kind.__name__}")
-
-
-def dump_report(report: dict) -> str:
-    return json.dumps(to_json(report), indent=2, sort_keys=True) + "\n"
+        pairs = value.items()
+    elif is_dataclass(value):
+        pairs = [(f.name, getattr(value, f.name)) for f in fields(value)]
+    else:
+        raise TypeError(f"no JSON form for {kind.__name__}")
+    if not pairs:
+        return "{}"
+    inner = newline + "  "
+    items = [f"{encode_basestring_ascii(k)}: {_text(v, inner)}" for k, v in sorted(pairs)]
+    return f"{{{inner}{(',' + inner).join(items)}{newline}}}"

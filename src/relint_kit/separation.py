@@ -103,18 +103,32 @@ def _functional(P1: HPolyhedron, y: Vec, z: Vec) -> tuple[int, ...]:
     return primitive(combo[:-1])
 
 
-def _separate(P1: HPolyhedron, P2: HPolyhedron):
-    """The verdict of `properly_separate` with the joint multipliers it
-    was read from, as (outcome, y, z)."""
+def _joint_verdict(P1: HPolyhedron, P2: HPolyhedron):
+    """The joint slack LP of two nonempty polyhedra as (separable, x, y,
+    z): they separate properly unless a positive t puts x in both
+    relative interiors."""
     if P1.dim != P2.dim:
         raise InputError("separation requires matching dimensions")
     if is_empty(P1) or is_empty(P2):
         raise EmptySetError("separation requires nonempty sets")
     t, x, y, z = _joint_slack(P1, P2)
-    if t is not None and t > 0:
+    return t is None or t <= 0, x, y, z
+
+
+def _separate(P1: HPolyhedron, P2: HPolyhedron):
+    """The verdict of `properly_separate` with the joint multipliers it
+    was read from, as (outcome, y, z)."""
+    separable, x, y, z = _joint_verdict(P1, P2)
+    if not separable:
         return NotSeparable(x), y, z
     cert = _build_certificate(_functional(P1, y, z), P1, P2)
     return Separated(cert), y, z
+
+
+def properly_separable(P1: HPolyhedron, P2: HPolyhedron) -> bool:
+    """Whether two nonempty polyhedra separate properly: the verdict of
+    `properly_separate`, read from the same LP, without its certificate."""
+    return _joint_verdict(P1, P2)[0]
 
 
 def properly_separate(P1: HPolyhedron, P2: HPolyhedron):

@@ -3,11 +3,13 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import same_set
+from test_golden import CLI_CASES, RI_POINT
 from relint_kit import cli, docio, separation
 from relint_kit.cli import main
 from relint_kit.errors import InputError, TheoremViolation
@@ -94,28 +97,143 @@ def test_certificate_round_trip():
     cert = SeparationCertificate(
         vec([0, 1]), vec(["0"])[0], vec(["1/2"])[0], vec([0, 0]), vec([0, 1])
     )
-    doc = docio.to_json(cert)
+    doc = json.loads(docio.dump_report(cert))
     back = docio.parse_certificate(doc)
     assert back == cert
 
 
-def test_to_json_encodes_report_values():
+def _dumped(value):
+    return json.loads(docio.dump_report(value))
+
+
+def test_dump_report_encodes_report_values():
     @dataclass(frozen=True)
     class Row:
         index: int
         normal: tuple
 
-    assert docio.to_json(Fraction(3)) == "3"
-    assert docio.to_json(Fraction(-1, 2)) == "-1/2"
+    assert _dumped(Fraction(3)) == "3"
+    assert _dumped(Fraction(-1, 2)) == "-1/2"
     for value in (0, 7, True, False, None, "id"):
-        assert docio.to_json(value) is value
-    assert docio.to_json(((Fraction(1), Fraction(2, 3)), [Fraction(0)], ())) == [
+        got = _dumped(value)
+        assert got == value and type(got) is type(value)
+    assert _dumped(((Fraction(1), Fraction(2, 3)), [Fraction(0)], ())) == [
         ["1", "2/3"], ["0"], []]
-    assert docio.to_json(Row(2, (Fraction(1, 4),))) == {"index": 2, "normal": ["1/4"]}
-    assert docio.to_json({"rows": [Row(0, ())], "ok": True}) == {
+    assert _dumped(Row(2, (Fraction(1, 4),))) == {"index": 2, "normal": ["1/4"]}
+    assert _dumped({"rows": [Row(0, ())], "ok": True}) == {
         "rows": [{"index": 0, "normal": []}], "ok": True}
     with pytest.raises(TypeError):
-        docio.to_json(0.5)
+        docio.dump_report(0.5)
+
+
+def _plain(value):
+    """The JSON form of a report value for `json.dumps`, built without
+    docio: `str` of a Fraction is its "p" or "p/q" string."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def _assert_written_as_json_dumps(value):
+    assert docio.dump_report(value) == json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
+
+
+def _golden_argv(case: str, cert: Path) -> list[str]:
+    """A `test_golden.CLI_CASES` case as an argument list, read as that
+    module's pinning test reads it."""
+    argv = []
+    for word in case.split():
+        if word == "--out=cert":
+            argv += ["--out", str(cert)]
+        elif word == "cert":
+            argv.append(str(cert))
+        elif not word.startswith("-"):
+            argv.append(word if not argv else str(CORPUS / f"{word}.json"))
+        else:
+            argv.append(word)
+    return argv
+
+
+def test_dump_report_writes_every_pinned_report_as_json_dumps(tmp_path, capsys, monkeypatch):
+    """Every report the golden pins hash, and `verify-corpus` at four
+    seeds, in the bytes `json.dumps(..., indent=2, sort_keys=True)` prints
+    for the report's JSON form."""
+    reports = []
+    dump = docio.dump_report
+
+    def spy(report):
+        reports.append(report)
+        return dump(report)
+
+    monkeypatch.setattr(docio, "dump_report", spy)
+    runs = [_golden_argv(case, tmp_path / "cert.json") for case in CLI_CASES]
+    runs += [["ri-point", str(CORPUS / f"{ident}.json")] for ident in sorted(RI_POINT)]
+    runs += [["verify-corpus", "--seed", str(seed)] for seed in (0, 3, 7, 11)]
+    codes = []
+    for argv in runs:
+        codes.append(main(argv))
+        capsys.readouterr()
+    monkeypatch.undo()
+    assert len(reports) == sum(code != 2 for code in codes) > 60
+    for report in reports:
+        _assert_written_as_json_dumps(report)
+
+
+@dataclass(frozen=True)
+class _Row:
+    index: int
+    normal: tuple
+    note: object
+
+
+_STRINGS = ("", "id", 'say "hi"', "back\\slash\\", "tab\tnew\nline\x00\x1f\x7f", "café",
+            "∂P ⊂ ℝ²", "\U0001d53b", "</script>", "\u2028")
+
+
+def _seeded_value(rng: random.Random, depth: int = 0):
+    pick = rng.randrange(9 if depth < 4 else 6)
+    if pick == 0:
+        return rng.choice((0, 1, -1, 7, 2**70, -(3**50), 10**30 + 1))
+    if pick == 1:
+        return Fraction(rng.randint(-10**12, 10**12), rng.choice((1, 2, 3, 10**6 + 3)))
+    if pick == 2:
+        return rng.choice((True, False))
+    if pick == 3:
+        return None
+    if pick == 4:
+        return rng.choice(_STRINGS)
+    if pick == 5:
+        return rng.choice(((), [], {}, _Row(0, (), ())))
+    if pick == 6:
+        items = [_seeded_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return tuple(items) if rng.random() < 0.5 else items
+    if pick == 7:
+        return {rng.choice(_STRINGS) + str(rng.randint(0, 3)): _seeded_value(rng, depth + 1)
+                for _ in range(rng.randint(0, 4))}
+    return _Row(rng.randint(-5, 5), tuple([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                           for _ in range(rng.randint(0, 3))]),
+                _seeded_value(rng, depth + 1))
+
+
+def test_dump_report_writes_seeded_values_as_json_dumps():
+    rng = random.Random(3401)
+    for _ in range(600):
+        _assert_written_as_json_dumps(_seeded_value(rng))
+    _assert_written_as_json_dumps({s: s for s in _STRINGS})
+
+
+@pytest.mark.parametrize("value", [
+    0.5, float("nan"), [Fraction(1), 0.25], {"x": (1, {2, 3})}, Decimal("1"), b"x",
+    object(), 1j, {1: "a"}, _Row(0, (0.5,), None)], ids=repr)
+def test_dump_report_rejects_every_other_type(value):
+    with pytest.raises(TypeError):
+        docio.dump_report(value)
 
 
 def run_cli(capsys, *argv):
@@ -582,6 +700,24 @@ def test_cli_internal_error_is_one_line_with_exit_2(monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "internal error: ZeroDivisionError: division by zero second line\n"
+
+
+def test_cli_encoder_defect_is_one_line_with_exit_2(monkeypatch, capsys, tmp_path):
+    """A report value without a JSON form is a defect of the program: it
+    exits 2 with one line, prints no report and writes no `--out` file."""
+    def floaty(args, docs):
+        return {"instance": docs[0].id, "point": (0.5, 0.5)}, 0, ["ok square ri-membership"]
+
+    monkeypatch.setitem(cli._HANDLERS, "ri-check", (floaty, 1))
+    out = tmp_path / "report.json"
+    argv = ["ri-check", str(CORPUS / "square-unit.json"), "--point=1/2,1/2"]
+    for run in (argv, [*argv, "--out", str(out)]):
+        code = main(run)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "internal error: TypeError: no JSON form for float\n"
+        assert not out.exists()
 
 
 def test_cli_theorem_violation_is_one_line_with_exit_1(monkeypatch, capsys):

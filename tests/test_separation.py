@@ -13,7 +13,7 @@ from relint_kit.errors import EmptySetError, InputError
 from relint_kit.linalg import in_span
 from relint_kit.polyhedra import AffineFlat, HPolyhedron, h_to_v
 from relint_kit.rational import dot, vec
-from relint_kit.relint import in_qri, ri_membership
+from relint_kit.relint import in_qri, ri_membership, ri_point
 from relint_kit.sampling import sample_points
 from relint_kit.separation import (
     NotSeparable,
@@ -21,6 +21,7 @@ from relint_kit.separation import (
     Separated,
     _proves_ri_disjoint,
     _separate,
+    properly_separable,
     properly_separate,
     qri_nonmembership_via_separation,
     separation_iff_ri_disjoint,
@@ -364,6 +365,39 @@ def test_ri_disjointness_check_matches_the_separation_verdict():
         n_separated += separated
         assert _proves_ri_disjoint(P1, P2, y, z) == separated
     assert n_separated >= 300
+
+
+def _with_free_coordinate(P: HPolyhedron) -> HPolyhedron:
+    """P x R: a line along the new last coordinate."""
+    def widen(rows):
+        return tuple([row + (Fraction(0),) for row in rows])
+    return HPolyhedron(widen(P.A), P.b, widen(P.E), P.d, P.dim + 1)
+
+
+def test_separable_verdict_is_the_verdict_of_properly_separate():
+    """The verdict `verify-corpus` reads for the qri lemma, {x} against P,
+    is the one `properly_separate` returns, at vertices, points of lower
+    faces and `ri_point`, on sets with lines, flats and equality rows in
+    dimensions 0 to 4."""
+    rng = random.Random(3402)
+    seen = set()
+    for trial in range(160):
+        n = trial % 5
+        if n == 0:
+            P = HPolyhedron((), (), (), (), 0)
+        elif n >= 2 and rng.random() < 0.3:
+            P = _with_free_coordinate(random_nonempty_hpoly(rng, n - 1, n + 2, eq_prob=0.4))
+        else:
+            P = random_nonempty_hpoly(rng, n, n + 3, eq_prob=0.4)
+        points = h_to_v(P).points + tuple(sample_points(P, seed=trial, midpoint_cap=4,
+                                                        random_combos=1)) + (ri_point(P),)
+        for x in points:
+            singleton = HPolyhedron.singleton(x)
+            verdict = properly_separable(singleton, P)
+            assert verdict == isinstance(properly_separate(singleton, P), Separated)
+            seen.add((P.dim, verdict))
+    assert {(n, v) for n in range(1, 5) for v in (True, False)} <= seen
+    assert (0, False) in seen
 
 
 def test_readme_library_example_prints_its_functional(capsys):

@@ -184,10 +184,11 @@ SERIALIZERS = ("ser_vec", "ser_mat", "certificate_doc", "witness_doc",
 
 
 def test_one_report_encoder():
-    """Report values reach JSON through `docio.to_json` alone: only its
-    private recursion formats a rational, and no module defines one of the
-    per-type serializers that it replaced."""
-    assert _calls_to("format_rational") == {("docio", "_encode")}
+    """Reports are written by `docio.dump_report` alone: only its private
+    recursion formats a rational, no module calls `json.dumps`, and no
+    module defines one of the per-type serializers that it replaced."""
+    assert _calls_to("format_rational") == {("docio", "_text")}
+    assert _calls_to("dumps") == set()
     defined = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
