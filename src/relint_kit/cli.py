@@ -19,8 +19,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from importlib import resources
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import docio
@@ -246,20 +244,16 @@ def _cmd_verify(args, docs_unused):
 # -- corpus verification -------------------------------------------------------
 
 
-def _corpus_paths(args) -> list[Path]:
+def _corpus_paths(args) -> list[str]:
+    """The `.json` files of the directory given, or of the bundled corpus,
+    in the order of their names; entries that are not files are skipped."""
     if len(args.files) > 1:
         raise InputError(f"verify-corpus takes at most one directory, got {len(args.files)}")
-    if args.files:
-        root = Path(args.files[0])
-        if not root.is_dir():
-            raise InputError(f"{root} is not a directory")
-        paths = sorted([p for p in root.glob("*.json") if p.is_file()])
-    else:
-        base = resources.files("relint_kit").joinpath("corpus")
-        paths = sorted(
-            (Path(str(p)) for p in base.iterdir() if p.name.endswith(".json") and p.is_file()),
-            key=lambda p: p.name,
-        )
+    root = args.files[0] if args.files else os.path.join(os.path.dirname(__file__), "corpus")
+    if not os.path.isdir(root):
+        raise InputError(f"{root} is not a directory")
+    with os.scandir(root) as entries:
+        paths = sorted([e.path for e in entries if e.name.endswith(".json") and e.is_file()])
     if not paths:
         raise InputError("no instance documents found")
     return paths
@@ -329,7 +323,7 @@ def _check_plfunction(ident: str, f: PLConvexFunction, seed: int, checks):
 
 def _cmd_verify_corpus(args, docs_unused):
     paths = _corpus_paths(args)
-    docs = [_load(str(p)) for p in paths]
+    docs = [_load(p) for p in paths]
     docs.sort(key=lambda d: d.id)
     seen = set()
     for d in docs:

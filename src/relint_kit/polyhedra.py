@@ -20,9 +20,11 @@ Conventions fixed here and relied on everywhere else:
     which builds its `Fraction` points only when asked, each distinct
     value once (`rational.frac_vecs`), as `_dual_cone_rows` builds its
     rows;
-  * a `product` presets its generators and incidence from its factors',
-    so no double description runs on it, and `minkowski_diff` is the
-    linear image of the product under (x, y) -> x - y;
+  * a `product` presets its integer rows, generators and incidence from
+    its factors': the rows padded with zeros, the points paired (one
+    concatenation where the two share their t), so no double description
+    and no rescaling runs on it, and `minkowski_diff` is the linear image
+    of the product under (x, y) -> x - y;
   * its rows are cached as integers with their scales (`_int_rows`); the
     slack LP (emptiness, implicit rows, separation, strict preimages) is
     encoded from them and read in `_max_slack` alone, as (t, x, y, z), and
@@ -589,26 +591,40 @@ def minkowski_diff(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:
 
 
 def product(P1: HPolyhedron, P2: HPolyhedron) -> HPolyhedron:
-    """P1 x P2 by block-diagonal constraint stacking, its generators and
-    incidence preset from the factors', with no double description.
+    """P1 x P2 by block-diagonal constraint stacking, its integer rows,
+    generators and incidence preset from the factors', with no double
+    description and no rescaling.
 
-    The points are the pairs (t2·x1, t1·x2, t1·t2), pair (i, j) at
-    i·|points2| + j, and the directions P1's and then P2's, padded with
-    zeros.  A row of P1 is tight at every pair of each P1 point it is
-    tight at, at its own directions and at all of P2's, which are zero in
-    P1's coordinates; a row of P2 likewise at every pair of each P2 point
-    it is tight at, at all of P1's directions and at its own."""
+    The integer rows are the factors' `_int_rows` padded with zeros: a
+    row (L, h) of P1 as (L, (h without its last entry, 0, ..., 0, h's last
+    entry)) and one of P2 as (L, (0, ..., 0, h)), what `scaled_ints` gives
+    for the padded rows.  The points are the pairs primitive((t2·x1,
+    t1·x2, t1·t2)), pair (i, j) at i·|points2| + j; when t1 = t2 = t that
+    is the concatenation (x1, x2, t), as (x1, t) is primitive.  The
+    directions are P1's and then P2's, padded with zeros.  A row of P1 is
+    tight at every pair of each P1 point it is tight at, at its own
+    directions and at all of P2's, which are zero in P1's coordinates; a
+    row of P2 likewise at every pair of each P2 point it is tight at, at
+    all of P1's directions and at its own."""
     n1, n2 = P1.dim, P2.dim
     A = [row + zeros(n2) for row in P1.A] + [zeros(n1) + row for row in P2.A]
     E = [row + zeros(n2) for row in P1.E] + [zeros(n1) + row for row in P2.E]
     P = HPolyhedron(tuple(A), P1.b + P2.b, tuple(E), P1.d + P2.d, n1 + n2)
+    pad1, pad2 = (0,) * n1, (0,) * n2
+    P.__dict__["_int_rows"] = tuple([
+        tuple([(L, [*h[:-1], *pad2, h[-1]]) for L, h in rows1] + [(L, [*pad1, *h]) for L, h in rows2])
+        for rows1, rows2 in zip(P1._int_rows, P2._int_rows)])
     points1, directions1 = P1._int_generators
     points2, directions2 = P2._int_generators
     points = []
-    for *x1, t1 in points1:
-        for *x2, t2 in points2:
-            points.append(primitive([*[t2 * a for a in x1], *[t1 * c for c in x2], t1 * t2]))
-    pad1, pad2 = (0,) * n1, (0,) * n2
+    for g1 in points1:
+        x1, t1 = g1[:-1], g1[-1]
+        for g2 in points2:
+            t2 = g2[-1]
+            if t1 == t2:
+                points.append(x1 + g2)
+            else:
+                points.append(primitive([*[t2 * a for a in x1], *[t1 * c for c in g2[:-1]], t1 * t2]))
     directions = [g[:-1] + pad2 + (0,) for g in directions1] + [pad1 + g for g in directions2]
     k1, k2, pairs, d1 = len(points1), len(points2), len(points), len(directions1)
     # The pairs of the first P1 point, and the first pair of each block.

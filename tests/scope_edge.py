@@ -1,5 +1,5 @@
-"""Scope-edge timings of `verify-corpus`, `image-ri`, `diff-ri`, `h_to_v`
-and `minkowski_diff`, a process each.
+"""Scope-edge timings of `verify-corpus`, `image-ri`, `diff-ri`, `h_to_v`,
+`v_to_h` and `minkowski_diff`, a process each.
 
     python3 tests/scope_edge.py [--limit SECONDS] [--src DIR]
 
@@ -16,6 +16,11 @@ sum of the first five (rank 5, so that the image has an equality row).
 (35 and 72 vertices) and on the dimension-6 set with 12 rows (79
 vertices), and writes the rows of the result, one per line; on the same
 sets `relint-kit diff-ri` runs with the document given twice, for P - P.
+`v_to_h` runs on the hulls in dimension 6 of 16 and 21 points drawn the
+same way (`random.Random(1)`, integers in [-12, 12], 100 <= |p|^2 <= 144),
+the vectors of the 16- and 21-row facet sets taken as points: by
+polarity the first hull has one facet per vertex of the 16-row set, 209
+in all.  It writes the rows of the result, one per line.
 For each set the script prints the SHA-256 of the instance document, then runs
 each of its cases in a fresh interpreter that imports relint_kit from
 --src (default: this checkout's src/).  A run over --limit seconds is
@@ -42,14 +47,16 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-# name: (dimension, rows, commands)
+# name: (kind, dimension, rows or points, commands)
 CASES = {
-    "dim6-rows16": (6, 16, ("verify-corpus", "h_to_v")),
-    "dim6-rows24": (6, 24, ("verify-corpus", "h_to_v")),
-    "dim6-rows32": (6, 32, ("verify-corpus", "image-ri", "image-ri-rank5", "h_to_v")),
-    "dim4-rows12": (4, 12, ("minkowski_diff", "diff-ri")),
-    "dim4-rows20": (4, 20, ("minkowski_diff", "diff-ri")),
-    "dim6-rows12": (6, 12, ("minkowski_diff", "diff-ri")),
+    "dim6-rows16": ("hpoly", 6, 16, ("verify-corpus", "h_to_v")),
+    "dim6-rows24": ("hpoly", 6, 24, ("verify-corpus", "h_to_v")),
+    "dim6-rows32": ("hpoly", 6, 32, ("verify-corpus", "image-ri", "image-ri-rank5", "h_to_v")),
+    "dim4-rows12": ("hpoly", 4, 12, ("minkowski_diff", "diff-ri")),
+    "dim4-rows20": ("hpoly", 4, 20, ("minkowski_diff", "diff-ri")),
+    "dim6-rows12": ("hpoly", 6, 12, ("minkowski_diff", "diff-ri")),
+    "dim6-points16": ("vpoly", 6, 16, ("v_to_h",)),
+    "dim6-points21": ("vpoly", 6, 21, ("v_to_h",)),
 }
 
 PROJECTION = ";".join([",".join(["1" if i == j else "0" for j in range(6)]) for i in range(5)])
@@ -60,14 +67,14 @@ MATRICES = {"image-ri": PROJECTION, "image-ri-rank5": PROJECTION + ";1,1,1,1,1,0
 # are written to the counts file however the command ends.  For the one
 # document in the directory, verify-corpus runs the CLI on the directory,
 # image-ri runs the CLI on the document with the matrix, diff-ri runs the
-# CLI on the document twice, h_to_v writes the points of P and
-# minkowski_diff the rows of P - P.
+# CLI on the document twice, h_to_v writes the points of P, v_to_h the
+# rows of the hull of V and minkowski_diff the rows of P - P.
 CHILD = """
 import atexit, json, sys
 from pathlib import Path
 import relint_kit.cli
 from relint_kit import dd, docio, lp
-from relint_kit.polyhedra import h_to_v, minkowski_diff
+from relint_kit.polyhedra import h_to_v, minkowski_diff, v_to_h
 counts = {"simplex": 0, "pivots": 0, "dd_rows": 0}
 real = {"simplex_max": lp.simplex_max, "dd_cone": dd.dd_cone}
 
@@ -100,7 +107,7 @@ if command == "h_to_v":
     for x in h_to_v(P).points:
         print(",".join(map(str, x)))
 else:
-    D = minkowski_diff(P, P)
+    D = v_to_h(P) if command == "v_to_h" else minkowski_diff(P, P)
     for row, beta in zip(D.A, D.b):
         print(",".join(map(str, row)), "<=", beta)
     for row, delta in zip(D.E, D.d):
@@ -108,8 +115,9 @@ else:
 """
 
 
-def random_facets(m: int, dim: int) -> list[list[int]]:
-    """The first m distinct rows p with 100 <= |p|^2 <= 144, seed 1."""
+def random_vectors(m: int, dim: int) -> list[list[int]]:
+    """The first m distinct vectors p with 100 <= |p|^2 <= 144, seed 1:
+    the rows of a facet set or the points of a hull."""
     rng = random.Random(1)
     rows: list[list[int]] = []
     while len(rows) < m:
@@ -119,11 +127,13 @@ def random_facets(m: int, dim: int) -> list[list[int]]:
     return rows
 
 
-def document(name: str, dim: int, m: int) -> bytes:
-    rows = random_facets(m, dim)
-    node = {"id": name, "kind": "hpoly", "payload": {
-        "A": [[str(c) for c in p] for p in rows], "b": ["1"] * m,
-        "E": [], "d": [], "dim": len(rows[0])}}
+def document(name: str, kind: str, dim: int, m: int) -> bytes:
+    vectors = [[str(c) for c in p] for p in random_vectors(m, dim)]
+    if kind == "vpoly":
+        payload = {"dim": dim, "points": vectors, "rays": []}
+    else:
+        payload = {"A": vectors, "b": ["1"] * m, "E": [], "d": [], "dim": dim}
+    node = {"id": name, "kind": kind, "payload": payload}
     return (json.dumps(node, indent=2, sort_keys=True) + "\n").encode()
 
 
@@ -159,11 +169,13 @@ def main() -> int:
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="directory that holds the relint_kit package")
     args = parser.parse_args()
-    docs = {name: document(name, dim, m) for name, (dim, m, _) in CASES.items()}
+    docs = {name: document(name, kind, dim, m) for name, (kind, dim, m, _) in CASES.items()}
     for name, text in docs.items():
-        print(f"{name} rows={CASES[name][1]} document sha256={hashlib.sha256(text).hexdigest()}")
+        kind, _, m, _ = CASES[name]
+        counted = "points" if kind == "vpoly" else "rows"
+        print(f"{name} {counted}={m} document sha256={hashlib.sha256(text).hexdigest()}")
     for name, text in docs.items():
-        for command in CASES[name][2]:
+        for command in CASES[name][3]:
             seconds, code, counted, digest = run_case(name, text, command, args.src, args.limit)
             print(f"{name} {command} seconds={seconds} exit={code} {counted} "
                   f"stdout sha256={digest}", flush=True)

@@ -230,7 +230,8 @@ def test_dump_report_writes_seeded_values_as_json_dumps():
 
 @pytest.mark.parametrize("value", [
     0.5, float("nan"), [Fraction(1), 0.25], {"x": (1, {2, 3})}, Decimal("1"), b"x",
-    object(), 1j, {1: "a"}, _Row(0, (0.5,), None)], ids=repr)
+    object(), 1j, {1: "a"}, _Row(0, (0.5,), None)],
+    ids=lambda v: "object()" if type(v) is object else repr(v))
 def test_dump_report_rejects_every_other_type(value):
     with pytest.raises(TypeError):
         docio.dump_report(value)

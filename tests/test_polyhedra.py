@@ -5,6 +5,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -519,14 +520,16 @@ def test_minkowski_diff_of_each_operand_kind_matches_the_fraction_route():
 
 def _product_factor(rng: random.Random, n: int, kind: str) -> HPolyhedron:
     """A set in R^n for `product`'s preset: `_image_case`'s sets (lines,
-    equality rows, redundant rows), an empty set, a singleton, or R^0 and
-    the empty set in R^0 when n = 0."""
+    equality rows, redundant rows, half-integral vertices), an empty set,
+    a singleton with coordinates in halves, quarters and sixths, or R^0
+    and the empty set in R^0 when n = 0."""
     if n == 0:
         return HPolyhedron.whole_space(0) if kind != "empty" else HPolyhedron.empty(0)
     if kind == "empty":
         return HPolyhedron.empty(n)
     if kind == "singleton":
-        return HPolyhedron.singleton(tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(n)))
+        return HPolyhedron.singleton(
+            tuple(Fraction(rng.randint(-3, 3), rng.choice((2, 4, 6))) for _ in range(n)))
     return _image_case(rng, n, {k: 0 for k in ("scaled", "shifted", "zero", "one")})
 
 
@@ -537,9 +540,13 @@ def test_product_presets_the_generators_and_incidence_of_its_rows():
     # each satisfies the homogenized rows, each of the plain generators is
     # a nonnegative combination of them (the `FractionSimplex` oracle), and
     # they are as many.  Each mask is the generators its row is tight at,
-    # by integer dot products.
+    # by integer dot products.  The preset integer rows are those
+    # recomputed from the `Fraction` rows, and each point is the pair
+    # (t2·x1, t1·x2, t1·t2) of its factors' points, made primitive: the
+    # two share their t, or not, and then at times a factor of it.
     rng = random.Random(3135)
-    seen = {k: 0 for k in ("line", "equality", "empty", "singleton", "dimension 0")}
+    seen = {k: 0 for k in ("line", "equality", "empty", "singleton", "dimension 0",
+                           "same t > 1", "different t", "common factor")}
     for _ in range(120):
         n1, n2 = rng.randint(0, 3), rng.randint(0, 3)
         P1, P2 = (_product_factor(rng, n, rng.choice(("set", "set", "set", "empty", "singleton")))
@@ -548,6 +555,16 @@ def test_product_presets_the_generators_and_incidence_of_its_rows():
         points, directions = prod.__dict__["_int_generators"]
         masks = prod.__dict__["_incidence"]
         plain = HPolyhedron(prod.A, prod.b, prod.E, prod.d, prod.dim)
+        assert prod.__dict__["_int_rows"] == plain._int_rows
+        pairs = [(g1, g2) for g1 in P1._int_generators[0] for g2 in P2._int_generators[0]]
+        assert points == tuple(
+            primitive_int([*[g2[-1] * a for a in g1[:-1]], *[g1[-1] * c for c in g2[:-1]],
+                           g1[-1] * g2[-1]])
+            for g1, g2 in pairs)
+        seen["same t > 1"] += sum(g1[-1] == g2[-1] > 1 for g1, g2 in pairs)
+        seen["different t"] += sum(g1[-1] != g2[-1] for g1, g2 in pairs)
+        seen["common factor"] += sum(g1[-1] != g2[-1] and gcd(g1[-1], g2[-1]) > 1
+                                     for g1, g2 in pairs)
         plain_points, plain_directions = plain._int_generators
         assert (len(points), len(directions)) == (len(plain_points), len(plain_directions))
         gens = points + directions

@@ -302,3 +302,30 @@ def test_double_description_is_a_leaf_over_integers():
         "from . import lp\nfrom relint_kit.linalg import rank\nimport relint_kit.polyhedra\n"
         "from relint_kit import docio\nimport fractions\n")) == {
             "lp", "linalg", "polyhedra", "docio"}
+
+
+def _imported_names(tree) -> set[str]:
+    """The dotted names one module imports: `import a.b` gives a.b, and
+    `from a import b` gives both a and a.b."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+    return names
+
+
+def test_files_are_read_with_open_and_os():
+    """No module of the library imports `pathlib` or `importlib.resources`:
+    documents are read with `open`, the corpus directory is listed with
+    `os.scandir`, and the bundled corpus is found next to the package's
+    own files."""
+    banned = ("pathlib", "importlib.resources")
+    sites = sorted((path.stem, name) for path in SRC.glob("*.py")
+                   for name in _imported_names(ast.parse(path.read_text()))
+                   if any(name == b or name.startswith(b + ".") for b in banned))
+    assert sites == []
+    assert _imported_names(ast.parse(
+        "from importlib import resources\nimport pathlib\nfrom . import lp\n")) == {
+            "importlib", "importlib.resources", "pathlib"}
